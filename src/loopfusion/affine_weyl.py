@@ -38,6 +38,15 @@ class AffineContext:
     def kappa(self) -> int:
         return self.h + self.rs.dual_coxeter
 
+    @property
+    def step_budget(self) -> int:
+        """Cap on alcove-walk steps (sweeps in the batch kernel).
+
+        The walk needs about one step per wall crossed, so the budget caps
+        the supported coordinate magnitude at a comfortable multiple of kappa.
+        """
+        return 10 * self.kappa * len(self.rs.positive_roots) + 10
+
 
 @dataclass(frozen=True)
 class AlcoveReduction:
@@ -62,17 +71,13 @@ def _normalize(value):
     return value
 
 
-def _level(ctx: AffineContext, x: tuple):
-    return sum(c * v for c, v in zip(ctx.rs.comarks, x))
-
-
 def reflect_generator(ctx: AffineContext, x: tuple, idx: int) -> tuple:
     """Apply generator idx: 0 is the affine wall reflection, i>=1 is s_i."""
     rs = ctx.rs
     if not 0 <= idx <= rs.rank:
         raise ValidationError(f"generator index {idx} outside 0..{rs.rank}")
     if idx == 0:
-        excess = _level(ctx, x) - ctx.kappa
+        excess = theta_pairing(rs, x) - ctx.kappa
         return tuple(_normalize(v - excess * t) for v, t in zip(x, rs.highest_root))
     alpha = rs.simple_roots[idx - 1]
     c = x[idx - 1]
@@ -106,7 +111,7 @@ def on_wall(ctx: AffineContext, x: tuple) -> bool:
 
 def _violated_index(ctx: AffineContext, x: tuple, affine_first: bool):
     finite = next((i + 1 for i, v in enumerate(x) if v < 0), None)
-    affine = 0 if _level(ctx, x) > ctx.kappa else None
+    affine = 0 if theta_pairing(ctx.rs, x) > ctx.kappa else None
     if affine_first:
         return affine if affine is not None else finite
     return finite if finite is not None else affine
@@ -124,7 +129,7 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
         raise ValidationError(f"unknown reduction order {order!r}")
     y = tuple(_normalize(v) for v in x)
     word: list[int] = []
-    bound = 10 * ctx.kappa * len(ctx.rs.positive_roots) + 10
+    bound = ctx.step_budget
     for _ in range(bound):
         idx = _violated_index(ctx, y, order == "affine_first")
         if idx is None:
@@ -132,13 +137,11 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
         y = reflect_generator(ctx, y, idx)
         word.append(idx)
     else:
-        # the walk needs about one step per wall crossed, so the budget caps
-        # the supported coordinate magnitude at a comfortable multiple of kappa
         raise ResourceError(
             f"alcove reduction exceeded {bound} steps; "
             "coordinate magnitudes far beyond the level are not supported"
         )
-    wall = any(v == 0 for v in y) or _level(ctx, y) == ctx.kappa
+    wall = any(v == 0 for v in y) or theta_pairing(ctx.rs, y) == ctx.kappa
     length = len(word)
     return AlcoveReduction(
         status=WALL if wall else INTERIOR,
@@ -157,11 +160,10 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     """
     arr = np.asarray(xs)
     rs = ctx.rs
-    bound = 10 * ctx.kappa * len(rs.positive_roots) + 10
     if arr.dtype.kind in "iu" and kernels.fits_int64(arr):
         arr64 = np.ascontiguousarray(arr, dtype=np.int64)
         return kernels.alcove_reduce_batch(
-            rs.np_simple, rs.np_theta, rs.np_comarks, ctx.kappa, arr64, bound
+            rs.np_simple, rs.np_theta, rs.np_comarks, ctx.kappa, arr64, ctx.step_budget
         )
     reduced = np.empty(arr.shape, dtype=np.int64)
     lengths = np.zeros(len(arr), dtype=np.int64)

@@ -20,22 +20,26 @@ from .rootdata import (
     RootSystem,
     Weight,
     check_rank,
-    dominant_representative,
+    dominant_reduce,
     is_dominant,
+    pairing_int,
     weyl_orbit,
 )
 
 WEIGHT_CAP_DEFAULT = 10**6
 
 
-@dataclass
-class VirtualCharacter:
-    """Finitely supported integer combination of dominant weights."""
+class WeightCombination:
+    """Bookkeeping of a finitely supported integer combination of weights.
 
-    terms: dict[Weight, int] = field(default_factory=dict)
+    Subclasses are dataclasses declaring ``terms``; their generated equality
+    compares fields only between instances of the same class.
+    """
+
+    terms: dict[Weight, int]
 
     def __post_init__(self) -> None:
-        self.terms = {tuple(k): int(v) for k, v in self.terms.items() if v != 0}
+        self.terms = {tuple(w): int(c) for w, c in self.terms.items() if c != 0}
 
     def add(self, weight: Weight, coeff: int) -> None:
         new = self.terms.get(weight, 0) + coeff
@@ -44,11 +48,15 @@ class VirtualCharacter:
         else:
             self.terms.pop(weight, None)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VirtualCharacter) and self.terms == other.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+
+@dataclass
+class VirtualCharacter(WeightCombination):
+    """Finitely supported integer combination of dominant weights."""
+
+    terms: dict[Weight, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -91,28 +99,10 @@ def _height_vector(rs: RootSystem, x: tuple) -> list[Fraction]:
     ]
 
 
-def _sq_int(rs: RootSystem, x: tuple) -> int:
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = rs.form_int[i]
-            total += xi * sum(xj * row[j] for j, xj in enumerate(x) if xj)
-    return total
-
-
-def _pair_int(rs: RootSystem, x: tuple, y: tuple) -> int:
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = rs.form_int[i]
-            total += xi * sum(yj * row[j] for j, yj in enumerate(y) if yj)
-    return total
-
-
 @lru_cache(maxsize=256)
 def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicities:
     r = rs.rank
-    lam_star = dominant_representative(rs, tuple(-v for v in lam))
+    lam_star, _ = dominant_reduce(rs, tuple(-v for v in lam))
     depth_vec = _height_vector(rs, tuple(a + b for a, b in zip(lam, lam_star)))
     assert all(v.denominator == 1 for v in depth_vec)
     max_depth = sum(int(v) for v in depth_vec)
@@ -143,7 +133,8 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicitie
 
     # Freudenthal recursion, exact: the scaled form makes every term integral
     rho = rs.rho
-    lam_rho_sq = _sq_int(rs, tuple(v + 1 for v in lam))
+    lam_rho = tuple(v + 1 for v in lam)
+    lam_rho_sq = pairing_int(rs, lam_rho, lam_rho)
     mults: dict[Weight, int] = {lam: 1}
     pos = rs.positive_roots
     pos_heights = rs.root_heights
@@ -154,12 +145,13 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicitie
                 j = 1
                 while j * a_ht <= depth:
                     mu = tuple(v + j * a for v, a in zip(nu, alpha))
-                    m = mults.get(dominant_representative(rs, mu), 0)
+                    m = mults.get(dominant_reduce(rs, mu)[0], 0)
                     if m == 0:
                         break
-                    numer += m * _pair_int(rs, mu, alpha)
+                    numer += m * pairing_int(rs, mu, alpha)
                     j += 1
-            denom = lam_rho_sq - _sq_int(rs, tuple(v + 1 for v in nu))
+            nu_rho = tuple(v + 1 for v in nu)
+            denom = lam_rho_sq - pairing_int(rs, nu_rho, nu_rho)
             assert denom > 0
             q, rem = divmod(2 * numer, denom)
             assert rem == 0 and q >= 0
@@ -181,22 +173,6 @@ def weight_multiplicities(
     """All weights of the irrep with highest weight lam, with multiplicities."""
     lam = _check_dominant(rs, lam)
     return _weight_system(rs, lam, cap)
-
-
-def _dominant_reduce_exact(rs: RootSystem, x: tuple) -> tuple[Weight, int]:
-    """(dominant representative, (-1)^steps) for an integer vector."""
-    y = list(x)
-    sign = 1
-    for _ in range(10 * rs.weyl_order + 10):
-        i = next((j for j, v in enumerate(y) if v < 0), None)
-        if i is None:
-            return tuple(y), sign
-        c = y[i]
-        alpha = rs.simple_roots[i]
-        for j in range(rs.rank):
-            y[j] -= c * alpha[j]
-        sign = -sign
-    raise AssertionError("dominant reduction failed to terminate")
 
 
 def tensor_decompose(rs: RootSystem, lam: tuple, mu: tuple) -> VirtualCharacter:
@@ -228,7 +204,7 @@ def _tensor_cached(rs: RootSystem, lam: Weight, mu: Weight) -> tuple:
             out.add(target, int(sign) * mult)
     else:
         for (_, mult), row in zip(weights, shifted):
-            red, sign = _dominant_reduce_exact(rs, row)
+            red, sign = dominant_reduce(rs, row)
             if any(v == 0 for v in red):
                 continue
             out.add(tuple(v - 1 for v in red), sign * mult)

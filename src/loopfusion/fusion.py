@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .affine_weyl import AffineContext, alcove_reduce_batch, check_alcove
 from .errors import NumericalError, ValidationError
-from .finite_reps import tensor_decompose
+from .finite_reps import WeightCombination, tensor_decompose
 from .rootdata import (
     RootSystem,
     Weight,
@@ -41,34 +41,14 @@ class LevelWeight:
 
 
 @dataclass
-class FusionElement:
-    """Integer combination of level-k alcove labels."""
+class FusionElement(WeightCombination):
+    """Integer combination of level-k alcove labels; equality is level-aware."""
 
     k: int
     terms: dict[Weight, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.terms = {tuple(w): int(c) for w, c in self.terms.items() if c != 0}
-
-    def add(self, weight: Weight, coeff: int) -> None:
-        new = self.terms.get(weight, 0) + coeff
-        if new:
-            self.terms[weight] = new
-        else:
-            self.terms.pop(weight, None)
-
     def sorted_terms(self, rs: RootSystem) -> list[tuple[Weight, int]]:
         return sorted(self.terms.items(), key=lambda kv: canonical_key(rs, kv[0]))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FusionElement)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
 
 def alcove_weights(rs: RootSystem, k: int) -> list[LevelWeight]:

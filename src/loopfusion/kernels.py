@@ -1,67 +1,43 @@
-"""Batched integer kernels: finite-Weyl reduction, alcove reduction, S-sums.
+"""Batched int64 numpy kernels: finite-Weyl reduction, alcove reduction, S-sums.
 
-Each kernel ships in two interchangeable implementations, a numba-compiled
-one and a pure-numpy one, selected by the LOOPFUSION_BACKEND environment
-variable (auto | numba | numpy; auto prefers numba when importable).  Both
-paths work on int64 arrays and produce identical results; callers guard
-magnitudes via :func:`fits_int64` and fall back to exact Python arithmetic
-for oversized inputs, so the kernels never silently lose precision.
+Callers guard magnitudes via :func:`fits_int64` and fall back to exact Python
+arithmetic for oversized inputs, so the kernels never silently lose precision.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ResourceError, ValidationError
-
-BACKEND_ENV = "LOOPFUSION_BACKEND"
+from .errors import ResourceError
 
 # inputs beyond this magnitude go to the exact Python paths instead
 INT64_SAFE_LIMIT = 1 << 40
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in the dev environment
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
-
-
-def resolve_backend() -> str:
-    """The backend in effect: 'numba' or 'numpy'."""
-    raw = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if raw not in ("auto", "numba", "numpy"):
-        raise ValidationError(
-            f"{BACKEND_ENV} must be one of auto|numba|numpy, got {raw!r}"
-        )
-    if raw == "numba" and not HAVE_NUMBA:
-        raise ValidationError("numba backend requested but numba is not installed")
-    if raw == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return raw
-
 
 def fits_int64(*arrays) -> bool:
     """True when every entry is small enough for the int64 kernel paths."""
-    return all(a.size == 0 or int(np.abs(a).max()) < INT64_SAFE_LIMIT for a in arrays)
+    # compare the extremes, not np.abs: abs of int64's minimum overflows
+    return all(
+        a.size == 0
+        or (-INT64_SAFE_LIMIT < int(a.min()) and int(a.max()) < INT64_SAFE_LIMIT)
+        for a in arrays
+    )
 
 
-# -- finite Weyl reduction ----------------------------------------------------
+def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray):
+    """Reduce each row of xs into the dominant chamber by simple reflections.
 
-
-def _dominant_reduce_np(simple: np.ndarray, xs: np.ndarray):
-    ys = xs.copy()
-    n, r = ys.shape
+    Returns (reduced, signs, steps); a reduced row with a zero coordinate sits
+    on a chamber wall, in which case its sign carries no meaning.
+    """
+    ys = np.array(xs, dtype=np.int64)
+    simple = np.ascontiguousarray(simple, dtype=np.int64)
+    n = ys.shape[0]
     signs = np.ones(n, dtype=np.int64)
     steps = np.zeros(n, dtype=np.int64)
+    if ys.size == 0:
+        return ys, signs, steps
+    r = ys.shape[1]
     sweeps = 0
     while True:
         neg = ys < 0
@@ -80,60 +56,23 @@ def _dominant_reduce_np(simple: np.ndarray, xs: np.ndarray):
             raise AssertionError("dominant reduction failed to terminate")
 
 
-@njit(cache=True)
-def _dominant_reduce_nb(simple, xs):  # pragma: no cover - exercised via wrapper
-    n, r = xs.shape
-    ys = xs.copy()
-    signs = np.ones(n, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    for a in range(n):
-        guard = 0
-        while True:
-            i = -1
-            for j in range(r):
-                if ys[a, j] < 0:
-                    i = j
-                    break
-            if i < 0:
-                break
-            c = ys[a, i]
-            for j in range(r):
-                ys[a, j] -= c * simple[i, j]
-            signs[a] = -signs[a]
-            steps[a] += 1
-            guard += 1
-            if guard > 1_000_000:
-                steps[a] = -1
-                break
-    return ys, signs, steps
+def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
+    """Greedy affine reduction of each row into the closed level-kappa alcove.
 
-
-def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray):
-    """Reduce each row of xs into the dominant chamber by simple reflections.
-
-    Returns (reduced, signs, steps); a reduced row with a zero coordinate sits
-    on a chamber wall, in which case its sign carries no meaning.
+    Per row, the lowest-index violated generator fires, the affine wall being
+    index 0.  Returns (reduced, steps, status) with status 0 for interior
+    points and 1 for points landing on the closed-alcove boundary (wall
+    points); more than max_steps sweeps raise ResourceError.
     """
-    xs = np.ascontiguousarray(xs, dtype=np.int64)
-    simple = np.ascontiguousarray(simple, dtype=np.int64)
-    if xs.size == 0:
-        n = xs.shape[0]
-        return xs.copy(), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    if resolve_backend() == "numba":
-        ys, signs, steps = _dominant_reduce_nb(simple, xs)
-        if (steps < 0).any():
-            raise AssertionError("dominant reduction failed to terminate")
-        return ys, signs, steps
-    return _dominant_reduce_np(simple, xs)
-
-
-# -- affine alcove reduction --------------------------------------------------
-
-
-def _alcove_reduce_np(simple, theta, comarks, kappa, xs, max_steps):
-    ys = xs.copy()
-    n, r = ys.shape
+    ys = np.array(xs, dtype=np.int64)
+    n = ys.shape[0]
     steps = np.zeros(n, dtype=np.int64)
+    if ys.size == 0:
+        return ys, steps, np.zeros(n, dtype=np.int64)
+    simple = np.ascontiguousarray(simple, dtype=np.int64)
+    theta = np.ascontiguousarray(theta, dtype=np.int64)
+    comarks = np.ascontiguousarray(comarks, dtype=np.int64)
+    r = ys.shape[1]
     sweeps = 0
     while True:
         level = ys @ comarks
@@ -142,7 +81,6 @@ def _alcove_reduce_np(simple, theta, comarks, kappa, xs, max_steps):
         negany = neg.any(axis=1)
         if not (over | negany).any():
             break
-        # per row: lowest-index violated generator, the affine wall being index 0
         if over.any():
             ys[over] -= np.outer(level[over] - kappa, theta)
             steps[over] += 1
@@ -157,132 +95,20 @@ def _alcove_reduce_np(simple, theta, comarks, kappa, xs, max_steps):
         sweeps += 1
         if sweeps > max_steps:
             raise ResourceError("alcove reduction exceeded its step bound")
-    level = ys @ comarks
     status = ((ys == 0).any(axis=1) | (level == kappa)).astype(np.int64)
     return ys, steps, status
-
-
-@njit(cache=True)
-def _alcove_reduce_nb(simple, theta, comarks, kappa, xs, max_steps):  # pragma: no cover
-    n, r = xs.shape
-    ys = xs.copy()
-    steps = np.zeros(n, dtype=np.int64)
-    status = np.zeros(n, dtype=np.int64)
-    for a in range(n):
-        guard = 0
-        while True:
-            level = 0
-            for j in range(r):
-                level += comarks[j] * ys[a, j]
-            if level > kappa:
-                excess = level - kappa
-                for j in range(r):
-                    ys[a, j] -= excess * theta[j]
-                steps[a] += 1
-            else:
-                i = -1
-                for j in range(r):
-                    if ys[a, j] < 0:
-                        i = j
-                        break
-                if i < 0:
-                    break
-                c = ys[a, i]
-                for j in range(r):
-                    ys[a, j] -= c * simple[i, j]
-                steps[a] += 1
-            guard += 1
-            if guard > max_steps:
-                steps[a] = -1
-                break
-        if steps[a] < 0:
-            status[a] = -1
-        else:
-            level = 0
-            wall = False
-            for j in range(r):
-                level += comarks[j] * ys[a, j]
-                if ys[a, j] == 0:
-                    wall = True
-            if wall or level == kappa:
-                status[a] = 1
-    return ys, steps, status
-
-
-def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
-    """Greedy affine reduction of each row into the closed level-kappa alcove.
-
-    Returns (reduced, steps, status) with status 0 for interior points and 1
-    for points landing on the closed-alcove boundary (wall points).
-    """
-    xs = np.ascontiguousarray(xs, dtype=np.int64)
-    if xs.size == 0:
-        n = xs.shape[0]
-        return xs.copy(), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    simple = np.ascontiguousarray(simple, dtype=np.int64)
-    theta = np.ascontiguousarray(theta, dtype=np.int64)
-    comarks = np.ascontiguousarray(comarks, dtype=np.int64)
-    if resolve_backend() == "numba":
-        ys, steps, status = _alcove_reduce_nb(
-            simple, theta, comarks, np.int64(kappa), xs, np.int64(max_steps)
-        )
-        if (status < 0).any():
-            raise ResourceError("alcove reduction exceeded its step bound")
-        return ys, steps, status
-    return _alcove_reduce_np(simple, theta, comarks, kappa, xs, max_steps)
-
-
-# -- signed exponential Weyl sums ---------------------------------------------
-
-
-def _signed_sum_np(mats, signs, form_int, rows, cols, denom):
-    images = np.einsum("wij,aj->wai", mats, rows)
-    half = np.einsum("wai,ij->waj", images, form_int)
-    phase = np.einsum("waj,bj->wab", half, cols) % denom
-    terms = np.exp((-2j * np.pi / denom) * phase)
-    return np.einsum("w,wab->ab", signs.astype(np.complex128), terms)
-
-
-@njit(cache=True)
-def _signed_sum_nb(mats, signs, form_int, rows, cols, denom):  # pragma: no cover
-    nw = mats.shape[0]
-    na = rows.shape[0]
-    nb = cols.shape[0]
-    r = rows.shape[1]
-    out = np.zeros((na, nb), dtype=np.complex128)
-    img = np.zeros(r, dtype=np.int64)
-    vec = np.zeros(r, dtype=np.int64)
-    for w in range(nw):
-        s = signs[w]
-        for a in range(na):
-            for i in range(r):
-                acc = 0
-                for j in range(r):
-                    acc += mats[w, i, j] * rows[a, j]
-                img[i] = acc
-            for j in range(r):
-                acc = 0
-                for i in range(r):
-                    acc += img[i] * form_int[i, j]
-                vec[j] = acc
-            for b in range(nb):
-                p = 0
-                for j in range(r):
-                    p += vec[j] * cols[b, j]
-                p = p % denom
-                out[a, b] += s * np.exp(-2j * np.pi * p / denom)
-    return out
 
 
 def signed_weyl_sum(mats, signs, form_int, rows, cols, denom: int):
     """U[a,b] = sum over Weyl elements w of sign(w)*exp(-2*pi*i*phase/denom)
     with phase = (w . rows[a])^T form_int cols[b], reduced mod denom exactly.
     """
-    mats = np.ascontiguousarray(mats, dtype=np.int64)
-    signs = np.ascontiguousarray(signs, dtype=np.int64)
-    form_int = np.ascontiguousarray(form_int, dtype=np.int64)
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    if resolve_backend() == "numba":
-        return _signed_sum_nb(mats, signs, form_int, rows, cols, np.int64(denom))
-    return _signed_sum_np(mats, signs, form_int, rows, cols, denom)
+    mats = np.asarray(mats, dtype=np.int64)
+    form_int = np.asarray(form_int, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    images = np.einsum("wij,aj->wai", mats, rows)
+    half = np.einsum("wai,ij->waj", images, form_int)
+    phase = np.einsum("waj,bj->wab", half, cols) % denom
+    terms = np.exp((-2j * np.pi / denom) * phase)
+    return np.einsum("w,wab->ab", np.asarray(signs, dtype=np.complex128), terms)

@@ -52,12 +52,25 @@ _SPEC_RE = re.compile(r"^\s*([A-Ga-g])\s*(\d+)\s*$")
 def weyl_cap() -> int:
     """Current Weyl-order cap; raised via the LOOPFUSION_WEYL_CAP variable."""
     raw = os.environ.get(WEYL_CAP_ENV, "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return WEYL_CAP_DEFAULT
+    if not raw:
+        return WEYL_CAP_DEFAULT
+    try:
+        cap = int(raw)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise ValidationError(f"{WEYL_CAP_ENV} must be a positive integer, got {raw!r}")
+
+
+def check_weyl_cap(rs: "RootSystem") -> None:
+    """Raise ResourceError when enumerating the Weyl group of rs exceeds the cap."""
+    cap = weyl_cap()
+    if rs.weyl_order > cap:
+        raise ResourceError(
+            f"Weyl order {rs.weyl_order} of {rs.spec} exceeds the cap {cap} "
+            f"(raise {WEYL_CAP_ENV} to override)"
+        )
 
 
 @dataclass(frozen=True)
@@ -317,11 +330,7 @@ class RootSystem:
 
         Cached after the first call; guarded by the Weyl-order cap.
         """
-        if self.weyl_order > weyl_cap():
-            raise ResourceError(
-                f"Weyl order {self.weyl_order} of {self.spec} exceeds the cap "
-                f"{weyl_cap()} (raise {WEYL_CAP_ENV} to override)"
-            )
+        check_weyl_cap(self)
         with self._weyl_lock:
             if self._weyl_cache is None:
                 mats = []
@@ -390,6 +399,18 @@ def is_dominant(x: tuple) -> bool:
     return all(v >= 0 for v in x)
 
 
+def pairing_int(rs: RootSystem, x: tuple, y: tuple):
+    """form_den * (x, y) through the integer form; an exact int on integer
+    vectors.  No rank check: this is the inner-loop form of :func:`pairing`.
+    """
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            row = rs.form_int[i]
+            total += xi * sum(yj * row[j] for j, yj in enumerate(y) if yj)
+    return total
+
+
 def pairing(rs: RootSystem, x: tuple, y: tuple) -> Fraction:
     """Invariant form (x, y) on weight-space vectors, exact.
 
@@ -398,12 +419,7 @@ def pairing(rs: RootSystem, x: tuple, y: tuple) -> Fraction:
     """
     check_rank(rs, x)
     check_rank(rs, y)
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi:
-            row = rs.form[i]
-            total += xi * sum(yj * row[j] for j, yj in enumerate(y) if yj)
-    return total
+    return pairing_int(rs, x, y) * Fraction(1, rs.form_den)
 
 
 def coroot_of(rs: RootSystem, alpha: tuple) -> RationalVector:
@@ -429,10 +445,7 @@ def canonical_key(rs: RootSystem, weight: tuple):
 def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
     """Full orbit of x under the finite Weyl group."""
     check_rank(rs, x)
-    if rs.weyl_order > weyl_cap():
-        raise ResourceError(
-            f"Weyl order {rs.weyl_order} of {rs.spec} exceeds the cap {weyl_cap()}"
-        )
+    check_weyl_cap(rs)
     x = tuple(x)
     seen = {x}
     frontier = [x]
@@ -478,10 +491,7 @@ def enumerate_weyl(rs: RootSystem) -> Iterator[tuple[tuple[int, ...], int]]:
     Words are tuples of simple-reflection indexes, composed left to right as
     maps (the last index acts first); BFS order, identity first.
     """
-    if rs.weyl_order > weyl_cap():
-        raise ResourceError(
-            f"Weyl order {rs.weyl_order} of {rs.spec} exceeds the cap {weyl_cap()}"
-        )
+    check_weyl_cap(rs)
     for word, _, sign in _weyl_bfs(rs):
         yield word, sign
 
@@ -493,13 +503,27 @@ def apply_word(rs: RootSystem, word: tuple[int, ...], x: tuple) -> tuple:
     return tuple(x)
 
 
-def dominant_representative(rs: RootSystem, x: tuple) -> tuple:
-    """The dominant point in the finite Weyl orbit of x (exact, any scalars)."""
+def dominant_reduce(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
+    """(dominant point in the finite Weyl orbit of x, (-1)^steps), exact for
+    any scalars.  Reflects in the lowest-index negative coordinate each step,
+    as :func:`kernels.dominant_reduce_batch` does; on a wall the sign carries
+    no meaning.
+    """
     check_rank(rs, x)
-    y = tuple(x)
+    y = list(x)
+    sign = 1
     for _ in range(10 * rs.weyl_order + 10):
         i = next((j for j, v in enumerate(y) if v < 0), None)
         if i is None:
-            return y
-        y = _reflect_simple(y, i, rs.simple_roots)
+            return tuple(y), sign
+        c = y[i]
+        alpha = rs.simple_roots[i]
+        for j in range(rs.rank):
+            y[j] -= c * alpha[j]
+        sign = -sign
     raise AssertionError("dominant reduction failed to terminate")
+
+
+def dominant_representative(rs: RootSystem, x: tuple) -> tuple:
+    """The dominant point in the finite Weyl orbit of x (exact, any scalars)."""
+    return dominant_reduce(rs, x)[0]

@@ -15,10 +15,8 @@ import numpy as np
 
 from .affine_weyl import WALL, AffineContext, alcove_reduce, check_alcove
 from .errors import NumericalError, ValidationError
-from .fusion import conjugate_weight, s_matrix
+from .fusion import ROUND_TOLERANCE, conjugate_weight, s_matrix
 from .rootdata import RootSystem, Weight, check_rank, is_dominant
-
-ROUND_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)

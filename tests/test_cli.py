@@ -152,6 +152,16 @@ def test_resource_cap_exits_5():
     assert b"resource" in proc.stderr
 
 
+def test_malformed_weyl_cap_exits_3():
+    import os
+
+    env = dict(os.environ, LOOPFUSION_WEYL_CAP="abc")
+    proc = run_cli(["verlinde", "--algebra", "A2", "--level", "1", "--genus", "1"], env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"LOOPFUSION_WEYL_CAP" in proc.stderr and b"'abc'" in proc.stderr
+
+
 def test_weight_list_parsing_units():
     assert cli.parse_weight_list("") == []
     assert cli.parse_weight_list("1,2;3,4") == [(1, 2), (3, 4)]

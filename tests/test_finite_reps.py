@@ -17,6 +17,7 @@ from loopfusion.finite_reps import (
     weight_multiplicities,
     weyl_dimension,
 )
+from loopfusion.fusion import FusionElement
 from loopfusion.rootdata import build_root_system, weyl_orbit
 
 import oracles
@@ -162,6 +163,7 @@ def test_virtual_character_algebra():
     assert a.terms == {(0, 0): 1}
     a.add((2, 2), 3)
     assert a == VirtualCharacter({(0, 0): 1, (2, 2): 3})
+    assert a != FusionElement(4, {(0, 0): 1, (2, 2): 3})
     assert not VirtualCharacter({})
     assert bool(a)
 
@@ -225,7 +227,7 @@ def test_tensor_with_huge_highest_weight_uses_exact_reduction():
     big = 1 << 45
     decomp = tensor_decompose(rs, (big,), (2,))
     assert decomp.terms == {(big + 2,): 1, (big,): 1, (big - 2,): 1}
-    from loopfusion.finite_reps import _dominant_reduce_exact
+    from loopfusion.rootdata import dominant_reduce
 
-    red, sign = _dominant_reduce_exact(rs, (-big,))
+    red, sign = dominant_reduce(rs, (-big,))
     assert red == (big,) and sign == -1

@@ -222,6 +222,8 @@ def test_fuse_elements_bilinear_and_validates():
 def test_fusion_element_behavior():
     el = FusionElement(2, {(1,): 1, (0,): 0})
     assert el.terms == {(1,): 1}
+    assert el == FusionElement(2, {(1,): 1})
+    assert el != FusionElement(3, {(1,): 1})
     el.add((1,), -1)
     assert not el
     rs = build_root_system("A2")

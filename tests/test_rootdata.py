@@ -201,6 +201,16 @@ def test_weyl_cap_and_env_override(monkeypatch):
     assert len(list(enumerate_weyl(a2))) == 6
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-3"])
+def test_malformed_weyl_cap_is_rejected(monkeypatch, raw):
+    a2 = build_root_system("A2")
+    monkeypatch.setenv("LOOPFUSION_WEYL_CAP", raw)
+    calls = (lambda: list(enumerate_weyl(a2)), lambda: weyl_orbit(a2, (1, 0)), a2.weyl_matrices)
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"LOOPFUSION_WEYL_CAP.*{raw!r}"):
+            call()
+
+
 def test_weyl_matrices_agree_with_words():
     import numpy as np
 
