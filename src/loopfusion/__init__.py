@@ -34,6 +34,7 @@ from .verlinde import (
     cohomology_report,
     factorization_check,
     verlinde_dimension,
+    verlinde_dimension_s,
 )
 
 __version__ = "0.1.0"
@@ -74,6 +75,7 @@ __all__ = [
     "tensor_decompose",
     "total_degree",
     "verlinde_dimension",
+    "verlinde_dimension_s",
     "weight_multiplicities",
     "weyl_dimension",
     "weyl_orbit",

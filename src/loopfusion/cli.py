@@ -225,6 +225,8 @@ def _render_table(payload: dict) -> str:
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact Verlinde numbers print at any length
     try:
         cmd = parse_args(argv)
         code, text = run(cmd)

@@ -1,15 +1,15 @@
 """Finite-dimensional representation combinatorics.
 
 Dimensions by the Weyl product, weight multiplicities by the Freudenthal
-recursion in exact scaled-integer arithmetic, tensor decomposition by the
-Klimyk reflection rule, and Weyl-character evaluation at the torus points
-whose ratios reproduce S-matrix columns.
+recursion in exact scaled-integer arithmetic over the dominant weights only
+(Moody-Patera), expanded by Weyl orbits afterwards, tensor decomposition by
+the Klimyk reflection rule, and Weyl-character evaluation at the torus
+points whose ratios reproduce S-matrix columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -83,86 +83,80 @@ def weyl_dimension(rs: RootSystem, lam: tuple) -> int:
     """dim V_lambda = prod over positive roots of (lam+rho, a^vee)/(rho, a^vee)."""
     lam = _check_dominant(rs, lam)
     shifted = [v + 1 for v in lam]
-    out = Fraction(1)
+    num = den = 1
     for coroot in rs.positive_coroots:
-        num = sum(c * v for c, v in zip(coroot, shifted))
-        den = sum(coroot)
-        out *= Fraction(num, den)
-    assert out.denominator == 1 and out > 0
-    return int(out)
+        num *= sum(c * v for c, v in zip(coroot, shifted))
+        den *= sum(coroot)
+    out, rem = divmod(num, den)
+    assert rem == 0 and out > 0
+    return out
 
 
-def _height_vector(rs: RootSystem, x: tuple) -> list[Fraction]:
-    return [
-        sum(rs._cartan_inv[j][k] * x[k] for k in range(rs.rank))
-        for j in range(rs.rank)
-    ]
+def _support(nu: Weight) -> Weight:
+    return tuple(int(v != 0) for v in nu)
+
+
+@lru_cache(maxsize=None)
+def _orbit_size(rs: RootSystem, support: Weight) -> int:
+    # a dominant weight's stabilizer, hence its orbit size, depends only on
+    # which of its labels vanish
+    return len(weyl_orbit(rs, support))
 
 
 @lru_cache(maxsize=256)
 def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicities:
-    r = rs.rank
-    lam_star, _ = dominant_reduce(rs, tuple(-v for v in lam))
-    depth_vec = _height_vector(rs, tuple(a + b for a, b in zip(lam, lam_star)))
-    assert all(v.denominator == 1 for v in depth_vec)
-    max_depth = sum(int(v) for v in depth_vec)
-
-    # dominant candidates lam - sum c_j alpha_j grouped by depth sum(c)
-    by_depth: list[list[Weight]] = [[] for _ in range(max_depth + 1)]
-    by_depth[0].append(lam)
-    seen = {lam}
+    # The dominant weights of V_lam are the dominant nu <= lam, and each one
+    # is reached from lam through dominant weights by subtracting positive
+    # roots (Moody-Patera), so the closure below finds all of them without
+    # touching the rest of the root-lattice cone.  The cap counts every
+    # weight of each orbit found, so it refuses before any recursion runs;
+    # the alpha_i-string through lam alone refuses lam_i >= cap at once.
+    too_many = ResourceError(f"weight system of {lam} exceeds the cap {cap}")
+    if max(lam) >= cap:
+        raise too_many
+    depth_of: dict[Weight, int] = {lam: 0}
+    count = _orbit_size(rs, _support(lam))
     frontier = [lam]
-    count = 1
-    for depth in range(1, max_depth + 1):
+    while frontier:
         nxt = []
         for x in frontier:
-            for alpha in rs.simple_roots:
+            for alpha, a_ht in zip(rs.positive_roots, rs.root_heights):
                 y = tuple(v - a for v, a in zip(x, alpha))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    count += 1
+                if y not in depth_of and is_dominant(y):
+                    depth_of[y] = depth_of[x] + a_ht
+                    count += _orbit_size(rs, _support(y))
                     if count > cap:
-                        raise ResourceError(
-                            f"weight system of {lam} exceeds the cap {cap}"
-                        )
-        for y in nxt:
-            if is_dominant(y):
-                by_depth[depth].append(y)
+                        raise too_many
+                    nxt.append(y)
         frontier = nxt
 
-    # Freudenthal recursion, exact: the scaled form makes every term integral
-    rho = rs.rho
+    # Freudenthal recursion, exact: the scaled form makes every term integral.
+    # Each orbit is expanded as soon as its multiplicity is known (Klimyk
+    # needs every weight anyway), so the higher weights nu + j*alpha that the
+    # recursion reads are plain lookups.
     lam_rho = tuple(v + 1 for v in lam)
     lam_rho_sq = pairing_int(rs, lam_rho, lam_rho)
-    mults: dict[Weight, int] = {lam: 1}
-    pos = rs.positive_roots
-    pos_heights = rs.root_heights
-    for depth in range(1, max_depth + 1):
-        for nu in sorted(by_depth[depth]):
+    mults: dict[Weight, int] = {}
+    full: dict[Weight, int] = {}
+    for nu in sorted(depth_of, key=lambda w: (depth_of[w], w)):
+        if nu == lam:
+            q = 1
+        else:
             numer = 0
-            for alpha, a_ht in zip(pos, pos_heights):
-                j = 1
-                while j * a_ht <= depth:
-                    mu = tuple(v + j * a for v, a in zip(nu, alpha))
-                    m = mults.get(dominant_reduce(rs, mu)[0], 0)
-                    if m == 0:
-                        break
+            for alpha in rs.positive_roots:
+                mu = tuple(v + a for v, a in zip(nu, alpha))
+                while m := full.get(mu, 0):  # alpha-strings of weights are unbroken
                     numer += m * pairing_int(rs, mu, alpha)
-                    j += 1
+                    mu = tuple(v + a for v, a in zip(mu, alpha))
             nu_rho = tuple(v + 1 for v in nu)
             denom = lam_rho_sq - pairing_int(rs, nu_rho, nu_rho)
             assert denom > 0
             q, rem = divmod(2 * numer, denom)
-            assert rem == 0 and q >= 0
-            if q:
-                mults[nu] = q
-
-    full: dict[Weight, int] = {}
-    for nu, m in mults.items():
+            assert rem == 0 and q > 0
+        mults[nu] = q
         for w in weyl_orbit(rs, nu):
-            full[w] = m
-    out = WeightMultiplicities(highest=lam, by_weight=full, dominant=dict(mults))
+            full[w] = q
+    out = WeightMultiplicities(highest=lam, by_weight=full, dominant=mults)
     assert out.total() == weyl_dimension(rs, lam)
     return out
 
@@ -170,7 +164,10 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicitie
 def weight_multiplicities(
     rs: RootSystem, lam: tuple, cap: int = WEIGHT_CAP_DEFAULT
 ) -> WeightMultiplicities:
-    """All weights of the irrep with highest weight lam, with multiplicities."""
+    """All weights of the irrep with highest weight lam, with multiplicities.
+
+    Raises ResourceError when the irrep has more than ``cap`` distinct weights.
+    """
     lam = _check_dominant(rs, lam)
     return _weight_system(rs, lam, cap)
 
@@ -191,23 +188,22 @@ def _tensor_cached(rs: RootSystem, lam: Weight, mu: Weight) -> tuple:
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam  # iterate over the smaller weight system
     system = weight_multiplicities(rs, mu)
-    weights = list(system.by_weight.items())
-    shifted = [tuple(l + 1 + w for l, w in zip(lam, wt)) for wt, _ in weights]
+    mults = list(system.by_weight.values())
+    offset = np.array([v + 1 for v in lam], dtype=object)
+    rows = np.array(list(system.by_weight), dtype=object) + offset
     out = VirtualCharacter()
-    if max((abs(v) for row in shifted for v in row), default=0) < kernels.INT64_SAFE_LIMIT:
-        rows = np.array(shifted, dtype=np.int64).reshape(len(shifted), rs.rank)
-        reduced, signs, _ = kernels.dominant_reduce_batch(rs.np_simple, rows)
-        for (_, mult), red, sign in zip(weights, reduced, signs):
-            if (red == 0).any():
-                continue
-            target = tuple(int(v) - 1 for v in red)
-            out.add(target, int(sign) * mult)
+    if kernels.fits_int64(rows):
+        reduced, signs, _ = kernels.dominant_reduce_batch(rs.np_simple, rows.astype(np.int64))
+        interior = np.flatnonzero((reduced != 0).all(axis=1)).tolist()
+        targets = (reduced - 1).tolist()
+        signs = signs.tolist()
+        for i in interior:
+            out.add(tuple(targets[i]), signs[i] * mults[i])
     else:
-        for (_, mult), row in zip(weights, shifted):
+        for row, mult in zip(rows.tolist(), mults):
             red, sign = dominant_reduce(rs, row)
-            if any(v == 0 for v in red):
-                continue
-            out.add(tuple(v - 1 for v in red), sign * mult)
+            if all(red):  # off the chamber walls
+                out.add(tuple(v - 1 for v in red), sign * mult)
     assert all(v > 0 for v in out.terms.values())
     return tuple(sorted(out.terms.items()))
 

@@ -71,6 +71,7 @@ class SMatrix:
     entries: np.ndarray
     tolerance: float
     conjugation: np.ndarray  # permutation: S @ S applied to label indexes
+    residual: float  # largest structural residual measured when built
 
     def index(self, weight: Weight) -> int:
         if not hasattr(self, "_index"):
@@ -123,7 +124,11 @@ def _build_s_matrix(rs: RootSystem, k: int, tolerance: float) -> SMatrix:
         if resid > tolerance:
             raise NumericalError(f"S-matrix {name} residual {resid:.3e} > {tolerance}")
     return SMatrix(
-        labels=tuple(labels), entries=s, tolerance=tolerance, conjugation=perm
+        labels=tuple(labels),
+        entries=s,
+        tolerance=tolerance,
+        conjugation=perm,
+        residual=float(max(checks.values())),
     )
 
 

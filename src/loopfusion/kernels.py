@@ -37,20 +37,17 @@ def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray):
     steps = np.zeros(n, dtype=np.int64)
     if ys.size == 0:
         return ys, signs, steps
-    r = ys.shape[1]
     sweeps = 0
     while True:
         neg = ys < 0
-        active = neg.any(axis=1)
-        if not active.any():
+        rows = np.flatnonzero(neg.any(axis=1))
+        if rows.size == 0:
             return ys, signs, steps
-        first = np.argmax(neg, axis=1)
-        for i in range(r):
-            rows = active & (first == i)
-            if rows.any():
-                ys[rows] -= np.outer(ys[rows, i], simple[i])
-                signs[rows] = -signs[rows]
-                steps[rows] += 1
+        # each row reflects once per sweep, in its lowest negative coordinate
+        first = np.argmax(neg[rows], axis=1)
+        ys[rows] -= ys[rows, first][:, None] * simple[first]
+        signs[rows] = -signs[rows]
+        steps[rows] += 1
         sweeps += 1
         if sweeps > 1_000_000:
             raise AssertionError("dominant reduction failed to terminate")
@@ -72,7 +69,6 @@ def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
     simple = np.ascontiguousarray(simple, dtype=np.int64)
     theta = np.ascontiguousarray(theta, dtype=np.int64)
     comarks = np.ascontiguousarray(comarks, dtype=np.int64)
-    r = ys.shape[1]
     sweeps = 0
     while True:
         level = ys @ comarks
@@ -84,14 +80,12 @@ def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
         if over.any():
             ys[over] -= np.outer(level[over] - kappa, theta)
             steps[over] += 1
-        rest = negany & ~over
-        if rest.any():
-            first = np.argmax(neg, axis=1)
-            for i in range(r):
-                rows = rest & (first == i)
-                if rows.any():
-                    ys[rows] -= np.outer(ys[rows, i], simple[i])
-                    steps[rows] += 1
+        # the others reflect once per sweep, in their lowest negative coordinate
+        rows = np.flatnonzero(negany & ~over)
+        if rows.size:
+            first = np.argmax(neg[rows], axis=1)
+            ys[rows] -= ys[rows, first][:, None] * simple[first]
+            steps[rows] += 1
         sweeps += 1
         if sweeps > max_steps:
             raise ResourceError("alcove reduction exceeded its step bound")

@@ -63,14 +63,15 @@ def weyl_cap() -> int:
     raise ValidationError(f"{WEYL_CAP_ENV} must be a positive integer, got {raw!r}")
 
 
+def _cap_exceeded(what: str, cap: int) -> ResourceError:
+    return ResourceError(f"{what} exceeds the cap {cap} (raise {WEYL_CAP_ENV} to override)")
+
+
 def check_weyl_cap(rs: "RootSystem") -> None:
     """Raise ResourceError when enumerating the Weyl group of rs exceeds the cap."""
     cap = weyl_cap()
     if rs.weyl_order > cap:
-        raise ResourceError(
-            f"Weyl order {rs.weyl_order} of {rs.spec} exceeds the cap {cap} "
-            f"(raise {WEYL_CAP_ENV} to override)"
-        )
+        raise _cap_exceeded(f"Weyl order {rs.weyl_order} of {rs.spec}", cap)
 
 
 @dataclass(frozen=True)
@@ -443,20 +444,29 @@ def canonical_key(rs: RootSystem, weight: tuple):
 
 
 def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
-    """Full orbit of x under the finite Weyl group."""
+    """Full orbit of x under the finite Weyl group.
+
+    Walks down from the dominant point, reflecting only in positive
+    coordinates; every orbit point is reached that way.  Raises
+    ResourceError once the orbit passes the Weyl cap, so small orbits of
+    large groups (E7, E8) stay open.
+    """
     check_rank(rs, x)
-    check_weyl_cap(rs)
-    x = tuple(x)
-    seen = {x}
-    frontier = [x]
+    cap = weyl_cap()
+    top = dominant_reduce(rs, tuple(x))[0]
+    seen = {top}
+    frontier = [top]
     while frontier:
         nxt = []
         for y in frontier:
-            for i in range(rs.rank):
-                z = _reflect_simple(y, i, rs.simple_roots)
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
+            for yi, alpha in zip(y, rs.simple_roots):
+                if yi > 0:
+                    z = tuple(v - yi * a for v, a in zip(y, alpha))
+                    if z not in seen:
+                        if len(seen) == cap:
+                            raise _cap_exceeded(f"Weyl orbit of {tuple(x)} in {rs.spec}", cap)
+                        seen.add(z)
+                        nxt.append(z)
         frontier = nxt
     return frozenset(seen)
 

@@ -1,22 +1,29 @@
 """Genus-g dimension formulas, cohomology reports, and node factorization.
 
-The Verlinde sum runs over the level-k alcove labels mu with weight
-(S_{0mu})^(2-2g-m) times the product of S-matrix entries of the m inserted
-labels (marked points and boundary labels alike).  Reports additionally
-reduce arbitrary dominant insertions into the alcove first, recording the
-vanishing verdict and the single cohomological degree.
+Verlinde numbers are exact: with the Kac-Walton fusion matrices
+(N_a)_{bc} = N_{ab}^c and the handle operator H = sum_mu N_mu N_{mu*}, the
+genus-g surface with labels lambda_1..lambda_m has dimension
+(e_0 H^g N_{lambda_1} ... N_{lambda_m})_0 (Beauville 1996, section 5), all in
+Python integers.  The matrices are kept sparse; only the fundamental labels
+take Kac-Walton rows, the others follow by multiplying fusion matrices.
+Reports first reduce arbitrary dominant insertions into the alcove,
+recording the vanishing verdict and the single cohomological degree.  The
+floating-point S-matrix sum survives only as the cross-check
+:func:`verlinde_dimension_s`, which raises instead of rounding once its
+estimated float error could reach the integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .affine_weyl import WALL, AffineContext, alcove_reduce, check_alcove
-from .errors import NumericalError, ValidationError
-from .fusion import ROUND_TOLERANCE, conjugate_weight, s_matrix
-from .rootdata import RootSystem, Weight, check_rank, is_dominant
+from .errors import NumericalError, ResourceError, ValidationError
+from .fusion import ROUND_TOLERANCE, alcove_weights, conjugate_weight, fuse_kw, s_matrix
+from .rootdata import RootSystem, Weight, check_rank, is_dominant, pairing_int
 
 
 @dataclass(frozen=True)
@@ -59,23 +66,208 @@ class CohomologyReport:
         return sign * self.dimension
 
 
-def verlinde_dimension(rs: RootSystem, k: int, surface: Surface) -> int:
-    """The S-matrix sum for a genus-g surface with labeled points; exact int."""
+# Refusal budgets per (algebra, level): stored nonzero fusion coefficients
+# (a few dozen bytes each), and bytes of the kept rows e_0 H^g, whose integers
+# grow linearly in g, so that all rows up to g cost memory quadratic in g.
+FUSION_ENTRY_CAP = 2 * 10**6
+ROW_BYTE_CAP = 2**26
+
+# A sparse square matrix: row b maps column c to a nonzero entry.
+Sparse = list[dict[int, int]]
+
+
+def _times(v: list[int], m: Sparse) -> list[int]:
+    """Row vector v times the sparse square matrix m, exactly."""
+    out = [0] * len(v)
+    for vb, row in zip(v, m):
+        if vb:
+            for c, x in row.items():
+                out[c] += vb * x
+    return out
+
+
+def _product(x: Sparse, y: Sparse) -> Sparse:
+    out = []
+    for row in x:
+        acc: dict[int, int] = {}
+        for d, xd in row.items():
+            for c, yc in y[d].items():
+                acc[c] = acc.get(c, 0) + xd * yc
+        out.append(acc)
+    return out
+
+
+@dataclass
+class FusionMatrices:
+    """Exact level-k fusion data on the alcove labels, vacuum at index 0.
+
+    ``fusion[a][b]`` maps c to N_ab^c (nonzero entries only), ``dual[a]`` is
+    the index of the conjugate label, ``handle`` the handle operator H in the
+    same sparse form; :meth:`row` gives e_0 H^g.
+    """
+
+    labels: tuple[Weight, ...]
+    index: dict[Weight, int]
+    fusion: list[Sparse]
+    dual: list[int]
+    handle: Sparse
+    _rows: list[list[int]] = field(init=False)
+    _row_bytes: int = field(init=False, default=0)
+    _lock: threading.Lock = field(init=False, default_factory=threading.Lock)
+
+    def __post_init__(self) -> None:
+        self._rows = [[int(i == 0) for i in range(len(self.labels))]]
+
+    def row(self, genus: int) -> list[int]:
+        """e_0 H^genus, grown on demand and kept.
+
+        Raises ResourceError once the kept rows would pass ROW_BYTE_CAP.
+        """
+        with self._lock:
+            while len(self._rows) <= genus:
+                nxt = _times(self._rows[-1], self.handle)
+                size = sum((x.bit_length() + 7) // 8 for x in nxt)
+                if self._row_bytes + size > ROW_BYTE_CAP:
+                    raise ResourceError(
+                        f"genus {genus} needs more than {ROW_BYTE_CAP} bytes of kept rows"
+                    )
+                self._row_bytes += size
+                self._rows.append(nxt)
+            return self._rows[genus]
+
+
+_fusion_cache: dict[tuple, FusionMatrices] = {}
+_fusion_lock = threading.Lock()
+
+
+def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
+    labels = tuple(lw.weight for lw in alcove_weights(rs, k))
+    index = {w: i for i, w in enumerate(labels)}
+    n = len(labels)
+    too_many = ResourceError(
+        f"level-{k} fusion matrices of {rs.spec} exceed the cap of "
+        f"{FUSION_ENTRY_CAP} stored coefficients"
+    )
+    if n * n > FUSION_ENTRY_CAP:  # every row of every N_a is nonzero
+        raise too_many
+    fusion: list = [None] * n
+    fusion[0] = [{b: 1} for b in range(n)]
+    # only the fundamental labels need Kac-Walton rows; the rest follow from
+    # N_omega N_mu = N_lam + sum_c N_{omega mu}^c N_c for lam = mu + omega,
+    # where every other c lies strictly below lam in the dominance order
+    fundamental = {}  # i -> label index of omega_i
+    for i in range(rs.rank):
+        omega = tuple(int(j == i) for j in range(rs.rank))
+        if omega in index:
+            f = fundamental[i] = index[omega]
+            fusion[f] = [
+                {index[c]: m for c, m in fuse_kw(rs, k, omega, b).terms.items()} for b in labels
+            ]
+    # multiply by the sparsest fundamental matrix that fits
+    order = sorted(fundamental, key=lambda i: sum(map(len, fusion[fundamental[i]])))
+    entries = sum(sum(map(len, m)) for m in fusion if m is not None)
+    rho = (1,) * rs.rank
+    for a in sorted(range(n), key=lambda a: pairing_int(rs, labels[a], rho)):
+        if fusion[a] is not None:
+            continue
+        lam = labels[a]
+        i = next(i for i in order if lam[i])
+        f = fundamental[i]
+        mu = index[tuple(v - (j == i) for j, v in enumerate(lam))]
+        prod = _product(fusion[f], fusion[mu])
+        for c, coeff in fusion[f][mu].items():
+            if c == a:
+                assert coeff == 1
+                continue
+            for acc, row in zip(prod, fusion[c]):
+                for d, x in row.items():
+                    acc[d] -= coeff * x
+        fusion[a] = [{c: x for c, x in acc.items() if x} for acc in prod]
+        entries += sum(map(len, fusion[a]))
+        if entries > FUSION_ENTRY_CAP:
+            raise too_many
+    dual = [index[conjugate_weight(rs, w)] for w in labels]
+    # e_0 H = sum_mu e_mu N_{mu*}; H commutes with every N_b, so e_b H = (e_0 H) N_b
+    h0 = [0] * n
+    for mu in range(n):
+        for c, x in fusion[dual[mu]][mu].items():
+            h0[c] += x
+    handle = [{c: x for c, x in enumerate(_times(h0, fusion[b])) if x} for b in range(n)]
+    return FusionMatrices(labels=labels, index=index, fusion=fusion, dual=dual, handle=handle)
+
+
+def fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
+    """The exact level-k fusion matrices and handle operator, cached."""
+    key = (rs.spec.series, rs.spec.rank, k)
+    with _fusion_lock:
+        got = _fusion_cache.get(key)
+    if got is not None:
+        return got
+    built = _build_fusion_matrices(rs, k)
+    with _fusion_lock:
+        return _fusion_cache.setdefault(key, built)
+
+
+def _surface_labels(rs: RootSystem, k: int, surface: Surface) -> list[Weight]:
     labels = list(surface.insertions) + list(surface.boundary)
     for w in labels:
         check_alcove(rs, k, w)
+    return labels
+
+
+def _insert(fm: FusionMatrices, v: list[int], labels: list[Weight]) -> list[int]:
+    for w in labels:
+        v = _times(v, fm.fusion[fm.index[w]])
+    return v
+
+
+def verlinde_dimension(rs: RootSystem, k: int, surface: Surface) -> int:
+    """Dimension of the genus-g space with labeled points, exactly.
+
+    (e_0 H^g N_1 ... N_m)_0; the last label costs a lookup, since
+    (v N_lambda)_0 = v_{lambda*}.
+    """
+    labels = _surface_labels(rs, k, surface)
+    fm = fusion_matrices(rs, k)
+    if not labels:
+        return fm.row(surface.genus)[0]
+    v = _insert(fm, fm.row(surface.genus), labels[:-1])
+    return v[fm.dual[fm.index[labels[-1]]]]
+
+
+def verlinde_dimension_s(rs: RootSystem, k: int, surface: Surface) -> int:
+    """The S-matrix sum for the same number; a floating-point cross-check.
+
+    Raises NumericalError unless the distance to the nearest integer plus a
+    first-order error estimate stays below ROUND_TOLERANCE.  The estimate
+    takes each S entry as off by the largest residual measured when the
+    S-matrix was built, plus float64 rounding in every factor and the sum;
+    an entry error that keeps S unitary escapes those residuals, so this is
+    an estimate, not a proof.
+    """
+    labels = _surface_labels(rs, k, surface)
     sm = s_matrix(rs, k)
     s = sm.entries
     s0 = np.real(s[0])
     exponent = 2 - 2 * surface.genus - len(labels)
-    total = s0.astype(np.complex128) ** exponent
+    factors = [np.abs(s[sm.index(w)]) for w in labels]
+    terms = s0.astype(np.complex128) ** exponent
     for w in labels:
-        total = total * s[sm.index(w)]
-    value = total.sum()
+        terms = terms * s[sm.index(w)]
+    value = terms.sum()
     rounded = int(np.rint(np.real(value)))
-    if abs(value - rounded) >= ROUND_TOLERANCE:
+    # d(s0^e) = e s0^(e-1) ds0, and a label factor's error multiplies the others
+    others = np.zeros_like(s0)
+    for j in range(len(factors)):
+        others += np.prod(factors[:j] + factors[j + 1:], axis=0)
+    eps = np.finfo(float).eps
+    relative = abs(exponent) * sm.residual / s0 + (abs(exponent) + len(labels) + 1) * eps
+    bound = float((np.abs(terms) * relative + sm.residual * s0**exponent * others).sum())
+    residual = abs(value - rounded)
+    if residual + bound >= ROUND_TOLERANCE:
         raise NumericalError(
-            f"Verlinde sum residual {abs(value - rounded):.3e} >= {ROUND_TOLERANCE}"
+            f"Verlinde sum residual {residual:.3e} plus error estimate {bound:.3e} "
+            f">= {ROUND_TOLERANCE}"
         )
     if rounded < 0:
         raise NumericalError("negative Verlinde dimension after rounding")
@@ -121,17 +313,20 @@ def cohomology_report(rs: RootSystem, h: int, surface: Surface) -> CohomologyRep
 
 
 def factorization_check(rs: RootSystem, k: int, surface: Surface) -> dict:
-    """Node degeneration: genus g equals genus g-1 summed over dual pairs."""
+    """Node degeneration: genus g equals genus g-1 summed over dual pairs.
+
+    With u = e_0 H^(g-1) N_labels, the right side sum_mu (u N_mu N_{mu*})_0
+    is sum_mu (u N_mu)_mu, computed in O(A^2) for A alcove labels.
+    """
     if surface.genus < 1:
         raise ValidationError("factorization needs genus >= 1")
     lhs = verlinde_dimension(rs, k, surface)
-    rhs = 0
-    for lw in s_matrix(rs, k).labels:
-        mu = lw.weight
-        degenerate = Surface(
-            genus=surface.genus - 1,
-            insertions=surface.insertions + (mu, conjugate_weight(rs, mu)),
-            boundary=surface.boundary,
-        )
-        rhs += verlinde_dimension(rs, k, degenerate)
+    fm = fusion_matrices(rs, k)
+    u = _insert(fm, fm.row(surface.genus - 1), _surface_labels(rs, k, surface))
+    rhs = sum(
+        ub * row.get(mu, 0)
+        for mu, n_mu in enumerate(fm.fusion)
+        for ub, row in zip(u, n_mu)
+        if ub
+    )
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

@@ -271,14 +271,12 @@ def test_criterion_10_cli_contract(monkeypatch, capsys):
             failures.append((args, got, want_code))
 
     import loopfusion.cli as cli
-    import loopfusion.verlinde as verlinde
 
     def explode(*args, **kwargs):
         raise NumericalError("forced")
 
-    monkeypatch.setattr(verlinde, "s_matrix", explode)
+    monkeypatch.setattr(cli, "verlinde_dimension", explode)
     code = cli.main(["verlinde", "--algebra", "A1", "--level", "1", "--genus", "1"])
-    capsys.readouterr()
-    if code != 4:
+    if code != 4 or capsys.readouterr().out != "":
         failures.append(("numerical gate", code, 4))
     _verdict(10, "cli contract", failures)

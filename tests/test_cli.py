@@ -6,6 +6,7 @@ taxonomy and the JSON schema are exercised both in process and out.
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -133,12 +134,10 @@ def test_validation_errors_exit_3(args):
 
 
 def test_numerical_gate_exits_4(monkeypatch, capsys):
-    import loopfusion.verlinde as verlinde
-
     def explode(*args, **kwargs):
         raise NumericalError("rounding residual above tolerance")
 
-    monkeypatch.setattr(verlinde, "s_matrix", explode)
+    monkeypatch.setattr(cli, "verlinde_dimension", explode)
     assert cli.main(["verlinde", "--algebra", "A1", "--level", "1", "--genus", "1"]) == 4
     assert capsys.readouterr().out == ""
 
@@ -150,6 +149,25 @@ def test_resource_cap_exits_5():
     proc = run_cli(["verlinde", "--algebra", "A2", "--level", "1", "--genus", "1"], env=env)
     assert proc.returncode == 5
     assert b"resource" in proc.stderr
+
+
+def test_inputs_past_the_caps_exit_5():
+    huge = str(2**45)
+    proc = run_cli(["tensor", "--algebra", "A1", "--weights", f"{huge};{huge}"])
+    assert proc.returncode == 5 and proc.stdout == b""
+    proc = run_cli(["verlinde", "--algebra", "A1", "--level", "500", "--genus", "2"])
+    assert proc.returncode == 5 and proc.stdout == b""
+    proc = run_cli(["verlinde", "--algebra", "A1", "--level", "1", "--genus", "1000000"])
+    assert proc.returncode == 5 and proc.stdout == b""
+
+
+def test_long_exact_numbers_print_in_full():
+    # 2^20000 has 6021 decimal digits, past Python's default conversion limit
+    proc = run_cli(["verlinde", "--algebra", "A1", "--level", "1", "--genus", "20000"])
+    assert proc.returncode == 0
+    digits = re.search(rb'"result":(\d+),', proc.stdout).group(1)
+    assert len(digits) == 6021
+    assert int(digits[-18:]) == pow(2, 20000, 10**18)
 
 
 def test_malformed_weyl_cap_exits_3():

@@ -95,6 +95,42 @@ def test_weight_multiplicity_cap():
         weight_multiplicities(rs, (3, 3), cap=10)
 
 
+def test_huge_weights_are_refused_before_any_recursion(monkeypatch):
+    from loopfusion import finite_reps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must refuse before the Freudenthal recursion")
+
+    monkeypatch.setattr(finite_reps, "pairing_int", refuse)
+    a1 = build_root_system("A1")
+    with pytest.raises(ResourceError):
+        tensor_decompose(a1, (2**45,), (2**45,))
+    # A2 (40, 40) has 3*41*41 - 3*41 + 1 = 4921 weights, each label below the cap
+    with pytest.raises(ResourceError):
+        weight_multiplicities(build_root_system("A2"), (40, 40), cap=4920)
+
+
+def test_large_weight_systems_count_only_real_weights():
+    # E6 650 = 270 weights of multiplicity 1, 72 of multiplicity 5, zero with 20
+    e6 = build_root_system("E6")
+    m = weight_multiplicities(e6, (1, 0, 0, 0, 1, 0), cap=343)
+    assert m.dominant == {(1, 0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0, 1): 5, (0,) * 6: 20}
+    assert len(m.by_weight) == 343
+    with pytest.raises(ResourceError):
+        weight_multiplicities(e6, (1, 0, 0, 0, 1, 0), cap=342)
+    # B4 (1,1,1,1): dominant multiplicities of the 2^16-dimensional irrep
+    b4 = build_root_system("B4")
+    m = weight_multiplicities(b4, (1, 1, 1, 1))
+    assert m.dominant == {
+        (1, 1, 1, 1): 1, (0, 0, 2, 1): 2, (1, 2, 0, 1): 2, (2, 0, 0, 3): 2,
+        (0, 1, 0, 3): 4, (2, 0, 1, 1): 4, (0, 1, 1, 1): 8, (2, 1, 0, 1): 8,
+        (0, 2, 0, 1): 16, (1, 0, 0, 3): 14, (1, 0, 1, 1): 28, (3, 0, 0, 1): 14,
+        (1, 1, 0, 1): 48, (0, 0, 0, 3): 48, (0, 0, 1, 1): 80, (2, 0, 0, 1): 80,
+        (0, 1, 0, 1): 132, (1, 0, 0, 1): 210, (0, 0, 0, 1): 328,
+    }
+    assert m.total() == 2**16
+
+
 def test_su2_clebsch_gordan_exhaustive():
     rs = build_root_system("A1")
     for a in range(9):
@@ -220,6 +256,21 @@ def test_freudenthal_total_is_weyl_dimension(label, data):
     lam = tuple(data.draw(st.integers(min_value=0, max_value=cap)) for _ in range(rs.rank))
     m = weight_multiplicities(rs, lam)
     assert m.total() == weyl_dimension(rs, lam)
+
+
+@pytest.mark.parametrize("top,exact", [(1 << 40, True), ((1 << 40) - 1, False)])
+def test_tensor_int64_guard_boundary(monkeypatch, top, exact):
+    # (top - 2) x (1): the largest rho-shifted coordinate is exactly top
+    from loopfusion import finite_reps, kernels
+
+    calls = []
+    real = kernels.dominant_reduce_batch
+    monkeypatch.setattr(kernels, "dominant_reduce_batch", lambda *a: calls.append(1) or real(*a))
+    finite_reps._tensor_cached.cache_clear()
+    rs = build_root_system("A1")
+    decomp = tensor_decompose(rs, (top - 2,), (1,))
+    assert decomp.terms == {(top - 1,): 1, (top - 3,): 1}
+    assert bool(calls) != exact
 
 
 def test_tensor_with_huge_highest_weight_uses_exact_reduction():

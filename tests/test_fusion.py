@@ -248,3 +248,12 @@ def test_level_weight_is_hashable_record():
     lw = LevelWeight(weight=(1, 0), k=3)
     assert lw.weight == (1, 0) and lw.k == 3
     assert len({lw, LevelWeight(weight=(1, 0), k=3)}) == 1
+
+
+def test_routes_agree_on_every_e6_level_2_pair():
+    # includes the self-products of 27, 27bar, 78, 650 and the 351s, whose
+    # weight systems once hit the candidate cap
+    e6 = build_root_system("E6")
+    ws = weights_of(e6, 2)
+    for lam, mu in itertools.combinations_with_replacement(ws, 2):
+        assert fuse_kw(e6, 2, lam, mu) == fuse_s(e6, 2, lam, mu), (lam, mu)

@@ -201,6 +201,19 @@ def test_weyl_cap_and_env_override(monkeypatch):
     assert len(list(enumerate_weyl(a2))) == 6
 
 
+def test_weyl_orbit_caps_the_orbit_not_the_group(monkeypatch):
+    # |W(E8)| is far above the cap, but the orbit of the highest root is the 240 roots
+    e8 = build_root_system("E8")
+    assert len(weyl_orbit(e8, e8.highest_root)) == 240
+    a2 = build_root_system("A2")
+    monkeypatch.setenv("LOOPFUSION_WEYL_CAP", "3")
+    assert len(weyl_orbit(a2, (1, 0))) == 3
+    monkeypatch.setenv("LOOPFUSION_WEYL_CAP", "2")
+    with pytest.raises(ResourceError, match="orbit.*raise LOOPFUSION_WEYL_CAP to override"):
+        weyl_orbit(a2, (1, 0))
+    assert weyl_orbit(a2, (0, 0)) == {(0, 0)}
+
+
 @pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-3"])
 def test_malformed_weyl_cap_is_rejected(monkeypatch, raw):
     a2 = build_root_system("A2")

@@ -5,15 +5,16 @@ import random
 
 import pytest
 
-from loopfusion.errors import ValidationError
-from loopfusion.fusion import alcove_weights, conjugate_weight, fuse_s
-from loopfusion.rootdata import build_root_system
+from loopfusion.errors import NumericalError, ResourceError, ValidationError
+from loopfusion.fusion import alcove_weights, conjugate_weight, fuse_kw, fuse_s
+from loopfusion.rootdata import RootSystem, build_root_system
 from loopfusion.verlinde import (
     CohomologyReport,
     Surface,
     cohomology_report,
     factorization_check,
     verlinde_dimension,
+    verlinde_dimension_s,
 )
 
 
@@ -30,7 +31,7 @@ def test_a1_k1_closed_dimensions():
 
 
 def test_genus_zero_vacuum_block():
-    # computed from the S-sum with exponent 2, no special casing
+    # e_0 H^0 read at the vacuum, no special casing
     for label in ("A1", "A2", "B2", "G2"):
         rs = build_root_system(label)
         for k in (0, 1, 2):
@@ -220,3 +221,150 @@ def test_report_record_shape():
     assert r.h == 1
     assert r.surface.insertions == ((1,), (1,))
     assert r.surface.genus == 0
+
+
+def test_exact_closed_forms_at_every_genus():
+    # 2^g and 2^(g-1)(2^g+1): far beyond 2^53, where a float sum cannot tell integers apart
+    a1 = build_root_system("A1")
+    for g in range(201):
+        assert verlinde_dimension(a1, 1, Surface(genus=g)) == 2**g
+    for g in range(1, 201):
+        assert verlinde_dimension(a1, 2, Surface(genus=g)) == 2 ** (g - 1) * (2**g + 1)
+    e6 = build_root_system("E6")
+    for g in range(41):
+        assert verlinde_dimension(e6, 1, Surface(genus=g)) == 3**g
+
+
+def test_huge_genus_is_refused_within_the_row_budget():
+    from loopfusion.verlinde import ROW_BYTE_CAP, fusion_matrices
+
+    a1 = build_root_system("A1")
+    with pytest.raises(ResourceError):
+        verlinde_dimension(a1, 1, Surface(genus=10**6))
+    fm = fusion_matrices(a1, 1)
+    assert fm._row_bytes <= ROW_BYTE_CAP
+    # the refusal keeps what was grown; smaller genera still answer exactly
+    assert verlinde_dimension(a1, 1, Surface(genus=5000)) == 2**5000
+
+
+def test_high_level_is_refused_before_memory_runs_out():
+    # A1 at level 500 holds about 2e7 nonzero fusion coefficients
+    with pytest.raises(ResourceError):
+        verlinde_dimension(build_root_system("A1"), 500, Surface(genus=2))
+
+
+def test_sparse_fusion_matrices_match_kac_walton():
+    from loopfusion.verlinde import fusion_matrices
+
+    for label, k in (("A2", 4), ("B3", 3), ("C3", 2), ("G2", 4), ("D4", 2), ("E6", 2), ("F4", 2)):
+        rs = build_root_system(label)
+        fm = fusion_matrices(rs, k)
+        for a, lam in enumerate(fm.labels):
+            for b, mu in enumerate(fm.labels):
+                want = {fm.index[c]: m for c, m in fuse_kw(rs, k, lam, mu).terms.items()}
+                assert fm.fusion[a][b] == want, (label, k, lam, mu)
+
+
+def test_e7_e8_open_at_low_level():
+    e7 = build_root_system("E7")
+    e8 = build_root_system("E8")
+    for g in range(9):
+        assert verlinde_dimension(e7, 1, Surface(genus=g)) == 2**g
+        assert verlinde_dimension(e8, 1, Surface(genus=g)) == 1
+    for g in range(1, 9):
+        assert verlinde_dimension(e8, 2, Surface(genus=g)) == 2 ** (g - 1) * (2**g + 1)
+
+
+def test_factorization_is_exact_at_high_genus():
+    f4 = build_root_system("F4")
+    # the float S-matrix sum lands 2e-3 from this value and cannot be rounded safely
+    out = factorization_check(f4, 2, Surface(genus=8))
+    assert out == {"lhs": 59931908630, "rhs": 59931908630, "equal": True}
+
+
+def test_exact_route_needs_no_weyl_group(monkeypatch):
+    from loopfusion import verlinde
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact route must not enumerate the Weyl group")
+
+    monkeypatch.setattr(verlinde, "_fusion_cache", {})
+    monkeypatch.setattr(verlinde, "s_matrix", refuse)
+    monkeypatch.setattr(RootSystem, "weyl_matrices", refuse)
+    e6 = build_root_system("E6")
+    ws = weights_of(e6, 2)
+    assert verlinde_dimension(e6, 2, Surface(genus=1)) == len(ws)
+    assert verlinde_dimension(e6, 2, Surface(genus=0, insertions=[ws[1], conjugate_weight(e6, ws[1])])) == 1
+    assert factorization_check(e6, 2, Surface(genus=2, insertions=[ws[-1]]))["equal"]
+    report = cohomology_report(e6, 2, Surface(genus=1, insertions=[(0, 0, 0, 0, 0, 3)]))
+    assert not report.vanishes
+
+
+def test_float_cross_check_refuses_what_float64_cannot_resolve():
+    a1 = build_root_system("A1")
+    with pytest.raises(NumericalError):
+        verlinde_dimension_s(a1, 1, Surface(genus=60))
+    a2 = build_root_system("A2")
+    surface = Surface(genus=11, insertions=[(1, 3)])
+    assert verlinde_dimension(a2, 4, surface) == 0  # triality
+    try:
+        assert verlinde_dimension_s(a2, 4, surface) == 0
+    except NumericalError:
+        pass
+
+
+def test_float_cross_check_agrees_wherever_it_answers():
+    answered = refused = 0
+    for label in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"):
+        rs = build_root_system(label)
+        for k in range(4):
+            ws = weights_of(rs, k)
+            surfaces = [[]] + [[w] for w in ws] + [list(p) for p in itertools.combinations(ws, 2)]
+            for g in range(4):
+                for ins in surfaces:
+                    surface = Surface(genus=g, insertions=ins)
+                    try:
+                        want = verlinde_dimension_s(rs, k, surface)
+                    except NumericalError:
+                        refused += 1
+                        continue
+                    answered += 1
+                    assert verlinde_dimension(rs, k, surface) == want, (label, k, g, ins)
+    assert answered > 20 * refused
+
+
+def test_concurrent_first_calls_share_one_consistent_cache(monkeypatch):
+    import sys
+    import threading
+
+    from loopfusion import verlinde
+
+    a2 = build_root_system("A2")
+    genera = range(0, 160, 3)
+    want = {g: verlinde_dimension(a2, 4, Surface(genus=g)) for g in genera}
+    errors = []
+
+    def work(start, seed):
+        try:
+            start.wait(timeout=30)
+            for g in sorted(genera, reverse=seed % 2 == 0):
+                assert verlinde_dimension(a2, 4, Surface(genus=g)) == want[g]
+        except Exception as exc:  # reported below: a thread's failure must fail the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(verlinde, "_fusion_cache", {})
+            start = threading.Barrier(8)
+            threads = [threading.Thread(target=work, args=(start, i)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert len(verlinde.fusion_matrices(a2, 4)._rows) == max(genera) + 1
+    finally:
+        sys.setswitchinterval(old)
