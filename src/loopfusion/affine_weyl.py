@@ -3,15 +3,24 @@
 All points handled here are rho-shifted: the fundamental alcove is the set
 with (x, alpha_i^vee) >= 0 for simple coroots and (x, theta^vee) <= kappa,
 its interior the strict version, and the walls the affine hyperplanes
-(x, alpha^vee) in kappa*Z over positive roots.  Reduction is greedy: apply
-the lowest-index violated generator, the affine reflection counting as
-index 0, then the simple reflections as 1..rank.
+(x, alpha) in kappa*Z over positive roots.
+
+Reduction needs no walk from x.  Its length is the number of walls strictly
+separating x from the alcove (Humphreys, *Reflection Groups and Coxeter
+Groups*, 4.5), counted root by root in closed form, and x is on a wall iff
+some (x, alpha) lies in kappa*Z.  The reduced point is the unique point of
+the affine orbit in the closed alcove (Walton, "Fusion rules in WZW models",
+1990): a translation by kappa*Q^vee moves x next to the alcove and a short
+greedy walk finishes.  Only ``AlcoveReduction.word`` walks from x itself,
+greedily: the lowest-index violated generator fires, the affine reflection
+counting as index 0 and the simple reflections as 1..rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +49,10 @@ class AffineContext:
 
     @property
     def step_budget(self) -> int:
-        """Cap on alcove-walk steps (sweeps in the batch kernel).
+        """Longest walk :attr:`AlcoveReduction.word` takes; longer ones are refused.
 
-        The walk needs about one step per wall crossed, so the budget caps
-        the supported coordinate magnitude at a comfortable multiple of kappa.
+        A word has one letter per wall crossed, so this caps the words on
+        offer at coordinates a comfortable multiple of kappa.
         """
         return 10 * self.kappa * len(self.rs.positive_roots) + 10
 
@@ -52,9 +61,8 @@ class AffineContext:
 class AlcoveReduction:
     """Outcome of reducing one point into the closed fundamental alcove.
 
-    ``word`` lists the generators applied, in application order; feeding it
-    to :func:`apply_affine_word` reversed-composition style maps ``reduced``
-    back to the input.  For wall points ``length`` and ``sign`` carry no
+    ``length`` counts the walls strictly separating the input from the
+    alcove and ``sign`` is (-1)^length; for wall points neither carries
     meaning (the point sits on the closed-alcove boundary).
     """
 
@@ -62,7 +70,26 @@ class AlcoveReduction:
     reduced: tuple
     length: int
     sign: int
-    word: tuple[int, ...]
+    ctx: AffineContext = field(repr=False, compare=False)
+    source: tuple = field(repr=False, compare=False)
+    order: str = field(default="affine_first", repr=False, compare=False)
+
+    @cached_property
+    def word(self) -> tuple[int, ...]:
+        """The generators the greedy walk from ``source`` applies, in order.
+
+        Feeding it to :func:`apply_affine_word` maps ``reduced`` back to the
+        input.  Computed on first read, one step per letter; a word longer
+        than ``ctx.step_budget`` raises ResourceError without walking.
+        """
+        budget = self.ctx.step_budget
+        if self.length > budget:
+            raise ResourceError(
+                f"reduction word of length {self.length} exceeds the walk budget {budget}"
+            )
+        word: list[int] = []
+        _walk(self.ctx, self.source, self.order == "affine_first", word)
+        return tuple(word)
 
 
 def _normalize(value):
@@ -91,22 +118,53 @@ def apply_affine_word(ctx: AffineContext, word: tuple[int, ...], x: tuple) -> tu
     return tuple(x)
 
 
+def _length_and_wall(ctx: AffineContext, x: tuple) -> tuple[int, bool]:
+    """Closed-form reduction length of x and whether x is on a wall.
+
+    One pass over the positive roots, exact for any scalars: with
+    form_den*(x, alpha) = q*den + r and den = form_den*kappa, a root counts
+    |q| walls strictly between x and the alcove, or q - 1 (q > 0) and -q
+    (q <= 0) when r = 0 puts x on one of its walls.
+    """
+    den = ctx.rs.form_den * ctx.kappa
+    length = 0
+    wall = False
+    for pair in ctx.rs.root_pairs:
+        q, r = divmod(sum(v * p for v, p in zip(x, pair)), den)
+        if r:
+            length += abs(q)
+        else:
+            wall = True
+            length += q - 1 if q > 0 else -q
+    return length, wall
+
+
+def _translate(ctx: AffineContext, x: tuple) -> tuple:
+    """x moved by kappa*Q^vee so its simple-coroot coordinates lie in [0, kappa).
+
+    The i-th coordinate of x on the simple coroots is (x, omega_i).
+    """
+    rs = ctx.rs
+    den = rs.form_den * ctx.kappa
+    y = list(x)
+    for row, coroot in zip(rs.form_int, rs.simple_coroot_weights):
+        n = sum(f * v for f, v in zip(row, x)) // den
+        if n:
+            shift = n * ctx.kappa
+            for j, c in enumerate(coroot):
+                y[j] -= shift * c
+    return tuple(y)
+
+
 def on_wall(ctx: AffineContext, x: tuple) -> bool:
     """Exact test: does some positive root alpha have (x, alpha) in kappa*Z?
 
     The reflection hyperplanes of the shifted action at scale kappa are
     (x, alpha) = n*kappa over roots alpha, with the form normalized so long
-    roots have (alpha, alpha) = 2.  In coroot terms the condition reads
-    (x, alpha^vee) in (kappa / d_alpha)*Z with d_alpha = (alpha, alpha)/2,
-    so short roots of the B, C, F and G series need the wider spacing.
+    roots have (alpha, alpha) = 2.
     """
     check_rank(ctx.rs, x)
-    kappa = ctx.kappa
-    for coroot, d in zip(ctx.rs.positive_coroots, ctx.rs.positive_halfnorms):
-        value = sum(c * v for c, v in zip(coroot, x))
-        if (Fraction(value) * d / kappa).denominator == 1:
-            return True
-    return False
+    return _length_and_wall(ctx, x)[1]
 
 
 def _violated_index(ctx: AffineContext, x: tuple, affine_first: bool):
@@ -117,38 +175,49 @@ def _violated_index(ctx: AffineContext, x: tuple, affine_first: bool):
     return finite if finite is not None else affine
 
 
-def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> AlcoveReduction:
-    """Greedy reduction of a rational point into the closed fundamental alcove.
+def _walk(ctx: AffineContext, y: tuple, affine_first: bool = True, word=None) -> tuple:
+    """Greedy walk from y into the closed alcove, appending to ``word``.
 
-    ``order`` picks which violated generator fires first ("affine_first" is
-    the default convention, "finite_first" the alternate); the resulting
-    length is the same either way, which the test suite exercises.
+    It takes exactly as many steps as y has closed-form length.
+    """
+    while True:
+        idx = _violated_index(ctx, y, affine_first)
+        if idx is None:
+            return y
+        y = reflect_generator(ctx, y, idx)
+        if word is not None:
+            word.append(idx)
+
+
+def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> AlcoveReduction:
+    """Reduce a rational point into the closed fundamental alcove, exactly.
+
+    Points already in the closed alcove cost one violation test.  Others
+    get their length and wall status in closed form; the reduced point is
+    walked to from x or from its kappa*Q^vee translate, whichever is
+    shorter.  ``order`` picks which violated generator the walk behind
+    ``word`` fires first ("affine_first" is the default convention,
+    "finite_first" the alternate); nothing else depends on it.
     """
     check_rank(ctx.rs, x)
     if order not in ("affine_first", "finite_first"):
         raise ValidationError(f"unknown reduction order {order!r}")
     y = tuple(_normalize(v) for v in x)
-    word: list[int] = []
-    bound = ctx.step_budget
-    for _ in range(bound):
-        idx = _violated_index(ctx, y, order == "affine_first")
-        if idx is None:
-            break
-        y = reflect_generator(ctx, y, idx)
-        word.append(idx)
-    else:
-        raise ResourceError(
-            f"alcove reduction exceeded {bound} steps; "
-            "coordinate magnitudes far beyond the level are not supported"
-        )
-    wall = any(v == 0 for v in y) or theta_pairing(ctx.rs, y) == ctx.kappa
-    length = len(word)
+    level = theta_pairing(ctx.rs, y)
+    if level <= ctx.kappa and all(v >= 0 for v in y):
+        wall = level == ctx.kappa or 0 in y
+        return AlcoveReduction(WALL if wall else INTERIOR, y, 0, 1, ctx, y, order)
+    length, wall = _length_and_wall(ctx, y)
+    moved = _translate(ctx, y)
+    start = moved if _length_and_wall(ctx, moved)[0] < length else y
     return AlcoveReduction(
         status=WALL if wall else INTERIOR,
-        reduced=y,
+        reduced=_walk(ctx, start),
         length=length,
         sign=-1 if length % 2 else 1,
-        word=tuple(word),
+        ctx=ctx,
+        source=y,
+        order=order,
     )
 
 
@@ -156,17 +225,26 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     """Vectorized reduction of integer points; (reduced, lengths, wall flags).
 
     Uses the int64 kernels when magnitudes permit, otherwise the exact
-    per-point path; results agree exactly.
+    per-point path, which returns reduced points and lengths as Python ints
+    (object arrays); results agree exactly.  Non-integer entries raise
+    ValidationError.
     """
     arr = np.asarray(xs)
     rs = ctx.rs
-    if arr.dtype.kind in "iu" and kernels.fits_int64(arr):
-        arr64 = np.ascontiguousarray(arr, dtype=np.int64)
-        return kernels.alcove_reduce_batch(
-            rs.np_simple, rs.np_theta, rs.np_comarks, ctx.kappa, arr64, ctx.step_budget
-        )
-    reduced = np.empty(arr.shape, dtype=np.int64)
-    lengths = np.zeros(len(arr), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != rs.rank:
+        raise ValidationError(f"batch of shape {arr.shape} is not a list of rank-{rs.rank} points")
+    if arr.dtype.kind not in "iuO" or (
+        arr.dtype.kind == "O" and not all(isinstance(v, (int, np.integer)) for v in arr.flat)
+    ):
+        raise ValidationError("batch entries must be integers")
+    if (
+        arr.dtype.kind in "iu"
+        and kernels.fits_int64(arr)
+        and rs.form_den * ctx.kappa < kernels.INT64_SAFE_LIMIT
+    ):
+        return _reduce_batch_int64(ctx, np.array(arr, dtype=np.int64))
+    reduced = np.empty(arr.shape, dtype=object)
+    lengths = np.empty(len(arr), dtype=object)
     status = np.zeros(len(arr), dtype=np.int64)
     for a, row in enumerate(arr):
         red = alcove_reduce(ctx, tuple(int(v) for v in row))
@@ -176,22 +254,47 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     return reduced, lengths, status
 
 
+def _reduce_batch_int64(ctx: AffineContext, ys: np.ndarray):
+    """The int64 twin of :func:`alcove_reduce`, one row per point, in place."""
+    rs = ctx.rs
+    kappa = ctx.kappa
+    level = ys @ rs.np_comarks
+    status = ((ys == 0).any(axis=1) | (level == kappa)).astype(np.int64)
+    lengths = np.zeros(len(ys), dtype=np.int64)
+    out = np.flatnonzero((level > kappa) | (ys < 0).any(axis=1))
+    if out.size == 0:
+        return ys, lengths, status
+    xs = ys[out]
+    den = rs.form_den * kappa
+    length, wall = kernels.alcove_length_batch(rs.np_root_pairs, den, xs)
+    moved = xs - kappa * ((xs @ rs.np_form_int) // den) @ rs.np_simple_coroots
+    moved_length, _ = kernels.alcove_length_batch(rs.np_root_pairs, den, moved)
+    start = np.where((moved_length < length)[:, None], moved, xs)
+    steps = int(np.minimum(moved_length, length).max())
+    ys[out] = kernels.alcove_reduce_batch(
+        rs.np_simple, rs.np_theta, rs.np_comarks, kappa, start, steps
+    )[0]
+    lengths[out] = length
+    status[out] = wall
+    return ys, lengths, status
+
+
 def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":
     """Sum of reduction lengths of the rho-shifted weights; None if any wall.
 
     The None return is the vanishing verdict: some lambda + rho sits on an
-    affine wall, so the whole product contributes nothing.
+    affine wall, so the whole product contributes nothing.  Lengths and
+    walls come in closed form; no reduced point is computed.
     """
     total = 0
     for lam in lambdas:
         check_rank(ctx.rs, lam)
         if any(v < 0 for v in lam):
             raise ValidationError(f"weight {lam} is not dominant")
-        shifted = tuple(v + 1 for v in lam)
-        red = alcove_reduce(ctx, shifted)
-        if red.status == WALL:
+        length, wall = _length_and_wall(ctx, tuple(v + 1 for v in lam))
+        if wall:
             return None
-        total += red.length
+        total += length
     return total
 
 

@@ -1,4 +1,5 @@
-"""Batched int64 numpy kernels: finite-Weyl reduction, alcove reduction, S-sums.
+"""Batched int64 numpy kernels: finite-Weyl reduction, alcove lengths and
+reduction, S-sums.
 
 Callers guard magnitudes via :func:`fits_int64` and fall back to exact Python
 arithmetic for oversized inputs, so the kernels never silently lose precision.
@@ -51,6 +52,19 @@ def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray):
         sweeps += 1
         if sweeps > 1_000_000:
             raise AssertionError("dominant reduction failed to terminate")
+
+
+def alcove_length_batch(pairs, den: int, xs):
+    """Closed-form alcove length and wall flag of each row of xs, no walk.
+
+    ``pairs`` holds form_den * alpha under the form, one row per positive
+    root, and ``den`` is form_den * kappa.  With x . pair = q*den + r, a root
+    counts |q| walls strictly between x and the alcove, or q - 1 (q > 0)
+    and -q (q <= 0) when x lies on one of its walls (r = 0).
+    """
+    q, r = np.divmod(xs @ pairs.T, den)
+    on = r == 0
+    return (np.abs(q) - (on & (q > 0))).sum(axis=1), on.any(axis=1)
 
 
 def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):

@@ -220,9 +220,16 @@ class RootSystem:
             coroot_of(self, alpha) for alpha in self.simple_roots
         )
         self.positive_coroots: tuple[tuple[int, ...], ...] = self._positive_coroot_coords()
-        # half square norms d_alpha = (alpha, alpha)/2; 1 on long roots
-        self.positive_halfnorms: tuple[Fraction, ...] = tuple(
-            pairing(self, alpha, alpha) / 2 for alpha in self.positive_roots
+        # form_den * (x, alpha) = x . root_pairs[a] for the a-th positive root
+        self.root_pairs: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sum(f * a for f, a in zip(row, alpha)) for row in self.form_int)
+            for alpha in self.positive_roots
+        )
+        # simple coroots alpha_i / d_i as integer weight vectors: a basis of Q^vee
+        if any(v.denominator != 1 for c in self.simple_coroots for v in c):
+            raise AssertionError("simple coroots must be integer weights")
+        self.simple_coroot_weights: tuple[Weight, ...] = tuple(
+            tuple(int(v) for v in c) for c in self.simple_coroots
         )
         self.weyl_order: int = self._weyl_order_from_heights()
 
@@ -231,7 +238,8 @@ class RootSystem:
         self.np_theta = np.array(self.highest_root, dtype=np.int64)
         self.np_comarks = np.array(self.comarks, dtype=np.int64)
         self.np_form_int = np.array(self.form_int, dtype=np.int64)
-        self.np_pos_coroots = np.array(self.positive_coroots, dtype=np.int64)
+        self.np_root_pairs = np.array(self.root_pairs, dtype=np.int64)
+        self.np_simple_coroots = np.array(self.simple_coroot_weights, dtype=np.int64)
 
         self._weyl_lock = threading.Lock()
         self._weyl_cache: tuple[np.ndarray, np.ndarray] | None = None

@@ -221,3 +221,64 @@ def test_reduction_properties(label, h, data):
     else:
         assert interior(ctx, r.reduced)
         assert apply_affine_word(ctx, r.word, r.reduced) == x
+
+
+def greedy_walk_steps(ctx, x, affine_first):
+    """Steps of the plain greedy walk into the closed alcove, counted one by one."""
+    steps = 0
+    while True:
+        finite = next((i + 1 for i, v in enumerate(x) if v < 0), None)
+        affine = 0 if theta_pairing(ctx.rs, x) > ctx.kappa else None
+        first, second = (affine, finite) if affine_first else (finite, affine)
+        idx = first if first is not None else second
+        if idx is None:
+            return steps
+        x = reflect_generator(ctx, x, idx)
+        steps += 1
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "E6"])
+def test_closed_form_length_is_the_walk_length_on_and_off_walls(label):
+    rng = random.Random(31)
+    verdicts = set()
+    for h in (0, 1, 3):
+        ctx = ctx_of(label, h)
+        for _ in range(60):
+            x = tuple(rng.randint(-3 * ctx.kappa, 3 * ctx.kappa) for _ in range(ctx.rs.rank))
+            r = alcove_reduce(ctx, x)
+            verdicts.add(r.status)
+            assert len(r.word) == r.length == greedy_walk_steps(ctx, x, True)
+            rf = alcove_reduce(ctx, x, order="finite_first")
+            assert len(rf.word) == rf.length == greedy_walk_steps(ctx, x, False)
+            assert apply_affine_word(ctx, r.word, r.reduced) == x
+            assert apply_affine_word(ctx, rf.word, rf.reduced) == x
+    assert verdicts == {WALL, INTERIOR}
+
+
+@pytest.mark.parametrize("label", ["F4", "E6"])
+def test_batch_matches_single_far_from_the_alcove(label):
+    import numpy as np
+
+    rng = random.Random(50)
+    for h in (0, 2):
+        ctx = ctx_of(label, h)
+        bound = 50 * ctx.kappa
+        xs = [tuple(rng.randint(-bound, bound) for _ in range(ctx.rs.rank)) for _ in range(40)]
+        reduced, lengths, wall_flags = alcove_reduce_batch(ctx, np.array(xs, dtype=np.int64))
+        for x, red, ln, flag in zip(xs, reduced, lengths, wall_flags):
+            r = alcove_reduce(ctx, x)
+            assert (tuple(int(v) for v in red), int(ln), bool(flag)) == (
+                r.reduced,
+                r.length,
+                r.status == WALL,
+            )
+
+
+def test_words_past_the_step_budget_are_refused_without_walking():
+    from loopfusion.errors import ResourceError
+
+    ctx = ctx_of("A1", 2)
+    r = alcove_reduce(ctx, (1 << 45,))
+    assert r.length > ctx.step_budget
+    with pytest.raises(ResourceError):
+        r.word

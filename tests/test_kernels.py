@@ -1,8 +1,8 @@
 """The int64 numpy kernels against the exact per-point paths.
 
 Callers pick between two backends by magnitude (:func:`kernels.fits_int64`):
-the vectorized kernels and the exact Python walks, which serve as the
-reference here.
+the vectorized kernels and the exact per-point Python paths, which serve as
+the reference here.
 """
 
 import random
@@ -103,21 +103,63 @@ def test_object_dtype_batch_takes_the_exact_path_and_agrees():
         assert np.array_equal(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
 
-def test_huge_affine_coordinates_hit_the_resource_guard():
-    from loopfusion.affine_weyl import AffineContext, alcove_reduce, alcove_reduce_batch
-    from loopfusion.errors import ResourceError
+def test_huge_affine_coordinates_reduce_exactly():
+    import time
 
-    rs = build_root_system("A1")
-    ctx = AffineContext(rs, 2)
+    from loopfusion.affine_weyl import AffineContext, alcove_reduce, alcove_reduce_batch
+
+    ctx = AffineContext(build_root_system("A1"), 2)
     big = 1 << 45
-    with pytest.raises(ResourceError):
-        alcove_reduce(ctx, (big,))
-    with pytest.raises(ResourceError):
-        alcove_reduce_batch(ctx, np.array([(big,), (3,)], dtype=object))
-    # within int64 but far past the step budget: the kernel path reports the
-    # same failure instead of looping
-    with pytest.raises(ResourceError):
-        alcove_reduce_batch(ctx, np.array([(1 << 30,)], dtype=np.int64))
+    # 2^45 = 2^43 * kappa: on a wall, with 2^43 - 1 walls strictly in between
+    r = alcove_reduce(ctx, (big,))
+    assert (r.status, r.reduced, r.length) == (WALL, (0,), (1 << 43) - 1)
+    reduced, lengths, status = alcove_reduce_batch(ctx, np.array([(big,), (3,)], dtype=object))
+    assert [tuple(p) for p in reduced] == [(0,), (3,)]
+    assert list(lengths) == [(1 << 43) - 1, 0]
+    assert list(status) == [1, 0]
+    # the int64 path agrees with the exact one
+    r = alcove_reduce(ctx, (1 << 30,))
+    reduced, lengths, status = alcove_reduce_batch(ctx, np.array([(1 << 30,)], dtype=np.int64))
+    assert (tuple(int(v) for v in reduced[0]), int(lengths[0])) == (r.reduced, r.length)
+    assert bool(status[0]) == (r.status == WALL)
+    # E8 far from its alcove answers without walking there
+    ctx = AffineContext(build_root_system("E8"), 1)
+    x = (10**7, -(10**7) + 3, 9_999_991, 17, -(10**7), 10**7 + 1, -5, 9_876_543)
+    start = time.perf_counter()
+    r = alcove_reduce(ctx, x)
+    assert time.perf_counter() - start < 0.5
+    assert r.length > 10**7
+    assert all(v >= 0 for v in r.reduced)
+    assert sum(c * v for c, v in zip(ctx.rs.comarks, r.reduced)) <= ctx.kappa
+
+
+def test_exact_batch_path_returns_lengths_past_int64():
+    from loopfusion.affine_weyl import AffineContext, alcove_reduce, alcove_reduce_batch
+
+    ctx = AffineContext(build_root_system("A2"), 1)
+    row = (1 << 70, 1)
+    reduced, lengths, status = alcove_reduce_batch(ctx, np.array([row], dtype=object))
+    r = alcove_reduce(ctx, row)
+    assert lengths.dtype == object and lengths[0] == r.length > 2**63
+    assert tuple(reduced[0]) == r.reduced
+    assert bool(status[0]) == (r.status == WALL)
+
+
+def test_batch_refuses_non_integer_or_misshapen_input():
+    from fractions import Fraction
+
+    from loopfusion.affine_weyl import AffineContext, alcove_reduce_batch
+    from loopfusion.errors import ValidationError
+
+    ctx = AffineContext(build_root_system("A2"), 1)
+    for bad in (
+        np.array([[2.5, 1.0]]),
+        np.array([[2.0, 1.0]]),
+        np.array([[Fraction(5, 2), 1]], dtype=object),
+        np.array([[1, 2, 3]]),
+    ):
+        with pytest.raises(ValidationError):
+            alcove_reduce_batch(ctx, bad)
 
 
 def test_empty_batches():
