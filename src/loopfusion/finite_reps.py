@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -19,11 +20,14 @@ from .errors import ResourceError, ValidationError
 from .rootdata import (
     RootSystem,
     Weight,
+    cap_exceeded,
     check_rank,
     dominant_reduce,
     is_dominant,
     pairing_int,
+    weyl_cap,
     weyl_orbit,
+    weyl_order_from_heights,
 )
 
 WEIGHT_CAP_DEFAULT = 10**6
@@ -83,13 +87,18 @@ def weyl_dimension(rs: RootSystem, lam: tuple) -> int:
     """dim V_lambda = prod over positive roots of (lam+rho, a^vee)/(rho, a^vee)."""
     lam = _check_dominant(rs, lam)
     shifted = [v + 1 for v in lam]
-    num = den = 1
+    num = 1
     for coroot in rs.positive_coroots:
         num *= sum(c * v for c, v in zip(coroot, shifted))
-        den *= sum(coroot)
-    out, rem = divmod(num, den)
+    out, rem = divmod(num, _rho_coroot_product(rs))
     assert rem == 0 and out > 0
     return out
+
+
+@lru_cache(maxsize=None)
+def _rho_coroot_product(rs: RootSystem) -> int:
+    """prod over positive roots of (rho, a^vee), the Weyl dimension denominator."""
+    return prod(sum(coroot) for coroot in rs.positive_coroots)
 
 
 def _support(nu: Weight) -> Weight:
@@ -98,9 +107,14 @@ def _support(nu: Weight) -> Weight:
 
 @lru_cache(maxsize=None)
 def _orbit_size(rs: RootSystem, support: Weight) -> int:
-    # a dominant weight's stabilizer, hence its orbit size, depends only on
-    # which of its labels vanish
-    return len(weyl_orbit(rs, support))
+    """|W| / |W_J| for a dominant weight whose labels vanish on J.
+
+    The stabilizer is the parabolic subgroup W_J, whose roots are the
+    positive roots supported on J; no orbit is enumerated.
+    """
+    heights = (h for k, h in zip(rs.root_coeffs, rs.root_heights)
+               if not any(c for c, s in zip(k, support) if s))
+    return rs.weyl_order // weyl_order_from_heights(heights)
 
 
 @lru_cache(maxsize=256)
@@ -111,11 +125,21 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicitie
     # touching the rest of the root-lattice cone.  The cap counts every
     # weight of each orbit found, so it refuses before any recursion runs;
     # the alpha_i-string through lam alone refuses lam_i >= cap at once.
+    # Each orbit is also held to the Weyl cap that its expansion below will
+    # meet in weyl_orbit, so that refusal too comes before any recursion.
     too_many = ResourceError(f"weight system of {lam} exceeds the cap {cap}")
     if max(lam) >= cap:
         raise too_many
+    orbit_cap = weyl_cap()
+
+    def orbit_size(nu: Weight) -> int:
+        size = _orbit_size(rs, _support(nu))
+        if size > orbit_cap:
+            raise cap_exceeded(f"Weyl orbit of {nu} in {rs.spec}", orbit_cap)
+        return size
+
     depth_of: dict[Weight, int] = {lam: 0}
-    count = _orbit_size(rs, _support(lam))
+    count = orbit_size(lam)
     frontier = [lam]
     while frontier:
         nxt = []
@@ -124,7 +148,7 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicitie
                 y = tuple(v - a for v, a in zip(x, alpha))
                 if y not in depth_of and is_dominant(y):
                     depth_of[y] = depth_of[x] + a_ht
-                    count += _orbit_size(rs, _support(y))
+                    count += orbit_size(y)
                     if count > cap:
                         raise too_many
                     nxt.append(y)

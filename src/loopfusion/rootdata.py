@@ -13,18 +13,23 @@ Conventions used throughout the package:
   alpha^vee = 2*alpha/(alpha, alpha), and the form matrix on fundamental
   weights is D @ inverse(cartan) with D the symmetrizer diagonal.
 
-Everything here is exact: integers and `fractions.Fraction`, no floats.
+The construction is integer-only: positive roots grow along alpha_i-strings
+in simple-root coordinates, lengths come from an integer symmetrizer, and the
+form from a fraction-free adjugate of the Cartan matrix.  `fractions.Fraction`
+appears only in the public rational fields (``symmetrizer``, ``form``,
+``simple_coroots``) and in :func:`pairing`; nothing here uses floats.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,7 +68,8 @@ def weyl_cap() -> int:
     raise ValidationError(f"{WEYL_CAP_ENV} must be a positive integer, got {raw!r}")
 
 
-def _cap_exceeded(what: str, cap: int) -> ResourceError:
+def cap_exceeded(what: str, cap: int) -> ResourceError:
+    """The ResourceError for `what` passing the Weyl cap, with the override hint."""
     return ResourceError(f"{what} exceeds the cap {cap} (raise {WEYL_CAP_ENV} to override)")
 
 
@@ -71,7 +77,7 @@ def check_weyl_cap(rs: "RootSystem") -> None:
     """Raise ResourceError when enumerating the Weyl group of rs exceeds the cap."""
     cap = weyl_cap()
     if rs.weyl_order > cap:
-        raise _cap_exceeded(f"Weyl order {rs.weyl_order} of {rs.spec}", cap)
+        raise cap_exceeded(f"Weyl order {rs.weyl_order} of {rs.spec}", cap)
 
 
 @dataclass(frozen=True)
@@ -138,28 +144,106 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact Gauss-Jordan inverse of a small nonsingular rational matrix."""
+def _adjugate(mat: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj(mat), det(mat)) by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    Every division is exact.  No pivoting: the leading principal minors of a
+    Cartan matrix are positive.
+    """
     n = len(mat)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(n):
+        piv = work[k][k]
+        if piv == 0:
+            raise AssertionError("leading minors of a Cartan matrix must be nonzero")
+        for i in range(n):
+            if i != k:
+                f = work[i][k]
+                work[i] = [(piv * a - f * b) // prev for a, b in zip(work[i], work[k])]
+        prev = piv
+    return [row[n:] for row in work], prev
 
 
-def _lcm(values: Iterator[int]) -> int:
-    out = 1
+def _exact_quotients(values: Iterable[int], divisor: int, what: str) -> tuple[int, ...]:
+    out = []
     for v in values:
-        out = out * v // np.gcd(out, v)
-    return int(out)
+        q, rem = divmod(v, divisor)
+        if rem:
+            raise AssertionError(what)
+        out.append(q)
+    return tuple(out)
+
+
+def _symmetrizer(cartan: list[list[int]]) -> list[int]:
+    """Smallest positive integers e with e_i*cartan[i][j] = e_j*cartan[j][i]."""
+    r = len(cartan)
+    d: list[Fraction | None] = [None] * r
+    d[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(r):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                queue.append(j)
+    if any(v is None for v in d):
+        raise AssertionError("Dynkin diagram must be connected")
+    scale = math.lcm(*(v.denominator for v in d))
+    e = [int(v * scale) for v in d]
+    g = math.gcd(*e)
+    return [v // g for v in e]
+
+
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[Weight, tuple[int, ...]]]:
+    """(weight coordinates, simple-root coefficients) of every positive root.
+
+    Grown height by height along alpha_i-strings: with p the number of roots
+    beta - alpha_i, beta - 2 alpha_i, ... (all of lower height, so already
+    found), beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0.  The
+    weight coordinates of beta are <beta, alpha_i^vee> = (cartan k)_i.
+    Sorted by height, then weight coordinates.
+    """
+    r = len(cartan)
+    columns = [tuple(cartan[i][j] for i in range(r)) for j in range(r)]
+    layer = [(columns[i], tuple(int(i == j) for j in range(r))) for i in range(r)]
+    found = {k for _, k in layer}
+    out = list(layer)
+    while layer:
+        nxt = []
+        for weight, k in layer:
+            for i in range(r):
+                down = list(k)
+                p = 0
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in found:
+                        break
+                    p += 1
+                if p > weight[i]:
+                    up = k[:i] + (k[i] + 1,) + k[i + 1:]
+                    if up not in found:
+                        found.add(up)
+                        nxt.append((tuple(w + c for w, c in zip(weight, columns[i])), up))
+        out += nxt
+        layer = nxt
+    out.sort(key=lambda t: (sum(t[1]), t[0]))
+    return out
+
+
+def weyl_order_from_heights(heights: Iterable[int]) -> int:
+    """|W| of a root system, possibly reducible, from the heights of its
+    positive roots: the counts per height form the partition dual to the
+    exponents (Kostant), and |W| is the product of the degrees."""
+    counts: list[int] = []
+    for h in heights:
+        counts.extend([0] * (h + 1 - len(counts)))
+        counts[h] += 1
+    order, j = 1, 1
+    while exponent := sum(1 for c in counts if c >= j):
+        order *= exponent + 1
+        j += 1
+    return order
 
 
 class RootSystem:
@@ -185,53 +269,60 @@ class RootSystem:
         )
         self.rho: Weight = (1,) * r
 
-        self._cartan_inv = _invert_rational([[Fraction(v) for v in row] for row in cartan])
-        self._symmetrizer = self._solve_symmetrizer(cartan)
-        self.positive_roots, self.root_coeffs = self._generate_positive_roots()
+        e = _symmetrizer(cartan)
+        roots = _positive_roots(cartan)
+        self.positive_roots: tuple[Weight, ...] = tuple(w for w, _ in roots)
+        self.root_coeffs: tuple[tuple[int, ...], ...] = tuple(k for _, k in roots)
         self.root_heights: tuple[int, ...] = tuple(sum(k) for k in self.root_coeffs)
+        # e-scaled squared lengths k^T diag(e) cartan k = sum_i k_i e_i <beta, alpha_i^vee>
+        norms = [sum(ki * ei * wi for ki, ei, wi in zip(k, e, w)) for w, k in roots]
 
-        # normalize the symmetrizer so (theta, theta) = 2
-        theta_idx = max(range(len(self.positive_roots)), key=lambda i: self.root_heights[i])
-        theta_coeffs = self.root_coeffs[theta_idx]
-        theta_sq = self._root_norm_sq(theta_coeffs)
-        scale = Fraction(2) / theta_sq
-        self.symmetrizer: tuple[Fraction, ...] = tuple(d * scale for d in self._symmetrizer)
+        # normalize so (theta, theta) = 2: d_i = e_i / long, long = (theta, theta)_e / 2
+        theta_idx = max(range(len(roots)), key=lambda i: self.root_heights[i])
+        long = norms[theta_idx] // 2
+        self.symmetrizer: tuple[Fraction, ...] = tuple(Fraction(ei, long) for ei in e)
 
         self.highest_root: Weight = self.positive_roots[theta_idx]
-        self.marks: tuple[int, ...] = theta_coeffs
-        comarks = [m * d for m, d in zip(self.marks, self.symmetrizer)]
-        if any(x.denominator != 1 for x in comarks):
-            raise AssertionError("comarks must be integers")
-        self.comarks: tuple[int, ...] = tuple(int(x) for x in comarks)
+        self.marks: tuple[int, ...] = self.root_coeffs[theta_idx]
+        self.comarks: tuple[int, ...] = _exact_quotients(
+            [m * ei for m, ei in zip(self.marks, e)], long, "comarks must be integers")
         self.dual_coxeter: int = 1 + sum(self.comarks)
 
-        # invariant form on fundamental weights: F = D @ cartan^{-1}
-        self.form: tuple[RationalVector, ...] = tuple(
-            tuple(self.symmetrizer[i] * self._cartan_inv[i][j] for j in range(r))
-            for i in range(r)
-        )
-        den = _lcm(iter(v.denominator for row in self.form for v in row))
-        self.form_den: int = den
+        # invariant form on fundamental weights: F = D @ cartan^{-1} = e_i adj_ij / (long det)
+        adj, det = _adjugate(cartan)
+        num = [[ei * v for v in row] for ei, row in zip(e, adj)]
+        g = math.gcd(long * det, *(v for row in num for v in row))
+        self.form_den: int = long * det // g
         self.form_int: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(v * den) for v in row) for row in self.form
+            tuple(v // g for v in row) for row in num
+        )
+        self.form: tuple[RationalVector, ...] = tuple(
+            tuple(Fraction(v, self.form_den) for v in row) for row in self.form_int
         )
 
-        self.simple_coroots: tuple[RationalVector, ...] = tuple(
-            coroot_of(self, alpha) for alpha in self.simple_roots
-        )
-        self.positive_coroots: tuple[tuple[int, ...], ...] = self._positive_coroot_coords()
-        # form_den * (x, alpha) = x . root_pairs[a] for the a-th positive root
-        self.root_pairs: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sum(f * a for f, a in zip(row, alpha)) for row in self.form_int)
-            for alpha in self.positive_roots
-        )
         # simple coroots alpha_i / d_i as integer weight vectors: a basis of Q^vee
-        if any(v.denominator != 1 for c in self.simple_coroots for v in c):
-            raise AssertionError("simple coroots must be integer weights")
         self.simple_coroot_weights: tuple[Weight, ...] = tuple(
-            tuple(int(v) for v in c) for c in self.simple_coroots
+            _exact_quotients([a * long for a in alpha], ei, "simple coroots must be integer weights")
+            for alpha, ei in zip(self.simple_roots, e)
         )
-        self.weyl_order: int = self._weyl_order_from_heights()
+        self.simple_coroots: tuple[RationalVector, ...] = tuple(
+            tuple(Fraction(v) for v in c) for c in self.simple_coroot_weights
+        )
+        # simple-coroot coordinates of alpha^vee = 2 alpha/(alpha, alpha): 2 k_j e_j / norm,
+        # so (x, alpha^vee) = sum_j c_j x_j
+        self.positive_coroots: tuple[tuple[int, ...], ...] = tuple(
+            _exact_quotients([2 * kj * ej for kj, ej in zip(k, e)], norm,
+                             "coroot coordinates must be integers")
+            for k, norm in zip(self.root_coeffs, norms)
+        )
+        # form_den * (x, alpha) = x . root_pairs[a] for the a-th positive root;
+        # form_den * (omega_i, alpha) = k_i * form_den * d_i
+        scaled_d = _exact_quotients([self.form_den * ei for ei in e], long,
+                                    "form_den * d_i must be integers")
+        self.root_pairs: tuple[tuple[int, ...], ...] = tuple(
+            tuple(ki * s for ki, s in zip(k, scaled_d)) for k in self.root_coeffs
+        )
+        self.weyl_order: int = weyl_order_from_heights(self.root_heights)
 
         # integer views used by the numeric kernels
         self.np_simple = np.array(self.simple_roots, dtype=np.int64)
@@ -243,94 +334,6 @@ class RootSystem:
 
         self._weyl_lock = threading.Lock()
         self._weyl_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    # -- construction helpers -------------------------------------------------
-
-    def _solve_symmetrizer(self, cartan: list[list[int]]) -> list[Fraction]:
-        """d_i with d_i*cartan[i][j] = d_j*cartan[j][i]; BFS over the diagram."""
-        r = self.rank
-        d: list[Fraction | None] = [None] * r
-        d[0] = Fraction(1)
-        queue = [0]
-        while queue:
-            i = queue.pop()
-            for j in range(r):
-                if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    queue.append(j)
-        if any(v is None for v in d):
-            raise AssertionError("Dynkin diagram must be connected")
-        return [v for v in d if v is not None]
-
-    def _root_norm_sq(self, coeffs: tuple[int, ...]) -> Fraction:
-        # (alpha, alpha) = k^T (D*cartan) k with the unnormalized symmetrizer
-        total = Fraction(0)
-        for i, ki in enumerate(coeffs):
-            if ki:
-                for j, kj in enumerate(coeffs):
-                    if kj:
-                        total += ki * kj * self._symmetrizer[i] * self.cartan[i][j]
-        return total
-
-    def _generate_positive_roots(self):
-        """Weyl-orbit saturation of the simple roots, positives filtered."""
-        seen: set[Weight] = set(self.simple_roots) | {tuple(-c for c in a) for a in self.simple_roots}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i in range(self.rank):
-                    y = _reflect_simple(x, i, self.simple_roots)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        positives = []
-        for x in seen:
-            coeffs = self._expand_in_simple_roots(x)
-            if all(c >= 0 for c in coeffs):
-                positives.append((sum(coeffs), x, coeffs))
-        positives.sort(key=lambda t: (t[0], t[1]))
-        roots = tuple(x for _, x, _ in positives)
-        coeffs = tuple(c for _, _, c in positives)
-        return roots, coeffs
-
-    def _expand_in_simple_roots(self, x: Weight) -> tuple[int, ...]:
-        out = []
-        for j in range(self.rank):
-            v = sum(self._cartan_inv[j][k] * x[k] for k in range(self.rank))
-            if v.denominator != 1:
-                raise AssertionError("root expansion must be integral")
-            out.append(int(v))
-        return tuple(out)
-
-    def _positive_coroot_coords(self) -> tuple[tuple[int, ...], ...]:
-        """Simple-coroot coordinates c with (x, alpha^vee) = sum c_j x_j."""
-        out = []
-        for coeffs in self.root_coeffs:
-            # c_j = k_j * d_j / d_alpha is independent of the form scaling
-            d_alpha = self._root_norm_sq(coeffs) / 2
-            cs = []
-            for j, k in enumerate(coeffs):
-                v = k * self._symmetrizer[j] / d_alpha
-                if v.denominator != 1:
-                    raise AssertionError("coroot coordinates must be integers")
-                cs.append(int(v))
-            out.append(tuple(cs))
-        return tuple(out)
-
-    def _weyl_order_from_heights(self) -> int:
-        """|W| as the product of degrees, from the height distribution."""
-        heights = self.root_heights
-        max_h = max(heights)
-        counts = [0] * (max_h + 1)
-        for h in heights:
-            counts[h] += 1
-        order = 1
-        for j in range(1, self.rank + 1):
-            exponent = sum(1 for h in range(1, max_h + 1) if counts[h] >= j)
-            order *= exponent + 1
-        return order
 
     # -- Weyl-group material --------------------------------------------------
 
@@ -472,7 +475,7 @@ def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
                     z = tuple(v - yi * a for v, a in zip(y, alpha))
                     if z not in seen:
                         if len(seen) == cap:
-                            raise _cap_exceeded(f"Weyl orbit of {tuple(x)} in {rs.spec}", cap)
+                            raise cap_exceeded(f"Weyl orbit of {tuple(x)} in {rs.spec}", cap)
                         seen.add(z)
                         nxt.append(z)
         frontier = nxt
@@ -530,7 +533,9 @@ def dominant_reduce(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
     check_rank(rs, x)
     y = list(x)
     sign = 1
-    for _ in range(10 * rs.weyl_order + 10):
+    # each reflection in a negative coordinate lowers #{a > 0 : (y, a^vee) < 0}
+    # by exactly one, so at most |positive roots| of them happen
+    for _ in range(len(rs.positive_roots) + 1):
         i = next((j for j, v in enumerate(y) if v < 0), None)
         if i is None:
             return tuple(y), sign

@@ -1,5 +1,6 @@
 """Dimensions, weight multiplicities, tensor products, character values."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from loopfusion.errors import ResourceError, ValidationError
 from loopfusion.finite_reps import (
     VirtualCharacter,
+    _orbit_size,
     character_numerator,
     character_ratio,
     tensor_decompose,
@@ -18,7 +20,7 @@ from loopfusion.finite_reps import (
     weyl_dimension,
 )
 from loopfusion.fusion import FusionElement
-from loopfusion.rootdata import build_root_system, weyl_orbit
+from loopfusion.rootdata import build_root_system, weyl_cap, weyl_orbit
 
 import oracles
 
@@ -108,6 +110,38 @@ def test_huge_weights_are_refused_before_any_recursion(monkeypatch):
     # A2 (40, 40) has 3*41*41 - 3*41 + 1 = 4921 weights, each label below the cap
     with pytest.raises(ResourceError):
         weight_multiplicities(build_root_system("A2"), (40, 40), cap=4920)
+    # the orbit of (3, 0) fits under the Weyl cap, that of its weight (1, 1) does not
+    monkeypatch.setenv("LOOPFUSION_WEYL_CAP", "5")
+    with pytest.raises(ResourceError, match=r"orbit of \(1, 1\)"):
+        weight_multiplicities(build_root_system("A2"), (3, 0), cap=999)
+
+
+ORBIT_LABELS = ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "D5", "G2", "F4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("label", ORBIT_LABELS)
+def test_orbit_size_is_the_length_of_the_orbit(label):
+    rs = build_root_system(label)
+    for support in itertools.product((0, 1), repeat=rs.rank):
+        size = _orbit_size(rs, support)
+        assert rs.weyl_order % size == 0
+        if size > weyl_cap():
+            assert label in ("E7", "E8")
+        else:
+            assert size == len(weyl_orbit(rs, support))
+
+
+def test_orbit_size_enumerates_nothing(monkeypatch):
+    from loopfusion import finite_reps, rootdata
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit sizes must not enumerate an orbit")
+
+    monkeypatch.setattr(finite_reps, "weyl_orbit", refuse)
+    monkeypatch.setattr(rootdata, "weyl_orbit", refuse)
+    e8 = build_root_system("E8")
+    assert _orbit_size.__wrapped__(e8, (1,) * 8) == 696729600
+    assert _orbit_size.__wrapped__(e8, (0,) * 8) == 1
 
 
 def test_large_weight_systems_count_only_real_weights():

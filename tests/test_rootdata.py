@@ -1,9 +1,11 @@
 """Root-system construction against frozen tables and structural laws."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopfusion.errors import ResourceError, ValidationError
@@ -13,6 +15,7 @@ from loopfusion.rootdata import (
     build_root_system,
     canonical_key,
     coroot_of,
+    dominant_reduce,
     dominant_representative,
     enumerate_weyl,
     pairing,
@@ -24,6 +27,11 @@ import oracles
 
 ALL_LABELS = ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "D4", "E6", "E7", "E8", "F4", "G2"]
 SMALL = ["A1", "A2", "B2", "G2"]
+# construction fields of every label above plus A8, B6, C6, D7, frozen from
+# the Fraction-based construction that the integer one replaced
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "rootdata_tables.json").read_text())
+GOLDEN_FIELDS = ["root_coeffs", "positive_coroots", "root_pairs", "form_int", "form_den",
+                 "simple_coroot_weights", "marks", "comarks"]
 
 
 def test_spec_parsing_accepts_valid_labels():
@@ -48,6 +56,16 @@ def test_frozen_tables(label):
     assert rs.dual_coxeter == c
     assert rs.weyl_order == worder
     assert oracles.adjoint_dim(rs.spec.series, rs.rank) == dim
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_construction_matches_frozen_golden(label):
+    rs = build_root_system(label)
+    frozen = GOLDEN[label]
+    # a JSON round trip turns tuples into lists and keeps every order
+    assert json.loads(json.dumps(rs.describe())) == frozen["describe"]
+    for name in GOLDEN_FIELDS:
+        assert json.loads(json.dumps(getattr(rs, name))) == frozen[name], name
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "C3", "G2", "F4"])
@@ -267,3 +285,20 @@ def test_dominant_representative_properties(label, coords):
     assert all(v >= 0 for v in rep)
     assert rep in weyl_orbit(rs, x)
     assert dominant_representative(rs, rep) == rep
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    label=st.sampled_from(["A3", "B3", "G2", "F4", "E8"]),
+    coords=st.lists(st.integers(min_value=-2**60, max_value=2**60), min_size=8, max_size=8),
+)
+@example(label="E8", coords=[-1] * 8)  # -rho: the longest element, one step per positive root
+@example(label="G2", coords=[-1] * 8)
+def test_dominant_reduce_sign_counts_the_negative_roots(label, coords):
+    rs = build_root_system(label)
+    x = tuple(coords[: rs.rank])
+    pairs = [sum(c * v for c, v in zip(coroot, x)) for coroot in rs.positive_coroots]
+    assume(all(pairs))  # regular x
+    point, sign = dominant_reduce(rs, x)
+    assert all(v > 0 for v in point)
+    assert sign == (-1) ** sum(p < 0 for p in pairs)
