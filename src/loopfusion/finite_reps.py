@@ -4,7 +4,10 @@ Dimensions by the Weyl product, weight multiplicities by the Freudenthal
 recursion in exact scaled-integer arithmetic over the dominant weights only
 (Moody-Patera), expanded by Weyl orbits afterwards, tensor decomposition by
 the Klimyk reflection rule, and Weyl-character evaluation at the torus
-points whose ratios reproduce S-matrix columns.
+points whose ratios reproduce S-matrix columns.  The Klimyk rows have one
+home, :func:`klimyk_reduce`, which reflects the rows of many offsets in one
+batch; :func:`tensor_decompose` is its one-offset case and the Kac-Walton
+fusion rows its many-offset one.
 """
 
 from __future__ import annotations
@@ -211,25 +214,48 @@ def tensor_decompose(rs: RootSystem, lam: tuple, mu: tuple) -> VirtualCharacter:
 def _tensor_cached(rs: RootSystem, lam: Weight, mu: Weight) -> tuple:
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam  # iterate over the smaller weight system
-    system = weight_multiplicities(rs, mu)
-    mults = list(system.by_weight.values())
-    offset = np.array([v + 1 for v in lam], dtype=object)
-    rows = np.array(list(system.by_weight), dtype=object) + offset
+    _, points, coeffs = klimyk_reduce(rs, mu, [tuple(v + 1 for v in lam)])
     out = VirtualCharacter()
-    if kernels.fits_int64(rows):
-        reduced, signs, _ = kernels.dominant_reduce_batch(rs.np_simple, rows.astype(np.int64))
-        interior = np.flatnonzero((reduced != 0).all(axis=1)).tolist()
-        targets = (reduced - 1).tolist()
-        signs = signs.tolist()
-        for i in interior:
-            out.add(tuple(targets[i]), signs[i] * mults[i])
-    else:
-        for row, mult in zip(rows.tolist(), mults):
-            red, sign = dominant_reduce(rs, row)
-            if all(red):  # off the chamber walls
-                out.add(tuple(v - 1 for v in red), sign * mult)
+    for point, coeff in zip((points - 1).tolist(), coeffs):
+        out.add(tuple(point), coeff)
     assert all(v > 0 for v in out.terms.values())
     return tuple(sorted(out.terms.items()))
+
+
+def klimyk_reduce(rs: RootSystem, lam: Weight, offsets: list) -> tuple:
+    """The Klimyk rows offset + nu over the weights nu of V_lam, for many offsets.
+
+    Every row is reflected back to the dominant chamber; rows landing on a
+    chamber wall cancel and are dropped.  Returns (which, points, coeffs) for
+    the rest: the index of each row's offset, its dominant point as an (n,
+    rank) array (int64 when every row fits the int64 kernel, otherwise
+    Python ints) and its multiplicity times the reflection sign.  With the
+    offset lam' + rho, the points minus rho carry V_lam' (x) V_lam.
+    """
+    system = weight_multiplicities(rs, lam)
+    weights = list(system.by_weight)
+    mults = list(system.by_weight.values())
+    rank, size = rs.rank, len(weights)
+    if kernels.fits_int64(np.array(offsets, dtype=object)):
+        rows = np.array(offsets, dtype=np.int64).reshape(-1, 1, rank) + np.array(weights)
+        rows = rows.reshape(-1, rank)
+        if kernels.fits_int64(rows):
+            reduced, signs, _ = kernels.dominant_reduce_batch(
+                rs.np_simple, rows, len(rs.positive_roots)
+            )
+            kept = np.flatnonzero((reduced != 0).all(axis=1))
+            which, at = np.divmod(kept, size)
+            coeffs = [s * mults[i] for s, i in zip(signs[kept].tolist(), at.tolist())]
+            return which.tolist(), reduced[kept], coeffs
+    which, points, coeffs = [], [], []
+    for a, offset in enumerate(offsets):
+        for nu, mult in zip(weights, mults):
+            red, sign = dominant_reduce(rs, tuple(o + v for o, v in zip(offset, nu)))
+            if all(red):  # off the chamber walls
+                which.append(a)
+                points.append(red)
+                coeffs.append(sign * mult)
+    return which, np.array(points, dtype=object).reshape(-1, rank), coeffs
 
 
 def tensor_dimension_identity(rs: RootSystem, lam: tuple, mu: tuple) -> bool:

@@ -2,9 +2,15 @@
 
 The numeric route diagonalizes fusion through the Kac-Peterson S-matrix and
 rounds with a hard residual gate; the exact route is the Kac-Walton
-algorithm, a Klimyk tensor decomposition corrected by affine alcove
-reflections at kappa = k + c.  The exact route is authoritative; the test
-suite holds the two equal on every desk-scale instance.
+algorithm, one signed affine-Weyl reduction of mu + rho + nu over the
+weights nu of V_lam at kappa = k + c (Walton 1990; Kac, *Infinite
+Dimensional Lie Algebras*, Exercise 13.35).  Its one home,
+:func:`kac_walton_rows`, takes a whole block of products V_lam (x) V_mu in
+one pass: a finite stage reflects every row to the dominant chamber and
+drops the chamber walls, and an affine stage reduces the survivors into the
+alcove.  :func:`fuse_kw` is its one-row case.  The exact route is
+authoritative; the test suite holds the two equal on every desk-scale
+instance.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from . import kernels
 from .affine_weyl import AffineContext, alcove_reduce_batch, check_alcove
 from .errors import NumericalError, ValidationError
-from .finite_reps import WeightCombination, tensor_decompose
+from .finite_reps import WeightCombination, klimyk_reduce, weyl_dimension
 from .rootdata import (
     RootSystem,
     Weight,
@@ -175,7 +181,7 @@ def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
 
 
 def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
-    """Kac-Walton fusion: exact tensor decomposition, alcove-corrected."""
+    """Kac-Walton fusion, exact: one row of :func:`kac_walton_rows`, cached."""
     lam = tuple(int(v) for v in lam)
     mu = tuple(int(v) for v in mu)
     check_alcove(rs, k, lam)
@@ -185,20 +191,34 @@ def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
 
 @lru_cache(maxsize=32768)
 def _fuse_kw_cached(rs: RootSystem, k: int, lam: Weight, mu: Weight) -> tuple:
-    tensor = tensor_decompose(rs, lam, mu)
-    ctx = AffineContext(rs, k)
-    items = list(tensor.terms.items())
-    rows = np.array([[v + 1 for v in nu] for nu, _ in items], dtype=np.int64)
-    rows = rows.reshape(len(items), rs.rank)
-    reduced, lengths, status = alcove_reduce_batch(ctx, rows)
-    out = FusionElement(k=k)
-    for (nu, mult), red, ell, st in zip(items, reduced, lengths, status):
-        if st:
+    if weyl_dimension(rs, mu) < weyl_dimension(rs, lam):
+        lam, mu = mu, lam  # iterate over the smaller weight system
+    return tuple(sorted(kac_walton_rows(rs, k, lam, [mu])[0].items()))
+
+
+def kac_walton_rows(rs: RootSystem, k: int, lam: Weight, mus: list) -> list[dict[Weight, int]]:
+    """The level-k products V_lam (x) V_mu for every alcove label mu in ``mus``, in one pass.
+
+    The rows mu + rho + nu over the weights nu of V_lam are reflected to
+    the dominant chamber together (:func:`finite_reps.klimyk_reduce`, which
+    drops the chamber walls), and the survivors are reduced into the alcove
+    together; a row on an affine wall cancels, the others count with the
+    finite sign times (-1)^length.  Returns one {label: coefficient} per mu.
+    """
+    which, points, coeffs = klimyk_reduce(rs, lam, [tuple(v + 1 for v in mu) for mu in mus])
+    reduced, lengths, walls = alcove_reduce_batch(AffineContext(rs, k), points)
+    out: list[dict[Weight, int]] = [{} for _ in mus]
+    for a, label, ell, wall, coeff in zip(
+        which, (reduced - 1).tolist(), lengths.tolist(), walls.tolist(), coeffs
+    ):
+        if wall:
             continue
-        sign = -1 if int(ell) % 2 else 1
-        out.add(tuple(int(v) - 1 for v in red), sign * mult)
-    assert all(c > 0 for c in out.terms.values()), "Kac-Walton output must be nonnegative"
-    return tuple(sorted(out.terms.items()))
+        row = out[a]
+        label = tuple(label)
+        row[label] = row.get(label, 0) + (-coeff if ell % 2 else coeff)
+    out = [{c: m for c, m in row.items() if m} for row in out]
+    assert all(m > 0 for row in out for m in row.values()), "Kac-Walton output must be nonnegative"
+    return out
 
 
 def fuse_elements(

@@ -25,11 +25,13 @@ def fits_int64(*arrays) -> bool:
     )
 
 
-def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray):
+def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray, max_sweeps: int):
     """Reduce each row of xs into the dominant chamber by simple reflections.
 
     Returns (reduced, signs, steps); a reduced row with a zero coordinate sits
-    on a chamber wall, in which case its sign carries no meaning.
+    on a chamber wall, in which case its sign carries no meaning.  Each sweep
+    lowers #{a > 0 : (x, a^vee) < 0} of every live row by exactly one, so
+    ``max_sweeps`` = |positive roots| always suffices; more raise.
     """
     ys = np.array(xs, dtype=np.int64)
     simple = np.ascontiguousarray(simple, dtype=np.int64)
@@ -44,14 +46,14 @@ def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray):
         rows = np.flatnonzero(neg.any(axis=1))
         if rows.size == 0:
             return ys, signs, steps
+        if sweeps == max_sweeps:
+            raise AssertionError("dominant reduction failed to terminate")
         # each row reflects once per sweep, in its lowest negative coordinate
         first = np.argmax(neg[rows], axis=1)
         ys[rows] -= ys[rows, first][:, None] * simple[first]
         signs[rows] = -signs[rows]
         steps[rows] += 1
         sweeps += 1
-        if sweeps > 1_000_000:
-            raise AssertionError("dominant reduction failed to terminate")
 
 
 def alcove_length_batch(pairs, den: int, xs):

@@ -4,8 +4,10 @@ Verlinde numbers are exact: with the Kac-Walton fusion matrices
 (N_a)_{bc} = N_{ab}^c and the handle operator H = sum_mu N_mu N_{mu*}, the
 genus-g surface with labels lambda_1..lambda_m has dimension
 (e_0 H^g N_{lambda_1} ... N_{lambda_m})_0 (Beauville 1996, section 5), all in
-Python integers.  The matrices are kept sparse; only the fundamental labels
-take Kac-Walton rows, the others follow by multiplying fusion matrices.
+Python integers.  The matrices are kept sparse.  Only the fundamental labels
+take Kac-Walton rows, each N_omega in one batched reduction over every
+label (:func:`fusion.kac_walton_rows`: finite stage, then affine stage); the
+others follow by multiplying fusion matrices.
 Reports first reduce arbitrary dominant insertions into the alcove,
 recording the vanishing verdict and the single cohomological degree.  The
 floating-point S-matrix sum survives only as the cross-check
@@ -22,7 +24,13 @@ import numpy as np
 
 from .affine_weyl import WALL, AffineContext, alcove_reduce, check_alcove
 from .errors import NumericalError, ResourceError, ValidationError
-from .fusion import ROUND_TOLERANCE, alcove_weights, conjugate_weight, fuse_kw, s_matrix
+from .fusion import (
+    ROUND_TOLERANCE,
+    alcove_weights,
+    conjugate_weight,
+    kac_walton_rows,
+    s_matrix,
+)
 from .rootdata import RootSystem, Weight, check_rank, is_dominant, pairing_int
 
 
@@ -152,17 +160,17 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
         raise too_many
     fusion: list = [None] * n
     fusion[0] = [{b: 1} for b in range(n)]
-    # only the fundamental labels need Kac-Walton rows; the rest follow from
-    # N_omega N_mu = N_lam + sum_c N_{omega mu}^c N_c for lam = mu + omega,
-    # where every other c lies strictly below lam in the dominance order
+    # only the fundamental labels need Kac-Walton rows, one batch each; the
+    # rest follow from N_omega N_mu = N_lam + sum_c N_{omega mu}^c N_c for
+    # lam = mu + omega, where every other c lies strictly below lam in the
+    # dominance order
     fundamental = {}  # i -> label index of omega_i
     for i in range(rs.rank):
         omega = tuple(int(j == i) for j in range(rs.rank))
         if omega in index:
             f = fundamental[i] = index[omega]
-            fusion[f] = [
-                {index[c]: m for c, m in fuse_kw(rs, k, omega, b).terms.items()} for b in labels
-            ]
+            rows = kac_walton_rows(rs, k, omega, labels)
+            fusion[f] = [{index[c]: m for c, m in row.items()} for row in rows]
     # multiply by the sparsest fundamental matrix that fits
     order = sorted(fundamental, key=lambda i: sum(map(len, fusion[fundamental[i]])))
     entries = sum(sum(map(len, m)) for m in fusion if m is not None)

@@ -161,6 +161,14 @@ def test_inputs_past_the_caps_exit_5():
     assert proc.returncode == 5 and proc.stdout == b""
 
 
+def test_fusion_past_int64_answers_exactly():
+    k, big = 2**64, 2**63
+    proc = run_cli(["fusion", "--algebra", "A1", "--level", str(k), "--weights", f"1;{big}"])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result == [{"weight": [big - 1], "coeff": 1}, {"weight": [big + 1], "coeff": 1}]
+
+
 def test_long_exact_numbers_print_in_full():
     # 2^20000 has 6021 decimal digits, past Python's default conversion limit
     proc = run_cli(["verlinde", "--algebra", "A1", "--level", "1", "--genus", "20000"])

@@ -231,6 +231,20 @@ def test_fusion_element_behavior():
     assert [w for w, _ in e.sorted_terms(rs)] == [(0, 0), (1, 0), (0, 1)]
 
 
+def test_kac_walton_is_exact_past_int64():
+    from loopfusion.finite_reps import tensor_decompose
+
+    k, big = 2**64, 2**63
+    a1 = build_root_system("A1")
+    assert fuse_kw(a1, k, (1,), (big,)).terms == oracles.su2_fusion(k, 1, big)
+    assert fuse_kw(a1, k, (big,), (1,)).terms == oracles.su2_fusion(k, big, 1)
+    # far from the affine wall, fusion is the plain tensor product
+    a2 = build_root_system("A2")
+    want = tensor_decompose(a2, (1, 1), (big, 0)).terms
+    assert len(want) == 4
+    assert fuse_kw(a2, k, (1, 1), (big, 0)).terms == want
+
+
 def test_cached_results_are_isolated_from_mutation():
     rs = build_root_system("A2")
     first = fuse_kw(rs, 1, (1, 0), (0, 1))

@@ -41,7 +41,9 @@ def test_dominant_reduce_backends_agree(label):
     rs = build_root_system(label)
     rng = random.Random(4)
     xs = random_rows(rng, rs.rank, 200)
-    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs.copy())
+    reduced, signs, steps = kernels.dominant_reduce_batch(
+        rs.np_simple, xs.copy(), len(rs.positive_roots)
+    )
     assert (reduced >= 0).all()
     assert set(np.unique(signs)) <= {-1, 1}
     for x, red, sign in zip(xs, reduced, signs):
@@ -162,10 +164,24 @@ def test_batch_refuses_non_integer_or_misshapen_input():
             alcove_reduce_batch(ctx, bad)
 
 
+@pytest.mark.parametrize("label", ["E8", "G2"])
+def test_dominant_batch_needs_exactly_the_positive_root_count_of_sweeps(label):
+    # -rho goes to rho through w0, one reflection per positive root
+    rs = build_root_system(label)
+    bound = len(rs.positive_roots)
+    xs = np.array([[-1] * rs.rank, [2] * rs.rank], dtype=np.int64)
+    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, bound)
+    assert reduced.tolist() == [[1] * rs.rank, [2] * rs.rank]
+    assert steps.tolist() == [bound, 0]
+    assert signs.tolist() == [(-1) ** bound, 1]
+    with pytest.raises(AssertionError, match="terminate"):
+        kernels.dominant_reduce_batch(rs.np_simple, xs, bound - 1)
+
+
 def test_empty_batches():
     rs = build_root_system("A2")
     xs = np.empty((0, 2), dtype=np.int64)
-    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs)
+    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
     assert reduced.shape == (0, 2)
     reduced, steps, status = kernels.alcove_reduce_batch(
         rs.np_simple, rs.np_theta, rs.np_comarks, 3, xs, 100
@@ -184,6 +200,6 @@ def test_dominant_reduce_is_orbit_preserving(label, seed):
     rs = build_root_system(label)
     rng = random.Random(seed)
     xs = random_rows(rng, rs.rank, 4, lo=-8, hi=8)
-    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs)
+    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
     for x, y in zip(xs, reduced):
         assert tuple(int(v) for v in y) in weyl_orbit(rs, tuple(int(v) for v in x))

@@ -265,6 +265,47 @@ def test_sparse_fusion_matrices_match_kac_walton():
                 assert fm.fusion[a][b] == want, (label, k, lam, mu)
 
 
+@pytest.mark.parametrize(
+    "label,k", [("A2", 4), ("G2", 3), ("B3", 2), ("F4", 2), ("F4", 3), ("D5", 2)]
+)
+def test_fusion_matrices_match_the_s_matrix_route(label, k):
+    # fuse_s shares no code with the Kac-Walton rows the matrices come from
+    from loopfusion.verlinde import fusion_matrices
+
+    rs = build_root_system(label)
+    fm = fusion_matrices(rs, k)
+    for a, lam in enumerate(fm.labels):
+        for b, mu in enumerate(fm.labels):
+            want = {fm.index[c]: m for c, m in fuse_s(rs, k, lam, mu).terms.items()}
+            assert fm.fusion[a][b] == want, (label, k, lam, mu)
+
+
+def test_fusion_matrices_take_one_kac_walton_batch_per_fundamental(monkeypatch):
+    import sys
+
+    from loopfusion import verlinde
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build must not go through per-pair products")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopfusion"):
+            for attr in ("tensor_decompose", "fuse_kw", "_fuse_kw_cached", "_tensor_cached"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    calls = []
+    real = verlinde.kac_walton_rows
+    monkeypatch.setattr(
+        verlinde, "kac_walton_rows", lambda *a: calls.append(a[2]) or real(*a)
+    )
+    monkeypatch.setattr(verlinde, "_fusion_cache", {})
+    e6 = build_root_system("E6")
+    fm = verlinde.fusion_matrices(e6, 2)
+    fundamentals = [w for w in fm.labels if sorted(w) == [0] * 5 + [1]]
+    assert len(fundamentals) == 5  # comarks (1, 2, 3, 2, 1, 2): omega_3 is past level 2
+    assert sorted(calls) == sorted(fundamentals)
+
+
 def test_e7_e8_open_at_low_level():
     e7 = build_root_system("E7")
     e8 = build_root_system("E8")
