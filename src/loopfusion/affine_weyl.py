@@ -10,14 +10,19 @@ separating x from the alcove (Humphreys, *Reflection Groups and Coxeter
 Groups*, 4.5), counted root by root in closed form, and x is on a wall iff
 some (x, alpha) lies in kappa*Z.  The reduced point is the unique point of
 the affine orbit in the closed alcove (Walton, "Fusion rules in WZW models",
-1990): a translation by kappa*Q^vee moves x next to the alcove and a short
-greedy walk finishes.  Only ``AlcoveReduction.word`` walks from x itself,
-greedily: the lowest-index violated generator fires, the affine reflection
-counting as index 0 and the simple reflections as 1..rank.
+1990): a translation by kappa*Q^vee moves x next to the alcove, and cyclic
+sweeps (s_0, then s_1..s_rank, each where violated) finish in integers.
+Every violated reflection crosses exactly one separating wall, so any order
+reaches the same point in as many reflections as the translate's length.
+Only ``AlcoveReduction.word`` walks from x itself, greedily, because its
+letters are output: the lowest-index violated generator fires, the affine
+reflection counting as index 0 and the simple reflections as 1..rank.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +31,16 @@ import numpy as np
 
 from . import kernels
 from .errors import ResourceError, ValidationError
-from .rootdata import RootSystem, check_rank, theta_pairing
+from .rootdata import (
+    RootSystem,
+    as_int,
+    check_dominant,
+    check_rank,
+    check_weight,
+    is_dominant,
+    sweep_reduce,
+    theta_pairing,
+)
 
 INTERIOR = "interior"
 WALL = "wall"
@@ -87,15 +101,20 @@ class AlcoveReduction:
             raise ResourceError(
                 f"reduction word of length {self.length} exceeds the walk budget {budget}"
             )
-        word: list[int] = []
-        _walk(self.ctx, self.source, self.order == "affine_first", word)
-        return tuple(word)
+        return _walk(self.ctx, self.source, self.order == "affine_first")
 
 
 def _normalize(value):
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value
+
+
+def _check_point(rs: RootSystem, x: tuple) -> tuple:
+    """x as a rational point: integer coordinates as Python ints, Fractions
+    kept unless integral; anything else, a float included, is refused."""
+    check_rank(rs, x)
+    return tuple(_normalize(v) if isinstance(v, Fraction) else as_int(v) for v in x)
 
 
 def reflect_generator(ctx: AffineContext, x: tuple, idx: int) -> tuple:
@@ -130,7 +149,7 @@ def _length_and_wall(ctx: AffineContext, x: tuple) -> tuple[int, bool]:
     length = 0
     wall = False
     for pair in ctx.rs.root_pairs:
-        q, r = divmod(sum(v * p for v, p in zip(x, pair)), den)
+        q, r = divmod(sum(map(operator.mul, x, pair)), den)
         if r:
             length += abs(q)
         else:
@@ -148,7 +167,7 @@ def _translate(ctx: AffineContext, x: tuple) -> tuple:
     den = rs.form_den * ctx.kappa
     y = list(x)
     for row, coroot in zip(rs.form_int, rs.simple_coroot_weights):
-        n = sum(f * v for f, v in zip(row, x)) // den
+        n = sum(map(operator.mul, row, x)) // den
         if n:
             shift = n * ctx.kappa
             for j, c in enumerate(coroot):
@@ -163,8 +182,7 @@ def on_wall(ctx: AffineContext, x: tuple) -> bool:
     (x, alpha) = n*kappa over roots alpha, with the form normalized so long
     roots have (alpha, alpha) = 2.
     """
-    check_rank(ctx.rs, x)
-    return _length_and_wall(ctx, x)[1]
+    return _length_and_wall(ctx, _check_point(ctx.rs, x))[1]
 
 
 def _violated_index(ctx: AffineContext, x: tuple, affine_first: bool):
@@ -175,44 +193,54 @@ def _violated_index(ctx: AffineContext, x: tuple, affine_first: bool):
     return finite if finite is not None else affine
 
 
-def _walk(ctx: AffineContext, y: tuple, affine_first: bool = True, word=None) -> tuple:
-    """Greedy walk from y into the closed alcove, appending to ``word``.
+def _walk(ctx: AffineContext, y: tuple, affine_first: bool) -> tuple[int, ...]:
+    """The letters of the greedy walk from y into the closed alcove, in order.
 
     It takes exactly as many steps as y has closed-form length.
     """
-    while True:
-        idx = _violated_index(ctx, y, affine_first)
-        if idx is None:
-            return y
+    word = []
+    while (idx := _violated_index(ctx, y, affine_first)) is not None:
         y = reflect_generator(ctx, y, idx)
-        if word is not None:
-            word.append(idx)
+        word.append(idx)
+    return tuple(word)
+
+
+def _sweep_to_alcove(ctx: AffineContext, x: tuple, length: int) -> tuple:
+    """The closed-alcove point of the orbit of x, reached by ``length``
+    reflections of cyclic sweeps.  A rational x is scaled by the common
+    denominator d of its coordinates first, which scales the alcove to level
+    d*kappa, so the sweeps run in integers."""
+    d = math.lcm(*(v.denominator for v in x))
+    y = [int(v * d) for v in x]
+    sweep_reduce(ctx.rs, y, length, d * ctx.kappa)
+    return tuple(_normalize(Fraction(v, d)) for v in y) if d > 1 else tuple(y)
 
 
 def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> AlcoveReduction:
     """Reduce a rational point into the closed fundamental alcove, exactly.
 
-    Points already in the closed alcove cost one violation test.  Others
-    get their length and wall status in closed form; the reduced point is
-    walked to from x or from its kappa*Q^vee translate, whichever is
-    shorter.  ``order`` picks which violated generator the walk behind
-    ``word`` fires first ("affine_first" is the default convention,
-    "finite_first" the alternate); nothing else depends on it.
+    Coordinates are ints, np.integers or Fractions; anything else raises
+    ValidationError.  Points already in the closed alcove cost one violation
+    test.  Others get their length and wall status in closed form; the
+    reduced point is swept to from x or from its kappa*Q^vee translate,
+    whichever is shorter.  ``order`` picks which violated generator the
+    greedy walk behind ``word`` fires first ("affine_first" is the default
+    convention, "finite_first" the alternate); nothing else depends on it.
     """
-    check_rank(ctx.rs, x)
+    y = _check_point(ctx.rs, x)
     if order not in ("affine_first", "finite_first"):
         raise ValidationError(f"unknown reduction order {order!r}")
-    y = tuple(_normalize(v) for v in x)
     level = theta_pairing(ctx.rs, y)
-    if level <= ctx.kappa and all(v >= 0 for v in y):
+    if level <= ctx.kappa and is_dominant(y):
         wall = level == ctx.kappa or 0 in y
         return AlcoveReduction(WALL if wall else INTERIOR, y, 0, 1, ctx, y, order)
     length, wall = _length_and_wall(ctx, y)
     moved = _translate(ctx, y)
-    start = moved if _length_and_wall(ctx, moved)[0] < length else y
+    moved_length = _length_and_wall(ctx, moved)[0]
+    start, steps = (moved, moved_length) if moved_length < length else (y, length)
     return AlcoveReduction(
         status=WALL if wall else INTERIOR,
-        reduced=_walk(ctx, start),
+        reduced=_sweep_to_alcove(ctx, start, steps),
         length=length,
         sign=-1 if length % 2 else 1,
         ctx=ctx,
@@ -233,9 +261,7 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     rs = ctx.rs
     if arr.ndim != 2 or arr.shape[1] != rs.rank:
         raise ValidationError(f"batch of shape {arr.shape} is not a list of rank-{rs.rank} points")
-    if arr.dtype.kind not in "iuO" or (
-        arr.dtype.kind == "O" and not all(isinstance(v, (int, np.integer)) for v in arr.flat)
-    ):
+    if arr.dtype.kind not in "iuO":
         raise ValidationError("batch entries must be integers")
     if (
         arr.dtype.kind in "iu"
@@ -247,7 +273,7 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     lengths = np.empty(len(arr), dtype=object)
     status = np.zeros(len(arr), dtype=np.int64)
     for a, row in enumerate(arr):
-        red = alcove_reduce(ctx, tuple(int(v) for v in row))
+        red = alcove_reduce(ctx, check_weight(rs, tuple(row)))
         reduced[a] = red.reduced
         lengths[a] = red.length
         status[a] = 1 if red.status == WALL else 0
@@ -288,9 +314,7 @@ def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":
     """
     total = 0
     for lam in lambdas:
-        check_rank(ctx.rs, lam)
-        if any(v < 0 for v in lam):
-            raise ValidationError(f"weight {lam} is not dominant")
+        lam = check_dominant(ctx.rs, lam)
         length, wall = _length_and_wall(ctx, tuple(v + 1 for v in lam))
         if wall:
             return None
@@ -300,12 +324,12 @@ def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":
 
 def in_alcove(rs: RootSystem, k: int, weight: tuple) -> bool:
     """Dominant and (weight, theta^vee) <= k: the level-k label condition."""
-    return all(v >= 0 for v in weight) and theta_pairing(rs, weight) <= k
+    return is_dominant(weight) and theta_pairing(rs, weight) <= k
 
 
-def check_alcove(rs: RootSystem, k: int, weight: tuple) -> None:
-    check_rank(rs, weight)
+def check_alcove(rs: RootSystem, k: int, weight: tuple) -> tuple:
+    """weight as a level-k label (a tuple of ints), or ValidationError."""
+    weight = check_weight(rs, weight)
     if not in_alcove(rs, k, weight):
-        raise ValidationError(
-            f"weight {tuple(weight)} is outside the level-{k} alcove of {rs.spec}"
-        )
+        raise ValidationError(f"weight {weight} is outside the level-{k} alcove of {rs.spec}")
+    return weight

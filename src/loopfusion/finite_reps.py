@@ -19,12 +19,12 @@ from math import prod
 import numpy as np
 
 from . import kernels
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError
 from .rootdata import (
     RootSystem,
     Weight,
     cap_exceeded,
-    check_rank,
+    check_dominant,
     dominant_reduce,
     is_dominant,
     pairing_int,
@@ -78,17 +78,9 @@ class WeightMultiplicities:
         return sum(self.by_weight.values())
 
 
-def _check_dominant(rs: RootSystem, lam: tuple) -> Weight:
-    check_rank(rs, lam)
-    lam = tuple(int(v) for v in lam)
-    if not is_dominant(lam):
-        raise ValidationError(f"weight {lam} is not dominant")
-    return lam
-
-
 def weyl_dimension(rs: RootSystem, lam: tuple) -> int:
     """dim V_lambda = prod over positive roots of (lam+rho, a^vee)/(rho, a^vee)."""
-    lam = _check_dominant(rs, lam)
+    lam = check_dominant(rs, lam)
     shifted = [v + 1 for v in lam]
     num = 1
     for coroot in rs.positive_coroots:
@@ -195,7 +187,7 @@ def weight_multiplicities(
 
     Raises ResourceError when the irrep has more than ``cap`` distinct weights.
     """
-    lam = _check_dominant(rs, lam)
+    lam = check_dominant(rs, lam)
     return _weight_system(rs, lam, cap)
 
 
@@ -205,8 +197,8 @@ def tensor_decompose(rs: RootSystem, lam: tuple, mu: tuple) -> VirtualCharacter:
     The result is the honest decomposition of the tensor product, so every
     coefficient is nonnegative and the dimension identity holds.
     """
-    lam = _check_dominant(rs, lam)
-    mu = _check_dominant(rs, mu)
+    lam = check_dominant(rs, lam)
+    mu = check_dominant(rs, mu)
     return VirtualCharacter(dict(_tensor_cached(rs, lam, mu)))
 
 
@@ -284,9 +276,8 @@ def character_ratio(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> complex:
     """
     from .affine_weyl import check_alcove  # local import to avoid a cycle
 
-    lam = _check_dominant(rs, lam)
-    check_rank(rs, mu)
-    check_alcove(rs, k, mu)
+    lam = check_dominant(rs, lam)
+    mu = check_alcove(rs, k, mu)
     kappa = k + rs.dual_coxeter
     num = character_numerator(rs, kappa, lam, mu)
     den = character_numerator(rs, kappa, (0,) * rs.rank, mu)

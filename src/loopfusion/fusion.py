@@ -152,13 +152,13 @@ def s_matrix(rs: RootSystem, k: int, tolerance: float = S_TOLERANCE) -> SMatrix:
 
 def conjugate_weight(rs: RootSystem, weight: tuple) -> Weight:
     """Charge conjugation: the dominant representative of -weight (= -w0 w)."""
-    return tuple(int(v) for v in dominant_representative(rs, tuple(-v for v in weight)))
+    return dominant_representative(rs, tuple(-v for v in weight))
 
 
 def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
     """Fusion coefficients through the Verlinde sum over S-matrix columns."""
-    check_alcove(rs, k, lam)
-    check_alcove(rs, k, mu)
+    lam = check_alcove(rs, k, lam)
+    mu = check_alcove(rs, k, mu)
     sm = s_matrix(rs, k)
     s = sm.entries
     a = sm.index(lam)
@@ -182,10 +182,8 @@ def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
 
 def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
     """Kac-Walton fusion, exact: one row of :func:`kac_walton_rows`, cached."""
-    lam = tuple(int(v) for v in lam)
-    mu = tuple(int(v) for v in mu)
-    check_alcove(rs, k, lam)
-    check_alcove(rs, k, mu)
+    lam = check_alcove(rs, k, lam)
+    mu = check_alcove(rs, k, mu)
     return FusionElement(k=k, terms=dict(_fuse_kw_cached(rs, k, lam, mu)))
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .affine_weyl import WALL, AffineContext, alcove_reduce
-from .errors import ValidationError
 from .finite_reps import VirtualCharacter, tensor_decompose
 from .fusion import FusionElement, fuse_elements
-from .rootdata import RootSystem, Weight, check_rank, is_dominant
+from .rootdata import RootSystem, Weight, check_dominant
 
 
 @dataclass
@@ -28,10 +27,7 @@ class InductionResult:
 
 def induce(rs: RootSystem, h: int, lam: tuple) -> InductionResult:
     """Induce a single irreducible: empty on a wall, else one signed label."""
-    check_rank(rs, lam)
-    lam = tuple(int(v) for v in lam)
-    if not is_dominant(lam):
-        raise ValidationError(f"weight {lam} is not dominant")
+    lam = check_dominant(rs, lam)
     ctx = AffineContext(rs, h)
     red = alcove_reduce(ctx, tuple(v + 1 for v in lam))
     if red.status == WALL:

@@ -1,6 +1,13 @@
 """Batched int64 numpy kernels: finite-Weyl reduction, alcove lengths and
 reduction, S-sums.
 
+Both reductions run in cyclic sweeps, branch-free over all rows: s_0 (the
+alcove kernel only), then s_1..s_r, each reflecting by how far a row
+violates it, which is zero where it does not.  A violated reflection
+crosses exactly one wall separating the row from its chamber or alcove, so
+each row takes the same number of reflections as in any other order, and a
+sweep may apply several of them.
+
 Callers guard magnitudes via :func:`fits_int64` and fall back to exact Python
 arithmetic for oversized inputs, so the kernels never silently lose precision.
 """
@@ -28,32 +35,31 @@ def fits_int64(*arrays) -> bool:
 def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray, max_sweeps: int):
     """Reduce each row of xs into the dominant chamber by simple reflections.
 
-    Returns (reduced, signs, steps); a reduced row with a zero coordinate sits
-    on a chamber wall, in which case its sign carries no meaning.  Each sweep
-    lowers #{a > 0 : (x, a^vee) < 0} of every live row by exactly one, so
-    ``max_sweeps`` = |positive roots| always suffices; more raise.
+    Returns (reduced, signs, steps), steps counting the reflections each row
+    applies and signs being (-1)^steps; a reduced row with a zero coordinate
+    sits on a chamber wall, in which case its sign carries no meaning.  Each
+    reflection lowers #{a > 0 : (x, a^vee) < 0} by exactly one, so a row
+    takes at most |positive roots| of them; a row that would pass
+    ``max_sweeps`` reflections raises.
     """
     ys = np.array(xs, dtype=np.int64)
     simple = np.ascontiguousarray(simple, dtype=np.int64)
-    n = ys.shape[0]
-    signs = np.ones(n, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    if ys.size == 0:
-        return ys, signs, steps
-    sweeps = 0
-    while True:
-        neg = ys < 0
-        rows = np.flatnonzero(neg.any(axis=1))
-        if rows.size == 0:
-            return ys, signs, steps
-        if sweeps == max_sweeps:
+    steps = np.zeros(ys.shape[0], dtype=np.int64)
+    cs = np.empty((len(simple), ys.shape[0]), dtype=np.int64)
+    while ys.size and ys.min() < 0:
+        _finite_sweep(simple, ys, cs)
+        steps += (cs != 0).sum(axis=0)
+        if steps.max() > max_sweeps:
             raise AssertionError("dominant reduction failed to terminate")
-        # each row reflects once per sweep, in its lowest negative coordinate
-        first = np.argmax(neg[rows], axis=1)
-        ys[rows] -= ys[rows, first][:, None] * simple[first]
-        signs[rows] = -signs[rows]
-        steps[rows] += 1
-        sweeps += 1
+    return ys, 1 - 2 * (steps & 1), steps
+
+
+def _finite_sweep(simple, ys, cs) -> None:
+    """s_1..s_r in turn on every row, in place, s_i by c = min(y_i, 0); row
+    i - 1 of cs receives that c, so its nonzero entries mark the reflections."""
+    for i, alpha in enumerate(simple):
+        c = np.minimum(ys[:, i], 0, out=cs[i])
+        ys -= np.multiply.outer(c, alpha)
 
 
 def alcove_length_batch(pairs, den: int, xs):
@@ -70,12 +76,15 @@ def alcove_length_batch(pairs, den: int, xs):
 
 
 def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
-    """Greedy affine reduction of each row into the closed level-kappa alcove.
+    """Reduce each row of xs into the closed level-kappa alcove by cyclic sweeps.
 
-    Per row, the lowest-index violated generator fires, the affine wall being
-    index 0.  Returns (reduced, steps, status) with status 0 for interior
-    points and 1 for points landing on the closed-alcove boundary (wall
-    points); more than max_steps sweeps raise ResourceError.
+    A sweep applies first the affine reflection s_0 by
+    c_0 = max(level - kappa, 0), then s_1..s_r by c = min(y_i, 0), so each
+    row takes exactly its closed-form length in reflections.  Returns
+    (reduced, steps, status): steps counts each row's reflections, status is
+    0 for interior points and 1 for points landing on the closed-alcove
+    boundary (wall points).  A row that would pass max_steps reflections
+    raises ResourceError.
     """
     ys = np.array(xs, dtype=np.int64)
     n = ys.shape[0]
@@ -85,25 +94,16 @@ def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
     simple = np.ascontiguousarray(simple, dtype=np.int64)
     theta = np.ascontiguousarray(theta, dtype=np.int64)
     comarks = np.ascontiguousarray(comarks, dtype=np.int64)
-    sweeps = 0
+    cs = np.empty((len(simple) + 1, n), dtype=np.int64)
     while True:
         level = ys @ comarks
-        over = level > kappa
-        neg = ys < 0
-        negany = neg.any(axis=1)
-        if not (over | negany).any():
+        if level.max() <= kappa and ys.min() >= 0:
             break
-        if over.any():
-            ys[over] -= np.outer(level[over] - kappa, theta)
-            steps[over] += 1
-        # the others reflect once per sweep, in their lowest negative coordinate
-        rows = np.flatnonzero(negany & ~over)
-        if rows.size:
-            first = np.argmax(neg[rows], axis=1)
-            ys[rows] -= ys[rows, first][:, None] * simple[first]
-            steps[rows] += 1
-        sweeps += 1
-        if sweeps > max_steps:
+        c0 = np.maximum(level - kappa, 0, out=cs[0])
+        ys -= np.multiply.outer(c0, theta)
+        _finite_sweep(simple, ys, cs[1:])
+        steps += (cs != 0).sum(axis=0)
+        if steps.max() > max_steps:
             raise ResourceError("alcove reduction exceeded its step bound")
     status = ((ys == 0).any(axis=1) | (level == kappa)).astype(np.int64)
     return ys, steps, status

@@ -23,6 +23,7 @@ appears only in the public rational fields (``symmetrizer``, ``form``,
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 import threading
@@ -331,6 +332,12 @@ class RootSystem:
         self.np_form_int = np.array(self.form_int, dtype=np.int64)
         self.np_root_pairs = np.array(self.root_pairs, dtype=np.int64)
         self.np_simple_coroots = np.array(self.simple_coroot_weights, dtype=np.int64)
+        # nonzero (index, coordinate) pairs of each simple root and of theta,
+        # for the scalar reflection loop of :func:`sweep_reduce`
+        self._simple_support = tuple(
+            tuple((j, a) for j, a in enumerate(alpha) if a) for alpha in self.simple_roots
+        )
+        self._theta_support = tuple((j, t) for j, t in enumerate(self.highest_root) if t)
 
         self._weyl_lock = threading.Lock()
         self._weyl_cache: tuple[np.ndarray, np.ndarray] | None = None
@@ -407,8 +414,36 @@ def check_rank(rs: RootSystem, x: tuple) -> None:
         raise ValidationError(f"vector {x} has length {len(x)}, expected rank {rs.rank}")
 
 
+def as_int(v) -> int:
+    """v as a Python int.  Integers (int, np.integer: whatever has
+    ``__index__``) pass; anything else, a float included, raises
+    ValidationError instead of being truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValidationError(f"coordinate {v!r} is not an integer") from None
+
+
+def check_weight(rs: RootSystem, x: tuple) -> Weight:
+    """x as a rank-length tuple of Python ints, or ValidationError; the
+    tuple form of :func:`as_int`."""
+    check_rank(rs, x)
+    try:
+        return tuple(map(operator.index, x))
+    except TypeError:
+        raise ValidationError(f"weight {tuple(x)} has a non-integer coordinate") from None
+
+
+def check_dominant(rs: RootSystem, x: tuple) -> Weight:
+    """x as a dominant integer weight, or ValidationError."""
+    x = check_weight(rs, x)
+    if not is_dominant(x):
+        raise ValidationError(f"weight {x} is not dominant")
+    return x
+
+
 def is_dominant(x: tuple) -> bool:
-    return all(v >= 0 for v in x)
+    return min(x, default=0) >= 0
 
 
 def pairing_int(rs: RootSystem, x: tuple, y: tuple):
@@ -445,7 +480,7 @@ def coroot_of(rs: RootSystem, alpha: tuple) -> RationalVector:
 
 def theta_pairing(rs: RootSystem, x: tuple) -> int:
     """(x, theta^vee) via comark coordinates; the level functional."""
-    return sum(c * v for c, v in zip(rs.comarks, x))
+    return sum(map(operator.mul, rs.comarks, x))
 
 
 def canonical_key(rs: RootSystem, weight: tuple):
@@ -462,9 +497,9 @@ def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
     ResourceError once the orbit passes the Weyl cap, so small orbits of
     large groups (E7, E8) stay open.
     """
-    check_rank(rs, x)
+    x = check_weight(rs, x)
     cap = weyl_cap()
-    top = dominant_reduce(rs, tuple(x))[0]
+    top = dominant_reduce(rs, x)[0]
     seen = {top}
     frontier = [top]
     while frontier:
@@ -524,29 +559,50 @@ def apply_word(rs: RootSystem, word: tuple[int, ...], x: tuple) -> tuple:
     return tuple(x)
 
 
-def dominant_reduce(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
-    """(dominant point in the finite Weyl orbit of x, (-1)^steps), exact for
-    any scalars.  Reflects in the lowest-index negative coordinate each step,
-    as :func:`kernels.dominant_reduce_batch` does; on a wall the sign carries
-    no meaning.
+def sweep_reduce(rs: RootSystem, y: list, max_steps: int, kappa: "int | None" = None) -> int:
+    """Reflect y in place into the dominant chamber, or with ``kappa`` into
+    the closed level-kappa alcove; returns the number of reflections.
+
+    Each sweep applies the affine reflection s_0 (only with ``kappa``) and
+    then s_1..s_r in turn, each one where it is violated.  A violated
+    reflection crosses exactly one wall separating y from the chamber or
+    alcove, so every order takes the same number of reflections and lands on
+    the same point, while one sweep may cross several walls.  Passing
+    ``max_steps`` reflections raises AssertionError.
     """
-    check_rank(rs, x)
-    y = list(x)
-    sign = 1
-    # each reflection in a negative coordinate lowers #{a > 0 : (y, a^vee) < 0}
-    # by exactly one, so at most |positive roots| of them happen
-    for _ in range(len(rs.positive_roots) + 1):
-        i = next((j for j, v in enumerate(y) if v < 0), None)
-        if i is None:
-            return tuple(y), sign
-        c = y[i]
-        alpha = rs.simple_roots[i]
-        for j in range(rs.rank):
-            y[j] -= c * alpha[j]
-        sign = -sign
-    raise AssertionError("dominant reduction failed to terminate")
+    steps = 0
+    while True:
+        excess = theta_pairing(rs, y) - kappa if kappa is not None else 0
+        if excess <= 0 and min(y) >= 0:
+            return steps
+        if excess > 0:
+            for j, t in rs._theta_support:
+                y[j] -= excess * t
+            steps += 1
+        for i, support in enumerate(rs._simple_support):
+            c = y[i]
+            if c < 0:
+                for j, a in support:
+                    y[j] -= c * a
+                steps += 1
+        if steps > max_steps:
+            raise AssertionError("reduction failed to terminate")
+
+
+def dominant_reduce(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
+    """(dominant point in the finite Weyl orbit of the integer weight x,
+    (-1)^steps), exact.
+
+    Cyclic sweeps of simple reflections (:func:`sweep_reduce`), the order
+    :func:`kernels.dominant_reduce_batch` uses; on a wall the sign carries
+    no meaning.  Each reflection lowers #{a > 0 : (y, a^vee) < 0} by exactly
+    one, so at most |positive roots| of them happen.
+    """
+    y = list(check_weight(rs, x))
+    steps = sweep_reduce(rs, y, len(rs.positive_roots))
+    return tuple(y), -1 if steps % 2 else 1
 
 
 def dominant_representative(rs: RootSystem, x: tuple) -> tuple:
-    """The dominant point in the finite Weyl orbit of x (exact, any scalars)."""
+    """The dominant point in the finite Weyl orbit of the integer weight x."""
     return dominant_reduce(rs, x)[0]

@@ -31,7 +31,7 @@ from .fusion import (
     kac_walton_rows,
     s_matrix,
 )
-from .rootdata import RootSystem, Weight, check_rank, is_dominant, pairing_int
+from .rootdata import RootSystem, Weight, check_dominant, pairing_int
 
 
 @dataclass(frozen=True)
@@ -296,9 +296,7 @@ def cohomology_report(rs: RootSystem, h: int, surface: Surface) -> CohomologyRep
     reduced_insertions = []
     degree = 0
     for lam in surface.insertions:
-        check_rank(rs, lam)
-        if not is_dominant(lam):
-            raise ValidationError(f"insertion {tuple(lam)} is not dominant")
+        lam = check_dominant(rs, lam)
         red = alcove_reduce(ctx, tuple(v + 1 for v in lam))
         if red.status == WALL:
             return CohomologyReport(

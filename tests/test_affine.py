@@ -282,3 +282,24 @@ def test_words_past_the_step_budget_are_refused_without_walking():
     assert r.length > ctx.step_budget
     with pytest.raises(ResourceError):
         r.word
+
+
+@pytest.mark.parametrize("label,h", [("A2", 1), ("G2", 0), ("B3", 2)])
+def test_rational_points_sweep_to_the_greedy_walk_endpoint(label, h):
+    from fractions import Fraction
+
+    ctx = ctx_of(label, h)
+    rng = random.Random(17)
+    for _ in range(30):
+        x = tuple(
+            Fraction(rng.randint(-12 * ctx.kappa, 12 * ctx.kappa), rng.choice((1, 2, 3, 6)))
+            for _ in range(ctx.rs.rank)
+        )
+        r = alcove_reduce(ctx, x)
+        y = x
+        for idx in r.word:  # the greedy walk, in Fractions, letter by letter
+            y = reflect_generator(ctx, y, idx)
+        assert y == r.reduced
+        assert len(r.word) == r.length
+        assert (r.status == WALL) == on_wall(ctx, x)
+        assert all(isinstance(v, int) for v in r.reduced if v.denominator == 1)

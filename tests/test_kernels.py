@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopfusion import kernels
-from loopfusion.affine_weyl import WALL, AffineContext, alcove_reduce
-from loopfusion.rootdata import build_root_system, dominant_reduce
+from loopfusion.affine_weyl import WALL, AffineContext, alcove_reduce, alcove_reduce_batch
+from loopfusion.errors import ResourceError
+from loopfusion.rootdata import build_root_system, dominant_reduce, sweep_reduce
 
 
 def test_fits_int64_boundary():
@@ -203,3 +204,51 @@ def test_dominant_reduce_is_orbit_preserving(label, seed):
     reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
     for x, y in zip(xs, reduced):
         assert tuple(int(v) for v in y) in weyl_orbit(rs, tuple(int(v) for v in x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    label=st.sampled_from(["F4", "E6", "E7", "E8"]),
+    h=st.integers(min_value=0, max_value=3),
+    scale=st.sampled_from([1, 10, 50]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_batch_paths_scalar_path_and_kernel_agree_far_from_the_alcove(label, h, scale, seed):
+    ctx = AffineContext(build_root_system(label), h)
+    rs, kappa = ctx.rs, ctx.kappa
+    xs = random_rows(random.Random(seed), rs.rank, 4, lo=-scale * kappa, hi=scale * kappa)
+    via_int64 = alcove_reduce_batch(ctx, xs.copy())
+    via_object = alcove_reduce_batch(ctx, xs.astype(object))
+    # the kernel on the raw rows, no translation first, takes exactly the closed-form length
+    lengths, _ = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
+    kernel = kernels.alcove_reduce_batch(
+        rs.np_simple, rs.np_theta, rs.np_comarks, kappa, xs.copy(), int(lengths.max())
+    )
+    assert kernel[1].tolist() == lengths.tolist()
+    for a, x in enumerate(xs.tolist()):
+        r = alcove_reduce(ctx, tuple(x))
+        want = (list(r.reduced), r.length, r.status == WALL)
+        assert (via_int64[0][a].tolist(), int(via_int64[1][a]), bool(via_int64[2][a])) == want
+        assert ([int(v) for v in via_object[0][a]], via_object[1][a], bool(via_object[2][a])) == want
+        assert (kernel[0][a].tolist(), int(kernel[1][a]), bool(kernel[2][a])) == want
+
+
+def test_alcove_reductions_raise_one_reflection_short_of_the_length():
+    ctx = AffineContext(build_root_system("E8"), 1)
+    rs, kappa = ctx.rs, ctx.kappa
+    xs = random_rows(random.Random(8), rs.rank, 2, lo=-10 * kappa, hi=10 * kappa)
+    xs[1] = 1  # rho, already in the alcove, beside the far row
+    lengths, _ = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
+    length = int(lengths[0])
+    assert length > 100
+    args = (rs.np_simple, rs.np_theta, rs.np_comarks, kappa)
+    reduced, steps, _ = kernels.alcove_reduce_batch(*args, xs.copy(), length)
+    assert steps.tolist() == [length, 0]
+    with pytest.raises(ResourceError):
+        kernels.alcove_reduce_batch(*args, xs.copy(), length - 1)
+    # the scalar loop counts the same reflections under the same bound
+    y = xs[0].tolist()
+    assert sweep_reduce(rs, y, length, kappa) == length
+    assert y == reduced[0].tolist()
+    with pytest.raises(AssertionError, match="terminate"):
+        sweep_reduce(rs, xs[0].tolist(), length - 1, kappa)

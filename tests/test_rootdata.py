@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -302,3 +303,39 @@ def test_dominant_reduce_sign_counts_the_negative_roots(label, coords):
     point, sign = dominant_reduce(rs, x)
     assert all(v > 0 for v in point)
     assert sign == (-1) ** sum(p < 0 for p in pairs)
+
+
+def _float_cases():
+    from loopfusion.affine_weyl import AffineContext, alcove_reduce, on_wall, total_degree
+    from loopfusion.finite_reps import tensor_decompose, weyl_dimension
+    from loopfusion.fusion import conjugate_weight, fuse_kw, fuse_s
+    from loopfusion.induction import induce
+    from loopfusion.verlinde import Surface, cohomology_report
+
+    a2 = build_root_system("A2")
+    ctx = AffineContext(a2, 1)
+    # each call answered for a truncated or float weight before integers were enforced
+    return {
+        "weyl_dimension": lambda w: weyl_dimension(a2, w),
+        "tensor_decompose": lambda w: tensor_decompose(a2, w, (0, 1)),
+        "conjugate_weight": lambda w: conjugate_weight(a2, w),
+        "weyl_orbit": lambda w: weyl_orbit(a2, w),
+        "dominant_reduce": lambda w: dominant_reduce(a2, w),
+        "fuse_kw": lambda w: fuse_kw(a2, 2, w, (0, 1)),
+        "fuse_s": lambda w: fuse_s(a2, 2, w, (0, 1)),
+        "induce": lambda w: induce(a2, 1, w),
+        "alcove_reduce": lambda w: alcove_reduce(ctx, w),
+        "on_wall": lambda w: on_wall(ctx, w),
+        "total_degree": lambda w: total_degree(ctx, [w]),
+        "cohomology_report": lambda w: cohomology_report(a2, 1, Surface(0, insertions=(w,))),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_float_cases()))
+@pytest.mark.parametrize("weight", [(1.5, 0), (1.0, 0), (2.7, 0), (1e17 + 1, 3)])
+def test_float_weights_are_refused_not_truncated(entry, weight):
+    call = _float_cases()[entry]
+    with pytest.raises(ValidationError):
+        call(weight)
+    # numpy integers are integers
+    call((np.int64(1), np.int64(0)))
