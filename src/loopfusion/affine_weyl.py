@@ -34,6 +34,7 @@ from .errors import ResourceError, ValidationError
 from .rootdata import (
     RootSystem,
     as_int,
+    as_nonnegative,
     check_dominant,
     check_rank,
     check_weight,
@@ -54,8 +55,7 @@ class AffineContext:
     h: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.h, int) or self.h < 0:
-            raise ValidationError(f"level must be a nonnegative integer, got {self.h!r}")
+        object.__setattr__(self, "h", as_nonnegative(self.h, "level"))
 
     @property
     def kappa(self) -> int:
@@ -252,46 +252,33 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
 def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     """Vectorized reduction of integer points; (reduced, lengths, wall flags).
 
-    Uses the int64 kernels when magnitudes permit, otherwise the exact
-    per-point path, which returns reduced points and lengths as Python ints
-    (object arrays); results agree exactly.  Non-integer entries raise
-    ValidationError.
+    Each row is :func:`alcove_reduce` in closed form plus one kernel sweep
+    over all rows: rows in the closed alcove stay, the others are swept from
+    x or its kappa*Q^vee translate, whichever is shorter.  The rows run as
+    int64 when they and the alcove's scale fit the kernels' range, otherwise
+    as Python ints, in which case reduced points and lengths come back as
+    object arrays.  Non-integer entries raise ValidationError.
     """
-    arr = np.asarray(xs)
+    # a list goes in as Python ints: numpy would make floats of entries past
+    # 2^63 that sit beside negative ones
+    arr = xs if isinstance(xs, np.ndarray) else np.array(xs, dtype=object)
     rs = ctx.rs
     if arr.ndim != 2 or arr.shape[1] != rs.rank:
         raise ValidationError(f"batch of shape {arr.shape} is not a list of rank-{rs.rank} points")
     if arr.dtype.kind not in "iuO":
         raise ValidationError("batch entries must be integers")
-    if (
-        arr.dtype.kind in "iu"
-        and kernels.fits_int64(arr)
-        and rs.form_den * ctx.kappa < kernels.INT64_SAFE_LIMIT
-    ):
-        return _reduce_batch_int64(ctx, np.array(arr, dtype=np.int64))
-    reduced = np.empty(arr.shape, dtype=object)
-    lengths = np.empty(len(arr), dtype=object)
-    status = np.zeros(len(arr), dtype=np.int64)
-    for a, row in enumerate(arr):
-        red = alcove_reduce(ctx, check_weight(rs, tuple(row)))
-        reduced[a] = red.reduced
-        lengths[a] = red.length
-        status[a] = 1 if red.status == WALL else 0
-    return reduced, lengths, status
-
-
-def _reduce_batch_int64(ctx: AffineContext, ys: np.ndarray):
-    """The int64 twin of :func:`alcove_reduce`, one row per point, in place."""
-    rs = ctx.rs
+    if arr.dtype == object:
+        arr = np.array([check_weight(rs, row) for row in arr], dtype=object).reshape(arr.shape)
     kappa = ctx.kappa
+    den = rs.form_den * kappa
+    ys = kernels.int_rows(arr, den)
     level = ys @ rs.np_comarks
     status = ((ys == 0).any(axis=1) | (level == kappa)).astype(np.int64)
-    lengths = np.zeros(len(ys), dtype=np.int64)
+    lengths = np.zeros(len(ys), dtype=ys.dtype)
     out = np.flatnonzero((level > kappa) | (ys < 0).any(axis=1))
     if out.size == 0:
         return ys, lengths, status
     xs = ys[out]
-    den = rs.form_den * kappa
     length, wall = kernels.alcove_length_batch(rs.np_root_pairs, den, xs)
     moved = xs - kappa * ((xs @ rs.np_form_int) // den) @ rs.np_simple_coroots
     moved_length, _ = kernels.alcove_length_batch(rs.np_root_pairs, den, moved)

@@ -25,7 +25,6 @@ from .rootdata import (
     Weight,
     cap_exceeded,
     check_dominant,
-    dominant_reduce,
     is_dominant,
     pairing_int,
     weyl_cap,
@@ -217,37 +216,24 @@ def _tensor_cached(rs: RootSystem, lam: Weight, mu: Weight) -> tuple:
 def klimyk_reduce(rs: RootSystem, lam: Weight, offsets: list) -> tuple:
     """The Klimyk rows offset + nu over the weights nu of V_lam, for many offsets.
 
-    Every row is reflected back to the dominant chamber; rows landing on a
-    chamber wall cancel and are dropped.  Returns (which, points, coeffs) for
-    the rest: the index of each row's offset, its dominant point as an (n,
-    rank) array (int64 when every row fits the int64 kernel, otherwise
-    Python ints) and its multiplicity times the reflection sign.  With the
-    offset lam' + rho, the points minus rho carry V_lam' (x) V_lam.
+    Every row is reflected back to the dominant chamber in one batch; rows
+    landing on a chamber wall cancel and are dropped.  Returns (which,
+    points, coeffs) for the rest: the index of each row's offset, its
+    dominant point as an (n, rank) array (int64 when every row fits the
+    int64 kernel range, otherwise Python ints) and its multiplicity times
+    the reflection sign.  With the offset lam' + rho, the points minus rho
+    carry V_lam' (x) V_lam.
     """
     system = weight_multiplicities(rs, lam)
-    weights = list(system.by_weight)
     mults = list(system.by_weight.values())
-    rank, size = rs.rank, len(weights)
-    if kernels.fits_int64(np.array(offsets, dtype=object)):
-        rows = np.array(offsets, dtype=np.int64).reshape(-1, 1, rank) + np.array(weights)
-        rows = rows.reshape(-1, rank)
-        if kernels.fits_int64(rows):
-            reduced, signs, _ = kernels.dominant_reduce_batch(
-                rs.np_simple, rows, len(rs.positive_roots)
-            )
-            kept = np.flatnonzero((reduced != 0).all(axis=1))
-            which, at = np.divmod(kept, size)
-            coeffs = [s * mults[i] for s, i in zip(signs[kept].tolist(), at.tolist())]
-            return which.tolist(), reduced[kept], coeffs
-    which, points, coeffs = [], [], []
-    for a, offset in enumerate(offsets):
-        for nu, mult in zip(weights, mults):
-            red, sign = dominant_reduce(rs, tuple(o + v for o, v in zip(offset, nu)))
-            if all(red):  # off the chamber walls
-                which.append(a)
-                points.append(red)
-                coeffs.append(sign * mult)
-    return which, np.array(points, dtype=object).reshape(-1, rank), coeffs
+    offsets = kernels.int_rows(np.array(offsets, dtype=object).reshape(-1, rs.rank))
+    rows = offsets[:, None, :] + np.array(list(system.by_weight))
+    rows = kernels.int_rows(rows.reshape(-1, rs.rank))
+    reduced, signs, _ = kernels.dominant_reduce_batch(rs.np_simple, rows, len(rs.positive_roots))
+    kept = np.flatnonzero((reduced != 0).all(axis=1))
+    which, at = np.divmod(kept, len(mults))
+    coeffs = [s * mults[i] for s, i in zip(signs[kept].tolist(), at.tolist())]
+    return which.tolist(), reduced[kept], coeffs
 
 
 def tensor_dimension_identity(rs: RootSystem, lam: tuple, mu: tuple) -> bool:

@@ -29,6 +29,7 @@ from .finite_reps import WeightCombination, klimyk_reduce, weyl_dimension
 from .rootdata import (
     RootSystem,
     Weight,
+    as_nonnegative,
     canonical_key,
     dominant_representative,
     theta_pairing,
@@ -59,8 +60,7 @@ class FusionElement(WeightCombination):
 
 def alcove_weights(rs: RootSystem, k: int) -> list[LevelWeight]:
     """Every level-k alcove label, canonically ordered, vacuum first."""
-    if not isinstance(k, int) or k < 0:
-        raise ValidationError(f"level must be a nonnegative integer, got {k!r}")
+    k = as_nonnegative(k, "level")
     ranges = [range(k // c + 1) for c in rs.comarks]
     found = [
         w for w in itertools.product(*ranges) if theta_pairing(rs, w) <= k
@@ -75,7 +75,6 @@ class SMatrix:
 
     labels: tuple[LevelWeight, ...]
     entries: np.ndarray
-    tolerance: float
     conjugation: np.ndarray  # permutation: S @ S applied to label indexes
     residual: float  # largest structural residual measured when built
 
@@ -89,7 +88,7 @@ _smatrix_cache: dict[tuple, SMatrix] = {}
 _smatrix_lock = threading.Lock()
 
 
-def _build_s_matrix(rs: RootSystem, k: int, tolerance: float) -> SMatrix:
+def _build_s_matrix(rs: RootSystem, k: int) -> SMatrix:
     labels = alcove_weights(rs, k)
     kappa = k + rs.dual_coxeter
     mats, signs = rs.weyl_matrices()
@@ -103,7 +102,7 @@ def _build_s_matrix(rs: RootSystem, k: int, tolerance: float) -> SMatrix:
     if scale_sq <= 0:
         raise NumericalError("degenerate S-matrix normalization")
     off = gram - scale_sq * np.eye(len(labels))
-    if np.abs(off).max() > tolerance * scale_sq * max(1.0, len(labels)):
+    if np.abs(off).max() > S_TOLERANCE * scale_sq * max(1.0, len(labels)):
         raise NumericalError(
             f"S-matrix candidate is not proportional to a unitary matrix "
             f"(residual {np.abs(off).max() / scale_sq:.3e})"
@@ -127,25 +126,24 @@ def _build_s_matrix(rs: RootSystem, k: int, tolerance: float) -> SMatrix:
     if sorted(perm.tolist()) != list(range(len(labels))):
         raise NumericalError("S^2 did not round to a permutation")
     for name, resid in checks.items():
-        if resid > tolerance:
-            raise NumericalError(f"S-matrix {name} residual {resid:.3e} > {tolerance}")
+        if resid > S_TOLERANCE:
+            raise NumericalError(f"S-matrix {name} residual {resid:.3e} > {S_TOLERANCE}")
     return SMatrix(
         labels=tuple(labels),
         entries=s,
-        tolerance=tolerance,
         conjugation=perm,
         residual=float(max(checks.values())),
     )
 
 
-def s_matrix(rs: RootSystem, k: int, tolerance: float = S_TOLERANCE) -> SMatrix:
+def s_matrix(rs: RootSystem, k: int) -> SMatrix:
     """The S-matrix at level k, cached; all structural gates enforced."""
-    key = (rs.spec.series, rs.spec.rank, k, tolerance)
+    key = (rs.spec.series, rs.spec.rank, k)
     with _smatrix_lock:
         got = _smatrix_cache.get(key)
     if got is not None:
         return got
-    built = _build_s_matrix(rs, k, tolerance)
+    built = _build_s_matrix(rs, k)
     with _smatrix_lock:
         return _smatrix_cache.setdefault(key, built)
 

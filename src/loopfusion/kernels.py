@@ -1,4 +1,4 @@
-"""Batched int64 numpy kernels: finite-Weyl reduction, alcove lengths and
+"""Batched numpy kernels: finite-Weyl reduction, alcove lengths and
 reduction, S-sums.
 
 Both reductions run in cyclic sweeps, branch-free over all rows: s_0 (the
@@ -8,8 +8,10 @@ crosses exactly one wall separating the row from its chamber or alcove, so
 each row takes the same number of reflections as in any other order, and a
 sweep may apply several of them.
 
-Callers guard magnitudes via :func:`fits_int64` and fall back to exact Python
-arithmetic for oversized inputs, so the kernels never silently lose precision.
+The reductions take integer rows of either dtype and keep it: int64, or an
+object array of Python ints, which have no magnitude limit.  Callers get
+their rows from :func:`int_rows`, which picks int64 only for entries inside
+``INT64_SAFE_LIMIT``, so the kernels never silently lose precision.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ResourceError
 
-# inputs beyond this magnitude go to the exact Python paths instead
+# inputs beyond this magnitude run on Python-int object rows instead of int64
 INT64_SAFE_LIMIT = 1 << 40
 
 
@@ -32,6 +34,16 @@ def fits_int64(*arrays) -> bool:
     )
 
 
+def int_rows(rows: np.ndarray, *scalars) -> np.ndarray:
+    """A fresh copy of the integer array ``rows`` (int, uint, or object
+    holding Python ints) for the kernels: int64 when every entry and every
+    one of ``scalars`` lies inside ``INT64_SAFE_LIMIT``, otherwise an object
+    array of Python ints."""
+    if fits_int64(rows) and all(abs(s) < INT64_SAFE_LIMIT for s in scalars):
+        return np.array(rows, dtype=np.int64)
+    return rows.astype(object)
+
+
 def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray, max_sweeps: int):
     """Reduce each row of xs into the dominant chamber by simple reflections.
 
@@ -40,12 +52,12 @@ def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray, max_sweeps: int):
     sits on a chamber wall, in which case its sign carries no meaning.  Each
     reflection lowers #{a > 0 : (x, a^vee) < 0} by exactly one, so a row
     takes at most |positive roots| of them; a row that would pass
-    ``max_sweeps`` reflections raises.
+    ``max_sweeps`` reflections raises.  The rows keep the dtype of xs.
     """
-    ys = np.array(xs, dtype=np.int64)
+    ys = np.array(xs)
     simple = np.ascontiguousarray(simple, dtype=np.int64)
     steps = np.zeros(ys.shape[0], dtype=np.int64)
-    cs = np.empty((len(simple), ys.shape[0]), dtype=np.int64)
+    cs = np.empty((len(simple), ys.shape[0]), dtype=ys.dtype)
     while ys.size and ys.min() < 0:
         _finite_sweep(simple, ys, cs)
         steps += (cs != 0).sum(axis=0)
@@ -68,10 +80,13 @@ def alcove_length_batch(pairs, den: int, xs):
     ``pairs`` holds form_den * alpha under the form, one row per positive
     root, and ``den`` is form_den * kappa.  With x . pair = q*den + r, a root
     counts |q| walls strictly between x and the alcove, or q - 1 (q > 0)
-    and -q (q <= 0) when x lies on one of its walls (r = 0).
+    and -q (q <= 0) when x lies on one of its walls (r = 0).  Object rows
+    give object lengths; np.divmod has no object loop, hence q*den == x . pair
+    as the wall test.
     """
-    q, r = np.divmod(xs @ pairs.T, den)
-    on = r == 0
+    p = xs @ pairs.T
+    q = p // den
+    on = p == q * den
     return (np.abs(q) - (on & (q > 0))).sum(axis=1), on.any(axis=1)
 
 
@@ -84,9 +99,9 @@ def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
     (reduced, steps, status): steps counts each row's reflections, status is
     0 for interior points and 1 for points landing on the closed-alcove
     boundary (wall points).  A row that would pass max_steps reflections
-    raises ResourceError.
+    raises ResourceError.  The rows keep the dtype of xs.
     """
-    ys = np.array(xs, dtype=np.int64)
+    ys = np.array(xs)
     n = ys.shape[0]
     steps = np.zeros(n, dtype=np.int64)
     if ys.size == 0:
@@ -94,7 +109,7 @@ def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
     simple = np.ascontiguousarray(simple, dtype=np.int64)
     theta = np.ascontiguousarray(theta, dtype=np.int64)
     comarks = np.ascontiguousarray(comarks, dtype=np.int64)
-    cs = np.empty((len(simple) + 1, n), dtype=np.int64)
+    cs = np.empty((len(simple) + 1, n), dtype=ys.dtype)
     while True:
         level = ys @ comarks
         if level.max() <= kappa and ys.min() >= 0:

@@ -414,14 +414,22 @@ def check_rank(rs: RootSystem, x: tuple) -> None:
         raise ValidationError(f"vector {x} has length {len(x)}, expected rank {rs.rank}")
 
 
-def as_int(v) -> int:
+def as_int(v, what: str = "coordinate") -> int:
     """v as a Python int.  Integers (int, np.integer: whatever has
     ``__index__``) pass; anything else, a float included, raises
     ValidationError instead of being truncated."""
     try:
         return operator.index(v)
     except TypeError:
-        raise ValidationError(f"coordinate {v!r} is not an integer") from None
+        raise ValidationError(f"{what} {v!r} is not an integer") from None
+
+
+def as_nonnegative(v, what: str) -> int:
+    """:func:`as_int` for a level or a genus, which must not be negative."""
+    n = as_int(v, what)
+    if n < 0:
+        raise ValidationError(f"{what} must be a nonnegative integer, got {v!r}")
+    return n
 
 
 def check_weight(rs: RootSystem, x: tuple) -> Weight:

@@ -31,7 +31,7 @@ from .fusion import (
     kac_walton_rows,
     s_matrix,
 )
-from .rootdata import RootSystem, Weight, check_dominant, pairing_int
+from .rootdata import RootSystem, Weight, as_nonnegative, check_dominant, pairing_int
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class Surface:
     boundary: tuple[Weight, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.genus, int) or self.genus < 0:
-            raise ValidationError(f"genus must be a nonnegative integer, got {self.genus!r}")
+        object.__setattr__(self, "genus", as_nonnegative(self.genus, "genus"))
         object.__setattr__(
             self, "insertions", tuple(tuple(w) for w in self.insertions)
         )

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,8 +169,6 @@ def test_wall_dichotomy_is_exhaustive():
 
 
 def test_batch_reduction_matches_single():
-    import numpy as np
-
     for label, h in [("A1", 2), ("A2", 1), ("G2", 1)]:
         ctx = ctx_of(label, h)
         rng = random.Random(55)
@@ -200,6 +199,18 @@ def test_check_alcove_and_validation():
         alcove_reduce(ctx, (1, 2))
     with pytest.raises(ValidationError):
         alcove_reduce(ctx, (1,), order="sideways")
+
+
+@pytest.mark.parametrize("h", [2, np.int64(2), np.uint8(2), True, -1, np.int64(-1), 2.0, "2"])
+def test_levels_take_integers_of_any_kind(h):
+    rs = build_root_system("A2")
+    if isinstance(h, (float, str)) or h < 0:
+        with pytest.raises(ValidationError, match="level"):
+            AffineContext(rs, h)
+        return
+    ctx = AffineContext(rs, h)
+    assert type(ctx.h) is int and ctx == AffineContext(rs, int(h))
+    assert alcove_reduce(ctx, (9, -2)) == alcove_reduce(AffineContext(rs, int(h)), (9, -2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,8 +268,6 @@ def test_closed_form_length_is_the_walk_length_on_and_off_walls(label):
 
 @pytest.mark.parametrize("label", ["F4", "E6"])
 def test_batch_matches_single_far_from_the_alcove(label):
-    import numpy as np
-
     rng = random.Random(50)
     for h in (0, 2):
         ctx = ctx_of(label, h)

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,17 +295,20 @@ def test_freudenthal_total_is_weyl_dimension(label, data):
 
 @pytest.mark.parametrize("top,exact", [(1 << 40, True), ((1 << 40) - 1, False)])
 def test_tensor_int64_guard_boundary(monkeypatch, top, exact):
-    # (top - 2) x (1): the largest rho-shifted coordinate is exactly top
+    # (top - 2) x (1): the largest rho-shifted coordinate is exactly top, and
+    # from 2^40 on the kernel receives Python-int rows instead of int64 ones
     from loopfusion import finite_reps, kernels
 
-    calls = []
+    dtypes = []
     real = kernels.dominant_reduce_batch
-    monkeypatch.setattr(kernels, "dominant_reduce_batch", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(
+        kernels, "dominant_reduce_batch", lambda *a: dtypes.append(a[1].dtype) or real(*a)
+    )
     finite_reps._tensor_cached.cache_clear()
     rs = build_root_system("A1")
     decomp = tensor_decompose(rs, (top - 2,), (1,))
     assert decomp.terms == {(top - 1,): 1, (top - 3,): 1}
-    assert bool(calls) != exact
+    assert dtypes == [np.dtype(object if exact else np.int64)]
 
 
 def test_tensor_with_huge_highest_weight_uses_exact_reduction():

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from loopfusion.errors import NumericalError, ValidationError
@@ -38,6 +39,18 @@ def test_alcove_weights_worked_examples():
     assert set(weights_of(b2, 1)) == {(0, 0), (1, 0), (0, 1)}
 
 
+@pytest.mark.parametrize("k", [1, np.int64(1), np.int32(1), -1, np.int64(-1), 1.0])
+def test_alcove_weights_take_integer_levels_of_any_kind(k):
+    rs = build_root_system("A2")
+    if isinstance(k, float) or k < 0:
+        with pytest.raises(ValidationError, match="level"):
+            alcove_weights(rs, k)
+        return
+    got = alcove_weights(rs, k)
+    assert got == alcove_weights(rs, 1)
+    assert all(type(lw.k) is int for lw in got)
+
+
 def test_alcove_weights_validation_and_degenerate_level():
     rs = build_root_system("A2")
     assert weights_of(rs, 0) == [(0, 0)]
@@ -70,8 +83,6 @@ def test_a1_k1_and_k2_explicit_matrices():
 
 @pytest.mark.parametrize("label,k", [("A2", 1), ("A2", 3), ("B2", 2), ("G2", 2), ("C3", 1)])
 def test_s_matrix_structure(label, k):
-    import numpy as np
-
     rs = build_root_system(label)
     s = s_matrix(rs, k)
     m = s.entries

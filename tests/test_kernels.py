@@ -1,8 +1,8 @@
-"""The int64 numpy kernels against the exact per-point paths.
+"""The numpy kernels against the exact scalar paths.
 
-Callers pick between two backends by magnitude (:func:`kernels.fits_int64`):
-the vectorized kernels and the exact per-point Python paths, which serve as
-the reference here.
+The kernels run on int64 rows or on object rows of Python ints, whichever
+:func:`kernels.int_rows` picks by magnitude; both dtypes must give the same
+answers as the scalar reductions, which serve as the reference here.
 """
 
 import random
@@ -42,9 +42,15 @@ def test_dominant_reduce_backends_agree(label):
     rs = build_root_system(label)
     rng = random.Random(4)
     xs = random_rows(rng, rs.rank, 200)
-    reduced, signs, steps = kernels.dominant_reduce_batch(
-        rs.np_simple, xs.copy(), len(rs.positive_roots)
+    via_int64 = kernels.dominant_reduce_batch(rs.np_simple, xs.copy(), len(rs.positive_roots))
+    via_object = kernels.dominant_reduce_batch(
+        rs.np_simple, xs.astype(object), len(rs.positive_roots)
     )
+    assert via_object[0].dtype == object
+    assert all(type(v) is int for v in via_object[0].ravel())
+    for a in range(3):
+        assert via_int64[a].tolist() == via_object[a].tolist()
+    reduced, signs, steps = via_int64
     assert (reduced >= 0).all()
     assert set(np.unique(signs)) <= {-1, 1}
     for x, red, sign in zip(xs, reduced, signs):
@@ -61,15 +67,25 @@ def test_alcove_reduce_backends_agree(label, h):
     kappa = ctx.kappa
     rng = random.Random(9)
     xs = random_rows(rng, rs.rank, 300, lo=-3 * kappa, hi=3 * kappa)
-    reduced, steps, status = kernels.alcove_reduce_batch(
-        rs.np_simple, rs.np_theta, rs.np_comarks, kappa, xs.copy(), ctx.step_budget
-    )
+    args = (rs.np_simple, rs.np_theta, rs.np_comarks, kappa)
+    via_int64 = kernels.alcove_reduce_batch(*args, xs.copy(), ctx.step_budget)
+    via_object = kernels.alcove_reduce_batch(*args, xs.astype(object), ctx.step_budget)
+    assert via_object[0].dtype == object
+    for a in range(3):
+        assert via_int64[a].tolist() == via_object[a].tolist()
+    reduced, steps, status = via_int64
     assert 0 < status.sum() < len(xs)  # both verdicts occur
     for x, red, ell, wall in zip(xs, reduced, steps, status):
         exact = alcove_reduce(ctx, tuple(int(v) for v in x))
         assert tuple(int(v) for v in red) == exact.reduced
         assert int(ell) == exact.length
         assert int(wall) == (exact.status == WALL)
+    lengths, walls = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
+    lengths_obj, walls_obj = kernels.alcove_length_batch(
+        rs.np_root_pairs, rs.form_den * kappa, xs.astype(object)
+    )
+    assert lengths.tolist() == lengths_obj.tolist() == steps.tolist()
+    assert walls.tolist() == walls_obj.tolist() == (status == 1).tolist()
 
 
 def test_signed_sum_backends_agree():
@@ -146,6 +162,12 @@ def test_exact_batch_path_returns_lengths_past_int64():
     assert lengths.dtype == object and lengths[0] == r.length > 2**63
     assert tuple(reduced[0]) == r.reduced
     assert bool(status[0]) == (r.status == WALL)
+    # a plain list past 2^63 beside a negative entry, which numpy alone would
+    # turn into floats
+    row = (1 << 63, -1)
+    reduced, lengths, status = alcove_reduce_batch(ctx, [list(row), [3, 4]])
+    r = alcove_reduce(ctx, row)
+    assert (tuple(reduced[0]), lengths[0], bool(status[0])) == (r.reduced, r.length, r.status == WALL)
 
 
 def test_batch_refuses_non_integer_or_misshapen_input():
@@ -231,6 +253,40 @@ def test_batch_paths_scalar_path_and_kernel_agree_far_from_the_alcove(label, h, 
         assert (via_int64[0][a].tolist(), int(via_int64[1][a]), bool(via_int64[2][a])) == want
         assert ([int(v) for v in via_object[0][a]], via_object[1][a], bool(via_object[2][a])) == want
         assert (kernel[0][a].tolist(), int(kernel[1][a]), bool(kernel[2][a])) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    label=st.sampled_from(["F4", "E6"]),
+    h=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_kernels_on_rows_straddling_the_int64_limit(label, h, seed):
+    # every batch mixes coordinates just inside and just outside +-2^40, so the
+    # rows run as Python ints, and must answer as the scalar reductions do
+    ctx = AffineContext(build_root_system(label), h)
+    rs = ctx.rs
+    rng = random.Random(seed)
+    limit = kernels.INT64_SAFE_LIMIT
+    rows = [
+        [rng.choice((-1, 1)) * (limit + rng.randint(-3, 2)) if rng.random() < 0.5
+         else rng.randint(-9, 9) for _ in range(rs.rank)]
+        for _ in range(4)
+    ]
+    rows[0][0] = limit  # at least one entry past the limit
+    xs = kernels.int_rows(np.array(rows, dtype=object))
+    assert xs.dtype == object
+    reduced, signs, _ = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
+    batch = alcove_reduce_batch(ctx, xs)
+    for a, x in enumerate(rows):
+        point, sign = dominant_reduce(rs, tuple(x))
+        assert reduced[a].tolist() == list(point)
+        if all(point):
+            assert signs[a] == sign
+        r = alcove_reduce(ctx, tuple(x))
+        assert (batch[0][a].tolist(), batch[1][a], bool(batch[2][a])) == (
+            list(r.reduced), r.length, r.status == WALL
+        )
 
 
 def test_alcove_reductions_raise_one_reflection_short_of_the_length():

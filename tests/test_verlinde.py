@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from loopfusion.errors import NumericalError, ResourceError, ValidationError
@@ -28,6 +29,17 @@ def test_a1_k1_closed_dimensions():
     assert verlinde_dimension(a1, 1, Surface(genus=2)) == 4
     assert verlinde_dimension(a1, 1, Surface(genus=0, insertions=[(1,), (1,)])) == 1
     assert verlinde_dimension(a1, 2, Surface(genus=1)) == 3
+
+
+@pytest.mark.parametrize("genus", [2, np.int64(2), np.int16(2), -1, np.int64(-1), 2.0])
+def test_genus_takes_integers_of_any_kind(genus):
+    if isinstance(genus, float) or genus < 0:
+        with pytest.raises(ValidationError, match="genus"):
+            Surface(genus=genus)
+        return
+    surface = Surface(genus=genus)
+    assert type(surface.genus) is int and surface == Surface(genus=2)
+    assert verlinde_dimension(build_root_system("A1"), 1, surface) == 4
 
 
 def test_genus_zero_vacuum_block():
