@@ -11,9 +11,11 @@ Groups*, 4.5), counted root by root in closed form, and x is on a wall iff
 some (x, alpha) lies in kappa*Z.  The reduced point is the unique point of
 the affine orbit in the closed alcove (Walton, "Fusion rules in WZW models",
 1990): a translation by kappa*Q^vee moves x next to the alcove, and cyclic
-sweeps (s_0, then s_1..s_rank, each where violated) finish in integers.
-Every violated reflection crosses exactly one separating wall, so any order
-reaches the same point in as many reflections as the translate's length.
+sweeps finish in integers, each reflection where violated: s_0, then
+s_1..s_rank for one point, one colour class of the affine diagram at a time
+for a batch.  Every violated reflection crosses exactly one separating
+wall, so any order reaches the same point in as many reflections as the
+translate's length.
 Only ``AlcoveReduction.word`` walks from x itself, greedily, because its
 letters are output: the lowest-index violated generator fires, the affine
 reflection counting as index 0 and the simple reflections as 1..rank.
@@ -252,12 +254,14 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
 def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     """Vectorized reduction of integer points; (reduced, lengths, wall flags).
 
-    Each row is :func:`alcove_reduce` in closed form plus one kernel sweep
+    Each row is :func:`alcove_reduce` in closed form plus one kernel call
     over all rows: rows in the closed alcove stay, the others are swept from
-    x or its kappa*Q^vee translate, whichever is shorter.  The rows run as
-    int64 when they and the alcove's scale fit the kernels' range, otherwise
-    as Python ints, in which case reduced points and lengths come back as
-    object arrays.  Non-integer entries raise ValidationError.
+    x or its kappa*Q^vee translate, whichever is shorter.  The kernel takes
+    that start's closed-form length as the row's reflection count and the
+    longest one as its bound on the sweeps.  The rows run as int64 when they
+    and the alcove's scale fit the kernels' range, otherwise as Python ints,
+    in which case reduced points and lengths come back as object arrays.
+    Non-integer entries raise ValidationError.
     """
     # a list goes in as Python ints: numpy would make floats of entries past
     # 2^63 that sit beside negative ones
@@ -283,9 +287,9 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     moved = xs - kappa * ((xs @ rs.np_form_int) // den) @ rs.np_simple_coroots
     moved_length, _ = kernels.alcove_length_batch(rs.np_root_pairs, den, moved)
     start = np.where((moved_length < length)[:, None], moved, xs)
-    steps = int(np.minimum(moved_length, length).max())
+    steps = np.minimum(moved_length, length)
     ys[out] = kernels.alcove_reduce_batch(
-        rs.np_simple, rs.np_theta, rs.np_comarks, kappa, start, steps
+        rs.np_colour_classes, rs.np_comarks, kappa, steps, start, int(steps.max())
     )[0]
     lengths[out] = length
     status[out] = wall

@@ -1,12 +1,17 @@
 """Batched numpy kernels: finite-Weyl reduction, alcove lengths and
 reduction, S-sums.
 
-Both reductions run in cyclic sweeps, branch-free over all rows: s_0 (the
-alcove kernel only), then s_1..s_r, each reflecting by how far a row
-violates it, which is zero where it does not.  A violated reflection
-crosses exactly one wall separating the row from its chamber or alcove, so
-each row takes the same number of reflections as in any other order, and a
-sweep may apply several of them.
+Both reductions run in cyclic sweeps, branch-free over all rows, each
+reflection acting by how far a row violates it, which is zero where it does
+not.  The dominant kernel applies s_1..s_r in turn and counts the
+reflections.  The alcove kernel works in extended coordinates
+(kappa - level, x), where the closed alcove is an orthant, and applies the
+affine generators s_0..s_r one colour class of pairwise orthogonal nodes at
+a time, one matrix step per class; it counts nothing, its callers having
+each row's length in closed form.  A violated reflection crosses exactly
+one wall separating the row from its chamber or alcove, so each row takes
+the same number of reflections as in any other order, and a sweep may
+apply several of them.
 
 The reductions take integer rows of either dtype and keep it: int64, or an
 object array of Python ints, which have no magnitude limit.  Callers get
@@ -90,38 +95,36 @@ def alcove_length_batch(pairs, den: int, xs):
     return (np.abs(q) - (on & (q > 0))).sum(axis=1), on.any(axis=1)
 
 
-def alcove_reduce_batch(simple, theta, comarks, kappa: int, xs, max_steps: int):
+def alcove_reduce_batch(classes, comarks, kappa: int, lengths, xs, max_steps: int):
     """Reduce each row of xs into the closed level-kappa alcove by cyclic sweeps.
 
-    A sweep applies first the affine reflection s_0 by
-    c_0 = max(level - kappa, 0), then s_1..s_r by c = min(y_i, 0), so each
-    row takes exactly its closed-form length in reflections.  Returns
-    (reduced, steps, status): steps counts each row's reflections, status is
-    0 for interior points and 1 for points landing on the closed-alcove
-    boundary (wall points).  A row that would pass max_steps reflections
-    raises ResourceError.  The rows keep the dtype of xs.
+    The sweeps run in extended coordinates y = (kappa - level, x), where the
+    closed alcove is the orthant y >= 0 and s_i acts as y -= min(y_i, 0) *
+    a_i, a_i being row i of ``RootSystem.affine_roots``.  ``classes`` holds
+    (nodes, rows of a) per colour class: the reflections of one class commute
+    and leave each other's coordinates alone, so a sweep is one matrix step
+    per class.  ``lengths`` are the rows' closed-form lengths, which the
+    kernel returns as its reflection counts; a sweep reflects every row not
+    yet reduced at least once, so the longest length bounds the sweeps.
+    Returns (reduced, lengths, status), status being 1 for points on the
+    closed-alcove boundary (wall points) and 0 otherwise.  A length past
+    max_steps raises ResourceError.  The rows keep the dtype of xs.
     """
-    ys = np.array(xs)
-    n = ys.shape[0]
-    steps = np.zeros(n, dtype=np.int64)
-    if ys.size == 0:
-        return ys, steps, np.zeros(n, dtype=np.int64)
-    simple = np.ascontiguousarray(simple, dtype=np.int64)
-    theta = np.ascontiguousarray(theta, dtype=np.int64)
-    comarks = np.ascontiguousarray(comarks, dtype=np.int64)
-    cs = np.empty((len(simple) + 1, n), dtype=ys.dtype)
-    while True:
-        level = ys @ comarks
-        if level.max() <= kappa and ys.min() >= 0:
+    if len(xs) == 0:
+        return np.array(xs), lengths, np.zeros(0, dtype=np.int64)
+    if lengths.max() > max_steps:
+        raise ResourceError("alcove reduction exceeded its step bound")
+    ys = np.empty((len(xs), len(comarks) + 1), dtype=xs.dtype)
+    ys[:, 0] = kappa - xs @ comarks
+    ys[:, 1:] = xs
+    for _ in range(int(lengths.max())):
+        if ys.min() >= 0:
             break
-        c0 = np.maximum(level - kappa, 0, out=cs[0])
-        ys -= np.multiply.outer(c0, theta)
-        _finite_sweep(simple, ys, cs[1:])
-        steps += (cs != 0).sum(axis=0)
-        if steps.max() > max_steps:
-            raise ResourceError("alcove reduction exceeded its step bound")
-    status = ((ys == 0).any(axis=1) | (level == kappa)).astype(np.int64)
-    return ys, steps, status
+        for nodes, roots in classes:
+            ys -= np.minimum(ys[:, nodes], 0) @ roots
+    if ys.min() < 0:
+        raise AssertionError("alcove reduction failed to terminate")
+    return ys[:, 1:], lengths, (ys == 0).any(axis=1).astype(np.int64)
 
 
 def signed_weyl_sum(mats, signs, form_int, rows, cols, denom: int):

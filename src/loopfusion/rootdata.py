@@ -176,6 +176,24 @@ def _exact_quotients(values: Iterable[int], divisor: int, what: str) -> tuple[in
     return tuple(out)
 
 
+def _colour_classes(cartan) -> tuple[tuple[int, ...], ...]:
+    """The nodes of a connected Dynkin diagram in classes of pairwise
+    orthogonal nodes (cartan[i][j] = 0), by greedy colouring in breadth-first
+    order from node 0: two classes on a tree or an even cycle, three on an
+    odd cycle."""
+    n = len(cartan)
+    order = [0]
+    for i in order:
+        order += [j for j in range(n) if cartan[i][j] and j not in order]
+    colour: dict[int, int] = {}
+    for i in order:
+        taken = {c for j, c in colour.items() if cartan[i][j]}
+        colour[i] = min(c for c in range(n) if c not in taken)
+    return tuple(
+        tuple(i for i in range(n) if colour[i] == c) for c in range(max(colour.values()) + 1)
+    )
+
+
 def _symmetrizer(cartan: list[list[int]]) -> list[int]:
     """Smallest positive integers e with e_i*cartan[i][j] = e_j*cartan[j][i]."""
     r = len(cartan)
@@ -325,13 +343,30 @@ class RootSystem:
         )
         self.weyl_order: int = weyl_order_from_heights(self.root_heights)
 
+        # extended Dynkin labels (kappa - level, x) of the affine simple roots
+        # alpha_0 = delta - theta and alpha_1..alpha_r: row i is column i of the
+        # affine Cartan matrix (Kac 6.1)
+        self.affine_roots: tuple[tuple[int, ...], ...] = (
+            (2, *(-t for t in self.highest_root)),
+            *((-theta_pairing(self, a), *a) for a in self.simple_roots),
+        )
+        # node 0's class last: batches of translated points at 1-50 kappa then
+        # need fewer sweeps of the alcove kernel (up to a fifth on G2 and B3)
+        self.colour_classes: tuple[tuple[int, ...], ...] = tuple(
+            sorted(_colour_classes(self.affine_roots), key=lambda nodes: 0 in nodes)
+        )
+
         # integer views used by the numeric kernels
         self.np_simple = np.array(self.simple_roots, dtype=np.int64)
-        self.np_theta = np.array(self.highest_root, dtype=np.int64)
         self.np_comarks = np.array(self.comarks, dtype=np.int64)
         self.np_form_int = np.array(self.form_int, dtype=np.int64)
         self.np_root_pairs = np.array(self.root_pairs, dtype=np.int64)
         self.np_simple_coroots = np.array(self.simple_coroot_weights, dtype=np.int64)
+        # per colour class: its nodes and their affine_roots rows
+        self.np_colour_classes = tuple(
+            (np.array(nodes), np.array([self.affine_roots[i] for i in nodes], dtype=np.int64))
+            for nodes in self.colour_classes
+        )
         # nonzero (index, coordinate) pairs of each simple root and of theta,
         # for the scalar reflection loop of :func:`sweep_reduce`
         self._simple_support = tuple(

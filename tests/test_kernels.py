@@ -67,25 +67,26 @@ def test_alcove_reduce_backends_agree(label, h):
     kappa = ctx.kappa
     rng = random.Random(9)
     xs = random_rows(rng, rs.rank, 300, lo=-3 * kappa, hi=3 * kappa)
-    args = (rs.np_simple, rs.np_theta, rs.np_comarks, kappa)
-    via_int64 = kernels.alcove_reduce_batch(*args, xs.copy(), ctx.step_budget)
-    via_object = kernels.alcove_reduce_batch(*args, xs.astype(object), ctx.step_budget)
-    assert via_object[0].dtype == object
-    for a in range(3):
-        assert via_int64[a].tolist() == via_object[a].tolist()
-    reduced, steps, status = via_int64
-    assert 0 < status.sum() < len(xs)  # both verdicts occur
-    for x, red, ell, wall in zip(xs, reduced, steps, status):
-        exact = alcove_reduce(ctx, tuple(int(v) for v in x))
-        assert tuple(int(v) for v in red) == exact.reduced
-        assert int(ell) == exact.length
-        assert int(wall) == (exact.status == WALL)
     lengths, walls = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
     lengths_obj, walls_obj = kernels.alcove_length_batch(
         rs.np_root_pairs, rs.form_den * kappa, xs.astype(object)
     )
-    assert lengths.tolist() == lengths_obj.tolist() == steps.tolist()
-    assert walls.tolist() == walls_obj.tolist() == (status == 1).tolist()
+    assert lengths.tolist() == lengths_obj.tolist()
+    assert walls.tolist() == walls_obj.tolist()
+    args = (rs.np_colour_classes, rs.np_comarks, kappa)
+    via_int64 = kernels.alcove_reduce_batch(*args, lengths, xs.copy(), ctx.step_budget)
+    via_object = kernels.alcove_reduce_batch(*args, lengths_obj, xs.astype(object), ctx.step_budget)
+    assert via_object[0].dtype == object
+    for a in range(3):
+        assert via_int64[a].tolist() == via_object[a].tolist()
+    reduced, steps, status = via_int64
+    assert steps.tolist() == lengths.tolist()
+    assert 0 < status.sum() < len(xs)  # both verdicts occur
+    for x, red, ell, wall, flag in zip(xs, reduced, lengths, status, walls):
+        exact = alcove_reduce(ctx, tuple(int(v) for v in x))
+        assert tuple(int(v) for v in red) == exact.reduced
+        assert int(ell) == exact.length
+        assert int(wall) == int(flag) == (exact.status == WALL)
 
 
 def test_signed_sum_backends_agree():
@@ -207,7 +208,7 @@ def test_empty_batches():
     reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
     assert reduced.shape == (0, 2)
     reduced, steps, status = kernels.alcove_reduce_batch(
-        rs.np_simple, rs.np_theta, rs.np_comarks, 3, xs, 100
+        rs.np_colour_classes, rs.np_comarks, 3, np.empty(0, dtype=np.int64), xs, 100
     )
     assert reduced.shape == (0, 2)
 
@@ -241,18 +242,21 @@ def test_batch_paths_scalar_path_and_kernel_agree_far_from_the_alcove(label, h, 
     xs = random_rows(random.Random(seed), rs.rank, 4, lo=-scale * kappa, hi=scale * kappa)
     via_int64 = alcove_reduce_batch(ctx, xs.copy())
     via_object = alcove_reduce_batch(ctx, xs.astype(object))
-    # the kernel on the raw rows, no translation first, takes exactly the closed-form length
+    # the kernel on the raw rows, no translation first, within their closed-form lengths
     lengths, _ = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
     kernel = kernels.alcove_reduce_batch(
-        rs.np_simple, rs.np_theta, rs.np_comarks, kappa, xs.copy(), int(lengths.max())
+        rs.np_colour_classes, rs.np_comarks, kappa, lengths, xs.copy(), int(lengths.max())
     )
-    assert kernel[1].tolist() == lengths.tolist()
     for a, x in enumerate(xs.tolist()):
         r = alcove_reduce(ctx, tuple(x))
         want = (list(r.reduced), r.length, r.status == WALL)
         assert (via_int64[0][a].tolist(), int(via_int64[1][a]), bool(via_int64[2][a])) == want
         assert ([int(v) for v in via_object[0][a]], via_object[1][a], bool(via_object[2][a])) == want
         assert (kernel[0][a].tolist(), int(kernel[1][a]), bool(kernel[2][a])) == want
+        # one wall per reflection: the scalar sweeps count exactly the length
+        y = list(x)
+        assert sweep_reduce(rs, y, r.length, kappa) == r.length
+        assert y == list(r.reduced)
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,11 +301,14 @@ def test_alcove_reductions_raise_one_reflection_short_of_the_length():
     lengths, _ = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
     length = int(lengths[0])
     assert length > 100
-    args = (rs.np_simple, rs.np_theta, rs.np_comarks, kappa)
+    args = (rs.np_colour_classes, rs.np_comarks, kappa, lengths)
     reduced, steps, _ = kernels.alcove_reduce_batch(*args, xs.copy(), length)
     assert steps.tolist() == [length, 0]
     with pytest.raises(ResourceError):
         kernels.alcove_reduce_batch(*args, xs.copy(), length - 1)
+    # a sweep reflects a row at most rank + 1 times, so a count of 1 cannot reach the alcove
+    with pytest.raises(AssertionError, match="terminate"):
+        kernels.alcove_reduce_batch(*args[:3], np.array([1, 0]), xs.copy(), length)
     # the scalar loop counts the same reflections under the same bound
     y = xs[0].tolist()
     assert sweep_reduce(rs, y, length, kappa) == length

@@ -161,6 +161,29 @@ def test_simple_coroot_pairings_are_coordinates(label):
             assert pairing(rs, fw, cr) == (1 if i == j else 0)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "A6"] + ALL_LABELS[3:])
+def test_colour_classes_of_the_affine_diagram(label):
+    rs = build_root_system(label)
+    nodes = range(rs.rank + 1)
+    a = rs.affine_roots  # a[j][i] is the affine Cartan entry A_ij
+    # Kac 6.1: twos on the diagonal, the marks (1, marks) and comarks (1, comarks)
+    # as right and left null vectors
+    assert all(a[i][i] == 2 for i in nodes)
+    marks, comarks = (1, *rs.marks), (1, *rs.comarks)
+    assert all(sum(m * a[j][i] for j, m in zip(nodes, marks)) == 0 for i in nodes)
+    assert all(sum(c * a[j][i] for i, c in zip(nodes, comarks)) == 0 for j in nodes)
+    classes = rs.colour_classes
+    assert sorted(i for c in classes for i in c) == list(nodes)
+    for c in classes:
+        assert all(a[i][j] == a[j][i] == 0 for i in c for j in c if i != j)
+    # the affine diagram of A_r is an (r + 1)-cycle, odd for even r; every other one is bipartite
+    odd_cycle = rs.spec.series == "A" and rs.rank % 2 == 0
+    assert len(classes) == (3 if odd_cycle else 2)
+    for (idx, roots), c in zip(rs.np_colour_classes, classes):
+        assert idx.tolist() == list(c)
+        assert roots.tolist() == [list(a[i]) for i in c]
+
+
 def test_rho_coroot_pairing_detects_simple_roots():
     rs = build_root_system("B2")
     for root in rs.positive_roots:
