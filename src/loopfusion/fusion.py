@@ -15,8 +15,8 @@ instance.
 
 from __future__ import annotations
 
-import itertools
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,7 +32,6 @@ from .rootdata import (
     as_nonnegative,
     canonical_key,
     dominant_representative,
-    theta_pairing,
 )
 
 S_TOLERANCE = 1e-9
@@ -58,14 +57,32 @@ class FusionElement(WeightCombination):
         return sorted(self.terms.items(), key=lambda kv: canonical_key(rs, kv[0]))
 
 
+def iter_alcove_labels(rs: RootSystem, k: int) -> Iterator[Weight]:
+    """Every level-k alcove label, unordered and lazily.
+
+    Each coordinate runs only as far as the level the earlier ones leave, so
+    every prefix visited extends to a label: a label taken costs at most rank
+    steps, and a caller counting them can stop early.
+    """
+    k = as_nonnegative(k, "level")
+    comarks = rs.comarks
+    point = [0] * len(comarks)
+
+    def fill(i: int, left: int) -> Iterator[Weight]:
+        if i == len(comarks):
+            yield tuple(point)
+            return
+        for v in range(left // comarks[i] + 1):
+            point[i] = v
+            yield from fill(i + 1, left - v * comarks[i])
+
+    return fill(0, k)
+
+
 def alcove_weights(rs: RootSystem, k: int) -> list[LevelWeight]:
     """Every level-k alcove label, canonically ordered, vacuum first."""
     k = as_nonnegative(k, "level")
-    ranges = [range(k // c + 1) for c in rs.comarks]
-    found = [
-        w for w in itertools.product(*ranges) if theta_pairing(rs, w) <= k
-    ]
-    found.sort(key=lambda w: canonical_key(rs, w))
+    found = sorted(iter_alcove_labels(rs, k), key=lambda w: canonical_key(rs, w))
     return [LevelWeight(weight=w, k=k) for w in found]
 
 

@@ -4,10 +4,14 @@ Verlinde numbers are exact: with the Kac-Walton fusion matrices
 (N_a)_{bc} = N_{ab}^c and the handle operator H = sum_mu N_mu N_{mu*}, the
 genus-g surface with labels lambda_1..lambda_m has dimension
 (e_0 H^g N_{lambda_1} ... N_{lambda_m})_0 (Beauville 1996, section 5), all in
-Python integers.  The matrices are kept sparse.  Only the fundamental labels
-take Kac-Walton rows, each N_omega in one batched reduction over every
-label (:func:`fusion.kac_walton_rows`: finite stage, then affine stage); the
-others follow by multiplying fusion matrices.
+Python integers.  The matrices are kept sparse, and the build uses the
+fusion ring's symmetries: a simple current J gives N_{J lam, mu}^{J nu} =
+N_{lam mu}^nu (Schellekens and Yankielowicz 1990) and charge conjugation
+gives N_{lam* mu*}^{nu*} = N_{lam mu}^nu, so a label whose orbit already
+holds a matrix gets a relabelled copy.  Only one fundamental label per orbit
+takes Kac-Walton rows, one batched reduction with one row per current orbit
+of labels (:func:`fusion.kac_walton_rows`: finite stage, then affine
+stage); the other orbits follow by multiplying fusion matrices.
 Reports first reduce arbitrary dominant insertions into the alcove,
 recording the vanishing verdict and the single cohomological degree.  The
 floating-point S-matrix sum survives only as the cross-check
@@ -17,17 +21,21 @@ estimated float error could reach the integer.
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine_weyl import WALL, AffineContext, alcove_reduce, check_alcove
+from .affine_weyl import WALL, AffineContext, alcove_reduce, alcove_reduce_batch, check_alcove
 from .errors import NumericalError, ResourceError, ValidationError
+from .finite_reps import weyl_dimension
 from .fusion import (
     ROUND_TOLERANCE,
     alcove_weights,
     conjugate_weight,
+    iter_alcove_labels,
     kac_walton_rows,
     s_matrix,
 )
@@ -147,32 +155,117 @@ _fusion_cache: dict[tuple, FusionMatrices] = {}
 _fusion_lock = threading.Lock()
 
 
+def _current_group(rs: RootSystem, k: int, labels: tuple, index: dict) -> list[list[int]]:
+    """The simple currents as permutations of the label indexes, identity first.
+
+    Node j of mark 1 gives J_j, with J_j(lam) + rho the alcove reduction of
+    lam + rho + kappa omega_j (Schellekens and Yankielowicz 1990); all of
+    them come from one batch, and the list holds the group they generate.
+    Such nodes are long, so kappa omega_j lies in kappa P^vee and moves no
+    interior point onto a wall.
+    """
+    nodes = [j for j, m in enumerate(rs.marks) if m == 1]
+    group = [list(range(len(labels)))]
+    if not nodes:
+        return group
+    kappa = k + rs.dual_coxeter
+    shifted = np.array(labels, dtype=np.int64) + 1
+    rows = np.concatenate([shifted + kappa * np.eye(rs.rank, dtype=np.int64)[j] for j in nodes])
+    reduced, _, walls = alcove_reduce_batch(AffineContext(rs, k), rows)
+    assert not walls.any(), "a simple current moved an alcove label onto a wall"
+    images = [index[tuple(w)] for w in (reduced - 1).tolist()]
+    generators = [images[t * len(labels):(t + 1) * len(labels)] for t in range(len(nodes))]
+    seen = {tuple(group[0])}
+    for g in group:  # grows while it is read: the closure under the generators
+        for h in generators:
+            p = [h[x] for x in g]
+            if tuple(p) not in seen:
+                seen.add(tuple(p))
+                group.append(p)
+    return group
+
+
 def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
-    labels = tuple(lw.weight for lw in alcove_weights(rs, k))
-    index = {w: i for i, w in enumerate(labels)}
-    n = len(labels)
+    """The level-k fusion matrices, conjugation and handle, exactly.
+
+    Each stored N_a is copied, relabelled, to every label of a's orbit under
+    the simple currents and conjugation, which then costs no arithmetic.  The
+    vacuum comes first (its orbit holds the k omega_j), then the fundamentals
+    by increasing dimension, so that each orbit's one Kac-Walton batch runs
+    on its cheapest member, then the other labels in (lam, rho) order by
+    products.  An algebra without currents or conjugation (E8, F4, G2) runs
+    the same steps with nothing to copy.  Raises ResourceError as soon as
+    the stored coefficients, copies included, pass FUSION_ENTRY_CAP.
+    """
     too_many = ResourceError(
         f"level-{k} fusion matrices of {rs.spec} exceed the cap of "
         f"{FUSION_ENTRY_CAP} stored coefficients"
     )
-    if n * n > FUSION_ENTRY_CAP:  # every row of every N_a is nonzero
+    # every row of every N_a is nonzero, so n labels store n*n coefficients at
+    # least; past the bound prod(k // c + 1) on n, count the labels lazily, so
+    # that a huge level is refused without listing them
+    most = math.isqrt(FUSION_ENTRY_CAP)
+    if math.prod(k // c + 1 for c in rs.comarks) > most and sum(
+        1 for _ in itertools.islice(iter_alcove_labels(rs, k), most + 1)
+    ) > most:
         raise too_many
+    labels = tuple(lw.weight for lw in alcove_weights(rs, k))
+    index = {w: i for i, w in enumerate(labels)}
+    n = len(labels)
+    dual = [index[conjugate_weight(rs, w)] for w in labels]
+    currents = _current_group(rs, k, labels, index)
+    # every non-identity symmetry as (label map, whether it conjugates):
+    # N_{J lam} is N_lam with columns relabelled by J, and row b of N_{lam*}
+    # is row b* of N_lam with columns relabelled by conjugation
+    symmetries = [(g, False) for g in currents[1:]]
+    if dual != currents[0]:
+        symmetries += [([g[c] for c in dual], True) for g in currents]
     fusion: list = [None] * n
-    fusion[0] = [{b: 1} for b in range(n)]
-    # only the fundamental labels need Kac-Walton rows, one batch each; the
-    # rest follow from N_omega N_mu = N_lam + sum_c N_{omega mu}^c N_c for
-    # lam = mu + omega, where every other c lies strictly below lam in the
-    # dominance order
+    entries = 0
+
+    def keep(a: int, matrix: Sparse) -> None:
+        nonlocal entries
+        fusion[a] = matrix
+        entries += sum(map(len, matrix))
+        if entries > FUSION_ENTRY_CAP:
+            raise too_many
+
+    def store(a: int, matrix: Sparse) -> None:
+        """Keep N_a, and its relabelled copy on every label of a's orbit."""
+        keep(a, matrix)
+        for perm, conj in symmetries:
+            if fusion[perm[a]] is None:
+                rows = [matrix[c] for c in dual] if conj else matrix
+                keep(perm[a], [{perm[c]: x for c, x in row.items()} for row in rows])
+
+    store(0, [{b: 1} for b in range(n)])  # the vacuum, and the currents k omega_j
+    # one Kac-Walton row per current orbit of labels: row J mu of N_omega is
+    # row mu with columns relabelled by J, since N_{omega, J mu}^{J nu} = N_{omega mu}^nu
+    reps = sorted({min(g[b] for g in currents) for b in range(n)})
+    # only the fundamental labels need Kac-Walton rows, one batch per orbit,
+    # run on its member of least dimension; the rest follow from
+    # N_omega N_mu = N_lam + sum_c N_{omega mu}^c N_c for lam = mu + omega,
+    # where every other c lies strictly below lam in the dominance order
     fundamental = {}  # i -> label index of omega_i
     for i in range(rs.rank):
         omega = tuple(int(j == i) for j in range(rs.rank))
         if omega in index:
-            f = fundamental[i] = index[omega]
-            rows = kac_walton_rows(rs, k, omega, labels)
-            fusion[f] = [{index[c]: m for c, m in row.items()} for row in rows]
+            fundamental[i] = index[omega]
+    batches = list(fundamental.values())
+    if symmetries:  # otherwise every orbit is one label
+        batches.sort(key=lambda f: weyl_dimension(rs, labels[f]))
+    for f in batches:
+        if fusion[f] is not None:
+            continue
+        matrix: Sparse = [{} for _ in range(n)]
+        for b, row in zip(reps, kac_walton_rows(rs, k, labels[f], [labels[b] for b in reps])):
+            row = {index[c]: m for c, m in row.items()}
+            matrix[b] = row
+            for g in currents[1:]:
+                matrix[g[b]] = {g[c]: m for c, m in row.items()}
+        store(f, matrix)
     # multiply by the sparsest fundamental matrix that fits
     order = sorted(fundamental, key=lambda i: sum(map(len, fusion[fundamental[i]])))
-    entries = sum(sum(map(len, m)) for m in fusion if m is not None)
     rho = (1,) * rs.rank
     for a in sorted(range(n), key=lambda a: pairing_int(rs, labels[a], rho)):
         if fusion[a] is not None:
@@ -189,11 +282,7 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
             for acc, row in zip(prod, fusion[c]):
                 for d, x in row.items():
                     acc[d] -= coeff * x
-        fusion[a] = [{c: x for c, x in acc.items() if x} for acc in prod]
-        entries += sum(map(len, fusion[a]))
-        if entries > FUSION_ENTRY_CAP:
-            raise too_many
-    dual = [index[conjugate_weight(rs, w)] for w in labels]
+        store(a, [{c: x for c, x in acc.items() if x} for acc in prod])
     # e_0 H = sum_mu e_mu N_{mu*}; H commutes with every N_b, so e_b H = (e_0 H) N_b
     h0 = [0] * n
     for mu in range(n):

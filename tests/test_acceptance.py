@@ -262,7 +262,7 @@ def test_criterion_10_cli_contract(monkeypatch, capsys):
         (2, ["fusion", "--algebra", "A1", "--bogus"], None),
         (3, ["fusion", "--algebra", "Z9", "--level", "1", "--weights", "0;0"], None),
         (3, ["fusion", "--algebra", "A1", "--level", "1", "--weights", "2;0"], None),
-        (5, ["verlinde", "--algebra", "A2", "--level", "1", "--genus", "1"],
+        (5, ["verlinde", "--algebra", "A2", "--level", "2", "--genus", "1"],
          dict(os.environ, LOOPFUSION_WEYL_CAP="1")),
     )
     for want_code, args, env in taxonomy:

@@ -9,11 +9,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 from loopfusion import cli
-from loopfusion.errors import NumericalError, ValidationError
+from loopfusion.errors import NumericalError, ResourceError, ValidationError
+from loopfusion.rootdata import build_root_system
+from loopfusion.verlinde import Surface, verlinde_dimension
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -146,9 +149,14 @@ def test_resource_cap_exits_5():
     import os
 
     env = dict(os.environ, LOOPFUSION_WEYL_CAP="1")
-    proc = run_cli(["verlinde", "--algebra", "A2", "--level", "1", "--genus", "1"], env=env)
+    proc = run_cli(["verlinde", "--algebra", "A2", "--level", "2", "--genus", "1"], env=env)
     assert proc.returncode == 5
     assert b"resource" in proc.stderr
+    # A2's three level-1 labels form one simple-current orbit: the build copies
+    # the vacuum and builds no weight system, so the cap is never read
+    proc = run_cli(["verlinde", "--algebra", "A2", "--level", "1", "--genus", "1"], env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == 3
 
 
 def test_inputs_past_the_caps_exit_5():
@@ -158,6 +166,17 @@ def test_inputs_past_the_caps_exit_5():
     proc = run_cli(["verlinde", "--algebra", "A1", "--level", "500", "--genus", "2"])
     assert proc.returncode == 5 and proc.stdout == b""
     proc = run_cli(["verlinde", "--algebra", "A1", "--level", "1", "--genus", "1000000"])
+    assert proc.returncode == 5 and proc.stdout == b""
+
+
+@pytest.mark.parametrize("algebra,level", [("A1", 100000000), ("E8", 200)])
+def test_huge_levels_are_refused_before_the_labels_are_listed(algebra, level):
+    rs = build_root_system(algebra)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="fusion matrices"):
+        verlinde_dimension(rs, level, Surface(genus=2))
+    assert time.perf_counter() - start < 1.0
+    proc = run_cli(["verlinde", "--algebra", algebra, "--level", str(level), "--genus", "2"])
     assert proc.returncode == 5 and proc.stdout == b""
 
 
@@ -182,7 +201,7 @@ def test_malformed_weyl_cap_exits_3():
     import os
 
     env = dict(os.environ, LOOPFUSION_WEYL_CAP="abc")
-    proc = run_cli(["verlinde", "--algebra", "A2", "--level", "1", "--genus", "1"], env=env)
+    proc = run_cli(["verlinde", "--algebra", "A2", "--level", "2", "--genus", "1"], env=env)
     assert proc.returncode == 3
     assert proc.stdout == b""
     assert b"LOOPFUSION_WEYL_CAP" in proc.stderr and b"'abc'" in proc.stderr

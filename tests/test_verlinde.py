@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from loopfusion.affine_weyl import INTERIOR, AffineContext, alcove_reduce
 from loopfusion.errors import NumericalError, ResourceError, ValidationError
 from loopfusion.fusion import alcove_weights, conjugate_weight, fuse_kw, fuse_s
 from loopfusion.rootdata import RootSystem, build_root_system
@@ -265,10 +266,28 @@ def test_high_level_is_refused_before_memory_runs_out():
         verlinde_dimension(build_root_system("A1"), 500, Surface(genus=2))
 
 
+@pytest.mark.parametrize("label,k", [("A1", 2), ("A2", 4), ("C3", 2), ("D5", 2), ("E6", 2)])
+def test_entry_cap_counts_every_stored_coefficient(monkeypatch, label, k):
+    # copies made through the fusion-ring symmetries count like computed entries
+    from loopfusion import verlinde
+
+    rs = build_root_system(label)
+    fm = verlinde._build_fusion_matrices(rs, k)
+    stored = sum(len(row) for matrix in fm.fusion for row in matrix)
+    monkeypatch.setattr(verlinde, "FUSION_ENTRY_CAP", stored)
+    assert verlinde._build_fusion_matrices(rs, k).fusion == fm.fusion
+    monkeypatch.setattr(verlinde, "FUSION_ENTRY_CAP", stored - 1)
+    with pytest.raises(ResourceError, match="stored coefficients"):
+        verlinde._build_fusion_matrices(rs, k)
+
+
 def test_sparse_fusion_matrices_match_kac_walton():
     from loopfusion.verlinde import fusion_matrices
 
-    for label, k in (("A2", 4), ("B3", 3), ("C3", 2), ("G2", 4), ("D4", 2), ("E6", 2), ("F4", 2)):
+    for label, k in (
+        ("A2", 4), ("B3", 3), ("C3", 2), ("C3", 3), ("G2", 4), ("D4", 2), ("D5", 3),
+        ("E6", 2), ("E7", 2), ("F4", 2),
+    ):
         rs = build_root_system(label)
         fm = fusion_matrices(rs, k)
         for a, lam in enumerate(fm.labels):
@@ -292,6 +311,80 @@ def test_fusion_matrices_match_the_s_matrix_route(label, k):
             assert fm.fusion[a][b] == want, (label, k, lam, mu)
 
 
+def simple_currents(rs, k):
+    """Each node j of mark 1 gives a map J_j of the labels, from scalar alcove
+    reductions: J_j(lam) + rho reduces lam + rho + kappa omega_j."""
+    ctx = AffineContext(rs, k)
+    currents = []
+    for j, mark in enumerate(rs.marks):
+        if mark != 1:
+            continue
+        current = {}
+        for lam in weights_of(rs, k):
+            red = alcove_reduce(ctx, tuple(v + 1 + ctx.kappa * (i == j) for i, v in enumerate(lam)))
+            assert red.status == INTERIOR
+            current[lam] = tuple(v - 1 for v in red.reduced)
+        currents.append(current)
+    return currents
+
+
+def current_orbits(rs, k):
+    currents = simple_currents(rs, k)
+    orbits = []
+    for lam in weights_of(rs, k):
+        if any(lam in orbit for orbit in orbits):
+            continue
+        orbit = {lam}
+        while (grown := orbit | {j[mu] for mu in orbit for j in currents}) != orbit:
+            orbit = grown
+        orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "label,k",
+    [("A1", 3), ("A3", 2), ("B3", 2), ("C3", 2), ("D4", 2), ("D5", 2), ("E6", 2), ("E7", 2), ("F4", 2)],
+)
+def test_the_build_uses_the_whole_current_group(label, k):
+    # the centre of the simply connected group has one element per node of mark 1
+    # and the identity; the currents act on the labels as that group
+    from loopfusion.verlinde import _current_group
+
+    rs = build_root_system(label)
+    labels = tuple(weights_of(rs, k))
+    index = {w: i for i, w in enumerate(labels)}
+    group = _current_group(rs, k, labels, index)
+    assert len(group) == 1 + sum(m == 1 for m in rs.marks)
+    assert group[0] == list(range(len(labels)))
+    currents = simple_currents(rs, k)
+    want = {labels}  # each group element as the tuple of images of the labels
+    while (grown := want | {tuple(j[w] for w in g) for g in want for j in currents}) != want:
+        want = grown
+    assert {tuple(labels[i] for i in g) for g in group} == want
+
+
+@pytest.mark.parametrize(
+    "label,k",
+    [("A2", 6), ("A3", 4), ("B3", 3), ("C3", 3), ("D4", 2), ("D5", 2), ("E6", 2), ("E7", 2)],
+)
+def test_kac_walton_fusion_has_the_current_and_conjugation_symmetries(label, k):
+    # N_{J lam, mu}^{J nu} = N_{lam mu}^nu and N_{lam* mu*}^{nu*} = N_{lam mu}^nu,
+    # on fuse_kw entries, which use neither symmetry
+    rs = build_root_system(label)
+    labels = weights_of(rs, k)
+    currents = simple_currents(rs, k)
+    assert currents
+    star = {lam: conjugate_weight(rs, lam) for lam in labels}
+    for lam in labels:
+        for mu in labels:
+            terms = fuse_kw(rs, k, lam, mu).terms
+            for j in currents:
+                assert fuse_kw(rs, k, j[lam], mu).terms == {j[nu]: m for nu, m in terms.items()}
+            assert fuse_kw(rs, k, star[lam], star[mu]).terms == {
+                star[nu]: m for nu, m in terms.items()
+            }
+
+
 def test_fusion_matrices_take_one_kac_walton_batch_per_fundamental(monkeypatch):
     import sys
 
@@ -308,14 +401,22 @@ def test_fusion_matrices_take_one_kac_walton_batch_per_fundamental(monkeypatch):
     calls = []
     real = verlinde.kac_walton_rows
     monkeypatch.setattr(
-        verlinde, "kac_walton_rows", lambda *a: calls.append(a[2]) or real(*a)
+        verlinde, "kac_walton_rows", lambda *a: calls.append((a[2], list(a[3]))) or real(*a)
     )
     monkeypatch.setattr(verlinde, "_fusion_cache", {})
     e6 = build_root_system("E6")
     fm = verlinde.fusion_matrices(e6, 2)
     fundamentals = [w for w in fm.labels if sorted(w) == [0] * 5 + [1]]
     assert len(fundamentals) == 5  # comarks (1, 2, 3, 2, 1, 2): omega_3 is past level 2
-    assert sorted(calls) == sorted(fundamentals)
+    # the currents and conjugation split them into the orbits {omega_1, omega_5}
+    # (dimension 27 each) and {omega_2, omega_4, omega_6} (351, 351, 78)
+    omega_1, omega_6 = (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)
+    assert [lam for lam, _ in calls] == [omega_1, omega_6]
+    orbits = current_orbits(e6, 2)
+    assert len(fm.labels) == 9 and sorted(map(len, orbits)) == [3, 3, 3]
+    for _, mus in calls:
+        assert len(mus) == 3
+        assert all(sum(mu in orbit for mu in mus) == 1 for orbit in orbits)
 
 
 def test_e7_e8_open_at_low_level():
