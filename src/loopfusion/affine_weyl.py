@@ -13,9 +13,10 @@ the affine orbit in the closed alcove (Walton, "Fusion rules in WZW models",
 1990): a translation by kappa*Q^vee moves x next to the alcove, and cyclic
 sweeps finish in integers, each reflection where violated: s_0, then
 s_1..s_rank for one point, one colour class of the affine diagram at a time
-for a batch.  Every violated reflection crosses exactly one separating
-wall, so any order reaches the same point in as many reflections as the
-translate's length.
+for a batch.  The sweeps start from x or from its translate, whichever has
+the shorter closed-form length; every violated reflection crosses exactly
+one separating wall, so any order reaches the same point in exactly that
+many reflections.
 Only ``AlcoveReduction.word`` walks from x itself, greedily, because its
 letters are output: the lowest-index violated generator fires, the affine
 reflection counting as index 0 and the simple reflections as 1..rank.
@@ -289,7 +290,7 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     start = np.where((moved_length < length)[:, None], moved, xs)
     steps = np.minimum(moved_length, length)
     ys[out] = kernels.alcove_reduce_batch(
-        rs.np_colour_classes, rs.np_comarks, kappa, steps, start, int(steps.max())
+        rs.np_colour_classes, rs.np_comarks, kappa, steps, start
     )[0]
     lengths[out] = length
     status[out] = wall

@@ -155,6 +155,7 @@ def _build_s_matrix(rs: RootSystem, k: int) -> SMatrix:
 
 def s_matrix(rs: RootSystem, k: int) -> SMatrix:
     """The S-matrix at level k, cached; all structural gates enforced."""
+    k = as_nonnegative(k, "level")
     key = (rs.spec.series, rs.spec.rank, k)
     with _smatrix_lock:
         got = _smatrix_cache.get(key)
@@ -172,6 +173,7 @@ def conjugate_weight(rs: RootSystem, weight: tuple) -> Weight:
 
 def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
     """Fusion coefficients through the Verlinde sum over S-matrix columns."""
+    k = as_nonnegative(k, "level")
     lam = check_alcove(rs, k, lam)
     mu = check_alcove(rs, k, mu)
     sm = s_matrix(rs, k)
@@ -197,6 +199,7 @@ def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
 
 def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
     """Kac-Walton fusion, exact: one row of :func:`kac_walton_rows`, cached."""
+    k = as_nonnegative(k, "level")
     lam = check_alcove(rs, k, lam)
     mu = check_alcove(rs, k, mu)
     return FusionElement(k=k, terms=dict(_fuse_kw_cached(rs, k, lam, mu)))

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceError
-
 # inputs beyond this magnitude run on Python-int object rows instead of int64
 INT64_SAFE_LIMIT = 1 << 40
 
@@ -95,7 +93,7 @@ def alcove_length_batch(pairs, den: int, xs):
     return (np.abs(q) - (on & (q > 0))).sum(axis=1), on.any(axis=1)
 
 
-def alcove_reduce_batch(classes, comarks, kappa: int, lengths, xs, max_steps: int):
+def alcove_reduce_batch(classes, comarks, kappa: int, lengths, xs):
     """Reduce each row of xs into the closed level-kappa alcove by cyclic sweeps.
 
     The sweeps run in extended coordinates y = (kappa - level, x), where the
@@ -107,13 +105,11 @@ def alcove_reduce_batch(classes, comarks, kappa: int, lengths, xs, max_steps: in
     kernel returns as its reflection counts; a sweep reflects every row not
     yet reduced at least once, so the longest length bounds the sweeps.
     Returns (reduced, lengths, status), status being 1 for points on the
-    closed-alcove boundary (wall points) and 0 otherwise.  A length past
-    max_steps raises ResourceError.  The rows keep the dtype of xs.
+    closed-alcove boundary (wall points) and 0 otherwise.  The rows keep the
+    dtype of xs.
     """
     if len(xs) == 0:
         return np.array(xs), lengths, np.zeros(0, dtype=np.int64)
-    if lengths.max() > max_steps:
-        raise ResourceError("alcove reduction exceeded its step bound")
     ys = np.empty((len(xs), len(comarks) + 1), dtype=xs.dtype)
     ys[:, 0] = kappa - xs @ comarks
     ys[:, 1:] = xs

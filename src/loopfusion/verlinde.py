@@ -8,10 +8,12 @@ Python integers.  The matrices are kept sparse, and the build uses the
 fusion ring's symmetries: a simple current J gives N_{J lam, mu}^{J nu} =
 N_{lam mu}^nu (Schellekens and Yankielowicz 1990) and charge conjugation
 gives N_{lam* mu*}^{nu*} = N_{lam mu}^nu, so a label whose orbit already
-holds a matrix gets a relabelled copy.  Only one fundamental label per orbit
-takes Kac-Walton rows, one batched reduction with one row per current orbit
-of labels (:func:`fusion.kac_walton_rows`: finite stage, then affine
-stage); the other orbits follow by multiplying fusion matrices.
+holds a matrix gets a relabelled copy.  Both permute the affine Dynkin nodes
+at every level, so they are read once per algebra, as node permutations.
+Only one fundamental label per orbit takes Kac-Walton rows, one batched
+reduction with one row per current orbit of labels
+(:func:`fusion.kac_walton_rows`: finite stage, then affine stage); the other
+orbits follow by multiplying fusion matrices.
 Reports first reduce arbitrary dominant insertions into the alcove,
 recording the vanishing verdict and the single cohomological degree.  The
 floating-point S-matrix sum survives only as the cross-check
@@ -25,10 +27,11 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .affine_weyl import WALL, AffineContext, alcove_reduce, alcove_reduce_batch, check_alcove
+from .affine_weyl import WALL, AffineContext, alcove_reduce, check_alcove
 from .errors import NumericalError, ResourceError, ValidationError
 from .finite_reps import weyl_dimension
 from .fusion import (
@@ -40,6 +43,7 @@ from .fusion import (
     s_matrix,
 )
 from .rootdata import RootSystem, Weight, as_nonnegative, check_dominant, pairing_int
+from .rootdata import theta_pairing
 
 
 @dataclass(frozen=True)
@@ -155,47 +159,66 @@ _fusion_cache: dict[tuple, FusionMatrices] = {}
 _fusion_lock = threading.Lock()
 
 
-def _current_group(rs: RootSystem, k: int, labels: tuple, index: dict) -> list[list[int]]:
-    """The simple currents as permutations of the label indexes, identity first.
+@lru_cache(maxsize=None)
+def _node_symmetries(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The simple currents, as the group they generate, identity first, and
+    charge conjugation, each as a permutation p of the affine nodes 0..rank.
 
-    Node j of mark 1 gives J_j, with J_j(lam) + rho the alcove reduction of
-    lam + rho + kappa omega_j (Schellekens and Yankielowicz 1990); all of
-    them come from one batch, and the list holds the group they generate.
-    Such nodes are long, so kappa omega_j lies in kappa P^vee and moves no
-    interior point onto a wall.
+    At every level the image of lam carries at node m the extended Dynkin
+    label of (k - level, lam) at node p[m] (Di Francesco, Mathieu and
+    Senechal, section 14.2).  Both are read off a rho-shifted point x with
+    extended labels (1, ..., rank + 1): node j of mark 1 gives J_j x, the
+    alcove reduction of x + kappa omega_j, and conjugation fixes node 0.
     """
-    nodes = [j for j, m in enumerate(rs.marks) if m == 1]
-    group = [list(range(len(labels)))]
-    if not nodes:
-        return group
-    kappa = k + rs.dual_coxeter
-    shifted = np.array(labels, dtype=np.int64) + 1
-    rows = np.concatenate([shifted + kappa * np.eye(rs.rank, dtype=np.int64)[j] for j in nodes])
-    reduced, _, walls = alcove_reduce_batch(AffineContext(rs, k), rows)
-    assert not walls.any(), "a simple current moved an alcove label onto a wall"
-    images = [index[tuple(w)] for w in (reduced - 1).tolist()]
-    generators = [images[t * len(labels):(t + 1) * len(labels)] for t in range(len(nodes))]
-    seen = {tuple(group[0])}
+    x = tuple(range(2, rs.rank + 2))
+    kappa = 1 + theta_pairing(rs, x)
+    ctx = AffineContext(rs, kappa - rs.dual_coxeter)
+
+    def nodes(y: tuple) -> tuple[int, ...]:
+        p = tuple(v - 1 for v in (kappa - theta_pairing(rs, y), *y))
+        assert sorted(p) == list(range(rs.rank + 1)), "a symmetry must permute the affine nodes"
+        return p
+
+    generators = [
+        nodes(alcove_reduce(ctx, tuple(v + kappa * (i == j) for i, v in enumerate(x))).reduced)
+        for j, mark in enumerate(rs.marks)
+        if mark == 1
+    ]
+    group = [tuple(range(rs.rank + 1))]
     for g in group:  # grows while it is read: the closure under the generators
         for h in generators:
-            p = [h[x] for x in g]
-            if tuple(p) not in seen:
-                seen.add(tuple(p))
+            p = tuple(g[m] for m in h)
+            if p not in group:
                 group.append(p)
-    return group
+    return tuple(group), nodes(conjugate_weight(rs, x))
+
+
+def _label_symmetries(rs: RootSystem, k: int, labels: tuple, index: dict):
+    """The current group and conjugation of :func:`_node_symmetries` as maps
+    of the level-k label indexes, identity first: (currents, dual)."""
+    extended = [(k - theta_pairing(rs, w), *w) for w in labels]
+
+    def relabel(p: tuple[int, ...]) -> list[int]:
+        return [index[tuple(e[i] for i in p[1:])] for e in extended]
+
+    group, conjugation = _node_symmetries(rs)
+    return [relabel(p) for p in group], relabel(conjugation)
 
 
 def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
     """The level-k fusion matrices, conjugation and handle, exactly.
 
     Each stored N_a is copied, relabelled, to every label of a's orbit under
-    the simple currents and conjugation, which then costs no arithmetic.  The
-    vacuum comes first (its orbit holds the k omega_j), then the fundamentals
-    by increasing dimension, so that each orbit's one Kac-Walton batch runs
-    on its cheapest member, then the other labels in (lam, rho) order by
-    products.  An algebra without currents or conjugation (E8, F4, G2) runs
-    the same steps with nothing to copy.  Raises ResourceError as soon as
-    the stored coefficients, copies included, pass FUSION_ENTRY_CAP.
+    the simple currents and conjugation, which then costs no arithmetic; both
+    act on the labels as the affine-node permutations of
+    :func:`_node_symmetries`, read once per algebra, so no label is reduced
+    to find them.  The vacuum comes first (its orbit holds the k omega_j),
+    then the fundamentals by increasing dimension, so that each orbit's one
+    Kac-Walton batch runs on its cheapest member, then the other labels in
+    (lam, rho) order by products.  An algebra without currents or
+    conjugation (E8, F4, G2) runs the same steps with nothing to copy.
+    Raises ResourceError as soon as the stored coefficients, copies
+    included, pass FUSION_ENTRY_CAP.
     """
     too_many = ResourceError(
         f"level-{k} fusion matrices of {rs.spec} exceed the cap of "
@@ -212,8 +235,7 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
     labels = tuple(lw.weight for lw in alcove_weights(rs, k))
     index = {w: i for i, w in enumerate(labels)}
     n = len(labels)
-    dual = [index[conjugate_weight(rs, w)] for w in labels]
-    currents = _current_group(rs, k, labels, index)
+    currents, dual = _label_symmetries(rs, k, labels, index)
     # every non-identity symmetry as (label map, whether it conjugates):
     # N_{J lam} is N_lam with columns relabelled by J, and row b of N_{lam*}
     # is row b* of N_lam with columns relabelled by conjugation
@@ -294,6 +316,7 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
 
 def fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
     """The exact level-k fusion matrices and handle operator, cached."""
+    k = as_nonnegative(k, "level")
     key = (rs.spec.series, rs.spec.rank, k)
     with _fusion_lock:
         got = _fusion_cache.get(key)

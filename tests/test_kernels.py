@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from loopfusion import kernels
 from loopfusion.affine_weyl import WALL, AffineContext, alcove_reduce, alcove_reduce_batch
-from loopfusion.errors import ResourceError
 from loopfusion.rootdata import build_root_system, dominant_reduce, sweep_reduce
 
 
@@ -74,8 +73,8 @@ def test_alcove_reduce_backends_agree(label, h):
     assert lengths.tolist() == lengths_obj.tolist()
     assert walls.tolist() == walls_obj.tolist()
     args = (rs.np_colour_classes, rs.np_comarks, kappa)
-    via_int64 = kernels.alcove_reduce_batch(*args, lengths, xs.copy(), ctx.step_budget)
-    via_object = kernels.alcove_reduce_batch(*args, lengths_obj, xs.astype(object), ctx.step_budget)
+    via_int64 = kernels.alcove_reduce_batch(*args, lengths, xs.copy())
+    via_object = kernels.alcove_reduce_batch(*args, lengths_obj, xs.astype(object))
     assert via_object[0].dtype == object
     for a in range(3):
         assert via_int64[a].tolist() == via_object[a].tolist()
@@ -208,7 +207,7 @@ def test_empty_batches():
     reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
     assert reduced.shape == (0, 2)
     reduced, steps, status = kernels.alcove_reduce_batch(
-        rs.np_colour_classes, rs.np_comarks, 3, np.empty(0, dtype=np.int64), xs, 100
+        rs.np_colour_classes, rs.np_comarks, 3, np.empty(0, dtype=np.int64), xs
     )
     assert reduced.shape == (0, 2)
 
@@ -244,9 +243,7 @@ def test_batch_paths_scalar_path_and_kernel_agree_far_from_the_alcove(label, h, 
     via_object = alcove_reduce_batch(ctx, xs.astype(object))
     # the kernel on the raw rows, no translation first, within their closed-form lengths
     lengths, _ = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
-    kernel = kernels.alcove_reduce_batch(
-        rs.np_colour_classes, rs.np_comarks, kappa, lengths, xs.copy(), int(lengths.max())
-    )
+    kernel = kernels.alcove_reduce_batch(rs.np_colour_classes, rs.np_comarks, kappa, lengths, xs.copy())
     for a, x in enumerate(xs.tolist()):
         r = alcove_reduce(ctx, tuple(x))
         want = (list(r.reduced), r.length, r.status == WALL)
@@ -302,13 +299,11 @@ def test_alcove_reductions_raise_one_reflection_short_of_the_length():
     length = int(lengths[0])
     assert length > 100
     args = (rs.np_colour_classes, rs.np_comarks, kappa, lengths)
-    reduced, steps, _ = kernels.alcove_reduce_batch(*args, xs.copy(), length)
+    reduced, steps, _ = kernels.alcove_reduce_batch(*args, xs.copy())
     assert steps.tolist() == [length, 0]
-    with pytest.raises(ResourceError):
-        kernels.alcove_reduce_batch(*args, xs.copy(), length - 1)
     # a sweep reflects a row at most rank + 1 times, so a count of 1 cannot reach the alcove
     with pytest.raises(AssertionError, match="terminate"):
-        kernels.alcove_reduce_batch(*args[:3], np.array([1, 0]), xs.copy(), length)
+        kernels.alcove_reduce_batch(*args[:3], np.array([1, 0]), xs.copy())
     # the scalar loop counts the same reflections under the same bound
     y = xs[0].tolist()
     assert sweep_reduce(rs, y, length, kappa) == length

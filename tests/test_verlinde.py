@@ -348,12 +348,12 @@ def current_orbits(rs, k):
 def test_the_build_uses_the_whole_current_group(label, k):
     # the centre of the simply connected group has one element per node of mark 1
     # and the identity; the currents act on the labels as that group
-    from loopfusion.verlinde import _current_group
+    from loopfusion.verlinde import _label_symmetries
 
     rs = build_root_system(label)
     labels = tuple(weights_of(rs, k))
     index = {w: i for i, w in enumerate(labels)}
-    group = _current_group(rs, k, labels, index)
+    group, dual = _label_symmetries(rs, k, labels, index)
     assert len(group) == 1 + sum(m == 1 for m in rs.marks)
     assert group[0] == list(range(len(labels)))
     currents = simple_currents(rs, k)
@@ -361,6 +361,62 @@ def test_the_build_uses_the_whole_current_group(label, k):
     while (grown := want | {tuple(j[w] for w in g) for g in want for j in currents}) != want:
         want = grown
     assert {tuple(labels[i] for i in g) for g in group} == want
+    assert dual == [index[conjugate_weight(rs, w)] for w in labels]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C2", "C3", "C4",
+     "D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2"],
+)
+def test_symmetries_are_automorphisms_of_the_affine_diagram(label):
+    # p sends a label to the one carrying at node m the extended label lam has at node p[m]
+    from loopfusion.verlinde import _node_symmetries
+
+    rs = build_root_system(label)
+    group, conjugation = _node_symmetries(rs)
+    a = rs.affine_roots
+    comarks = (1, *rs.comarks)
+    nodes = range(rs.rank + 1)
+    for p in (*group, conjugation):
+        assert sorted(p) == list(nodes)
+        assert all(a[p[i]][p[j]] == a[i][j] for i in nodes for j in nodes)
+        assert tuple(comarks[i] for i in p) == comarks
+    # the current of finite node j moves node 0 to node j + 1, and the group
+    # acts simply transitively on node 0 and the finite nodes of mark 1
+    ones = [j + 1 for j, m in enumerate(rs.marks) if m == 1]
+    assert len(group) == 1 + len(ones)
+    assert [p.index(0) for p in group[: 1 + len(ones)]] == [0, *ones]
+    assert group[0] == tuple(nodes)
+    assert conjugation[0] == 0
+    assert tuple(conjugation[i] for i in conjugation) == tuple(nodes)
+    self_conjugate = {"A1", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D6", "E7", "E8", "F4", "G2"}
+    assert (conjugation == tuple(nodes)) == (label in self_conjugate)
+    if rs.spec.series == "A":
+        assert set(group) == {tuple((m - s) % (rs.rank + 1) for m in nodes) for s in nodes}
+    if rs.spec.series == "C":
+        assert group == (tuple(nodes), tuple(reversed(nodes)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, k: verlinde_dimension(rs, k, Surface(genus=1)),
+        lambda rs, k: factorization_check(rs, k, Surface(genus=1)),
+        lambda rs, k: verlinde_dimension_s(rs, k, Surface(genus=1)),
+        lambda rs, k: fuse_kw(rs, k, (1,), (1,)),
+        lambda rs, k: fuse_s(rs, k, (1,), (1,)),
+    ],
+    ids=["verlinde_dimension", "factorization_check", "verlinde_dimension_s", "fuse_kw", "fuse_s"],
+)
+def test_a_float_level_is_refused_after_the_integer_level_is_cached(call):
+    a1 = build_root_system("A1")
+    want = call(a1, 2)
+    with pytest.raises(ValidationError, match="level"):
+        call(a1, 2.0)
+    got = call(a1, np.int64(2))
+    assert got == want
+    assert type(getattr(got, "k", 2)) is int
 
 
 @pytest.mark.parametrize(
