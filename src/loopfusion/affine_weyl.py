@@ -3,7 +3,9 @@
 All points handled here are rho-shifted: the fundamental alcove is the set
 with (x, alpha_i^vee) >= 0 for simple coroots and (x, theta^vee) <= kappa,
 its interior the strict version, and the walls the affine hyperplanes
-(x, alpha) in kappa*Z over positive roots.
+(x, alpha) in kappa*Z over positive roots.  Every alcove test and generator
+reads the extended Dynkin labels of :func:`rootdata.extended`, where the
+closed alcove is the orthant y >= 0 and s_0 is one generator among the rest.
 
 Reduction needs no walk from x.  Its length is the number of walls strictly
 separating x from the alcove (Humphreys, *Reflection Groups and Coxeter
@@ -11,15 +13,15 @@ Groups*, 4.5), counted root by root in closed form, and x is on a wall iff
 some (x, alpha) lies in kappa*Z.  The reduced point is the unique point of
 the affine orbit in the closed alcove (Walton, "Fusion rules in WZW models",
 1990): a translation by kappa*Q^vee moves x next to the alcove, and cyclic
-sweeps finish in integers, each reflection where violated: s_0, then
-s_1..s_rank for one point, one colour class of the affine diagram at a time
-for a batch.  The sweeps start from x or from its translate, whichever has
+sweeps finish in integers, each reflection where violated: s_0..s_rank in
+turn for one point, one colour class of the affine diagram at a time for a
+batch.  The sweeps start from x or from its translate, whichever has
 the shorter closed-form length; every violated reflection crosses exactly
 one separating wall, so any order reaches the same point in exactly that
 many reflections.
 Only ``AlcoveReduction.word`` walks from x itself, greedily, because its
-letters are output: the lowest-index violated generator fires, the affine
-reflection counting as index 0 and the simple reflections as 1..rank.
+letters are output: the first violated generator in the order 0..rank
+("affine_first") or 1..rank, 0 ("finite_first") fires.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from .rootdata import (
     check_dominant,
     check_rank,
     check_weight,
-    is_dominant,
+    extended,
     sweep_reduce,
-    theta_pairing,
 )
 
 INTERIOR = "interior"
@@ -120,24 +121,31 @@ def _check_point(rs: RootSystem, x: tuple) -> tuple:
     return tuple(_normalize(v) if isinstance(v, Fraction) else as_int(v) for v in x)
 
 
+def _reflect(supports: tuple, y: list, idx: int) -> None:
+    """Generator idx on the extended labels y, in place: y -= y_idx * a_idx."""
+    c = y[idx]
+    for j, a in supports[idx]:
+        y[j] -= c * a
+
+
 def reflect_generator(ctx: AffineContext, x: tuple, idx: int) -> tuple:
-    """Apply generator idx: 0 is the affine wall reflection, i>=1 is s_i."""
-    rs = ctx.rs
-    if not 0 <= idx <= rs.rank:
-        raise ValidationError(f"generator index {idx} outside 0..{rs.rank}")
-    if idx == 0:
-        excess = theta_pairing(rs, x) - ctx.kappa
-        return tuple(_normalize(v - excess * t) for v, t in zip(x, rs.highest_root))
-    alpha = rs.simple_roots[idx - 1]
-    c = x[idx - 1]
-    return tuple(_normalize(v - c * a) for v, a in zip(x, alpha))
+    """Apply generator idx: 0 is the affine wall reflection, i>=1 is s_i.
+    Extended label idx of x becomes its negative."""
+    return apply_affine_word(ctx, (idx,), x)
 
 
 def apply_affine_word(ctx: AffineContext, word: tuple[int, ...], x: tuple) -> tuple:
-    """Apply a generator word to x, the last entry acting first."""
+    """Apply a generator word to x, the last entry acting first.
+
+    x is checked as :func:`alcove_reduce` checks it, and the word acts on its
+    extended labels."""
+    rs = ctx.rs
+    y = list(extended(rs, ctx.kappa, _check_point(rs, x)))
     for idx in reversed(word):
-        x = reflect_generator(ctx, x, idx)
-    return tuple(x)
+        if not 0 <= idx <= rs.rank:
+            raise ValidationError(f"generator index {idx} outside 0..{rs.rank}")
+        _reflect(rs.affine_supports, y, idx)
+    return tuple(_normalize(v) for v in y[1:])
 
 
 def _length_and_wall(ctx: AffineContext, x: tuple) -> tuple[int, bool]:
@@ -188,35 +196,31 @@ def on_wall(ctx: AffineContext, x: tuple) -> bool:
     return _length_and_wall(ctx, _check_point(ctx.rs, x))[1]
 
 
-def _violated_index(ctx: AffineContext, x: tuple, affine_first: bool):
-    finite = next((i + 1 for i, v in enumerate(x) if v < 0), None)
-    affine = 0 if theta_pairing(ctx.rs, x) > ctx.kappa else None
-    if affine_first:
-        return affine if affine is not None else finite
-    return finite if finite is not None else affine
+def _walk(ctx: AffineContext, x: tuple, affine_first: bool) -> tuple[int, ...]:
+    """The letters of the greedy walk from x into the closed alcove, in order.
 
-
-def _walk(ctx: AffineContext, y: tuple, affine_first: bool) -> tuple[int, ...]:
-    """The letters of the greedy walk from y into the closed alcove, in order.
-
-    It takes exactly as many steps as y has closed-form length.
+    The walk runs on the extended labels y of x and fires the first negative
+    y_i in the order 0..rank, or 1..rank, 0 when not ``affine_first``.  It
+    takes exactly as many steps as x has closed-form length.
     """
+    y = list(extended(ctx.rs, ctx.kappa, x))
+    order = range(len(y)) if affine_first else (*range(1, len(y)), 0)
     word = []
-    while (idx := _violated_index(ctx, y, affine_first)) is not None:
-        y = reflect_generator(ctx, y, idx)
+    while (idx := next((i for i in order if y[i] < 0), None)) is not None:
+        _reflect(ctx.rs.affine_supports, y, idx)
         word.append(idx)
     return tuple(word)
 
 
-def _sweep_to_alcove(ctx: AffineContext, x: tuple, length: int) -> tuple:
-    """The closed-alcove point of the orbit of x, reached by ``length``
-    reflections of cyclic sweeps.  A rational x is scaled by the common
-    denominator d of its coordinates first, which scales the alcove to level
-    d*kappa, so the sweeps run in integers."""
-    d = math.lcm(*(v.denominator for v in x))
-    y = [int(v * d) for v in x]
-    sweep_reduce(ctx.rs, y, length, d * ctx.kappa)
-    return tuple(_normalize(Fraction(v, d)) for v in y) if d > 1 else tuple(y)
+def _sweep_to_alcove(ctx: AffineContext, labels: tuple, length: int) -> tuple:
+    """The closed-alcove point of the orbit of the point with extended labels
+    ``labels``, reached by ``length`` reflections of cyclic sweeps.  Rational
+    labels are scaled by their common denominator d first, which scales the
+    alcove to level d*kappa, so the sweeps run in integers."""
+    d = math.lcm(*(v.denominator for v in labels))
+    y = [int(v * d) for v in labels] if d > 1 else list(labels)
+    sweep_reduce(ctx.rs.affine_supports, y, length)
+    return tuple(_normalize(Fraction(v, d)) for v in y[1:]) if d > 1 else tuple(y[1:])
 
 
 def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> AlcoveReduction:
@@ -233,17 +237,17 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
     y = _check_point(ctx.rs, x)
     if order not in ("affine_first", "finite_first"):
         raise ValidationError(f"unknown reduction order {order!r}")
-    level = theta_pairing(ctx.rs, y)
-    if level <= ctx.kappa and is_dominant(y):
-        wall = level == ctx.kappa or 0 in y
-        return AlcoveReduction(WALL if wall else INTERIOR, y, 0, 1, ctx, y, order)
+    labels = extended(ctx.rs, ctx.kappa, y)
+    if min(labels) >= 0:
+        return AlcoveReduction(WALL if 0 in labels else INTERIOR, y, 0, 1, ctx, y, order)
     length, wall = _length_and_wall(ctx, y)
     moved = _translate(ctx, y)
     moved_length = _length_and_wall(ctx, moved)[0]
-    start, steps = (moved, moved_length) if moved_length < length else (y, length)
+    if moved_length < length:
+        labels = extended(ctx.rs, ctx.kappa, moved)
     return AlcoveReduction(
         status=WALL if wall else INTERIOR,
-        reduced=_sweep_to_alcove(ctx, start, steps),
+        reduced=_sweep_to_alcove(ctx, labels, min(moved_length, length)),
         length=length,
         sign=-1 if length % 2 else 1,
         ctx=ctx,
@@ -268,6 +272,8 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     # 2^63 that sit beside negative ones
     arr = xs if isinstance(xs, np.ndarray) else np.array(xs, dtype=object)
     rs = ctx.rs
+    if arr.shape == (0,):  # an empty list has no rows to give the rank by
+        arr = arr.reshape(0, rs.rank)
     if arr.ndim != 2 or arr.shape[1] != rs.rank:
         raise ValidationError(f"batch of shape {arr.shape} is not a list of rank-{rs.rank} points")
     if arr.dtype.kind not in "iuO":
@@ -315,8 +321,9 @@ def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":
 
 
 def in_alcove(rs: RootSystem, k: int, weight: tuple) -> bool:
-    """Dominant and (weight, theta^vee) <= k: the level-k label condition."""
-    return is_dominant(weight) and theta_pairing(rs, weight) <= k
+    """Dominant and (weight, theta^vee) <= k: the level-k label condition,
+    every extended label at level k nonnegative."""
+    return min(extended(rs, k, weight)) >= 0
 
 
 def check_alcove(rs: RootSystem, k: int, weight: tuple) -> tuple:

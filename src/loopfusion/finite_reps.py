@@ -198,11 +198,6 @@ def tensor_decompose(rs: RootSystem, lam: tuple, mu: tuple) -> VirtualCharacter:
     """
     lam = check_dominant(rs, lam)
     mu = check_dominant(rs, mu)
-    return VirtualCharacter(dict(_tensor_cached(rs, lam, mu)))
-
-
-@lru_cache(maxsize=8192)
-def _tensor_cached(rs: RootSystem, lam: Weight, mu: Weight) -> tuple:
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam  # iterate over the smaller weight system
     _, points, coeffs = klimyk_reduce(rs, mu, [tuple(v + 1 for v in lam)])
@@ -210,7 +205,7 @@ def _tensor_cached(rs: RootSystem, lam: Weight, mu: Weight) -> tuple:
     for point, coeff in zip((points - 1).tolist(), coeffs):
         out.add(tuple(point), coeff)
     assert all(v > 0 for v in out.terms.values())
-    return tuple(sorted(out.terms.items()))
+    return VirtualCharacter(dict(sorted(out.terms.items())))
 
 
 def klimyk_reduce(rs: RootSystem, lam: Weight, offsets: list) -> tuple:

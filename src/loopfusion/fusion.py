@@ -18,7 +18,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -198,18 +197,13 @@ def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
 
 
 def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
-    """Kac-Walton fusion, exact: one row of :func:`kac_walton_rows`, cached."""
+    """Kac-Walton fusion, exact: one row of :func:`kac_walton_rows`."""
     k = as_nonnegative(k, "level")
     lam = check_alcove(rs, k, lam)
     mu = check_alcove(rs, k, mu)
-    return FusionElement(k=k, terms=dict(_fuse_kw_cached(rs, k, lam, mu)))
-
-
-@lru_cache(maxsize=32768)
-def _fuse_kw_cached(rs: RootSystem, k: int, lam: Weight, mu: Weight) -> tuple:
     if weyl_dimension(rs, mu) < weyl_dimension(rs, lam):
         lam, mu = mu, lam  # iterate over the smaller weight system
-    return tuple(sorted(kac_walton_rows(rs, k, lam, [mu])[0].items()))
+    return FusionElement(k=k, terms=dict(sorted(kac_walton_rows(rs, k, lam, [mu])[0].items())))
 
 
 def kac_walton_rows(rs: RootSystem, k: int, lam: Weight, mus: list) -> list[dict[Weight, int]]:

@@ -343,12 +343,12 @@ class RootSystem:
         )
         self.weyl_order: int = weyl_order_from_heights(self.root_heights)
 
-        # extended Dynkin labels (kappa - level, x) of the affine simple roots
-        # alpha_0 = delta - theta and alpha_1..alpha_r: row i is column i of the
-        # affine Cartan matrix (Kac 6.1)
-        self.affine_roots: tuple[tuple[int, ...], ...] = (
-            (2, *(-t for t in self.highest_root)),
-            *((-theta_pairing(self, a), *a) for a in self.simple_roots),
+        # the affine simple roots alpha_0 = delta - theta and alpha_1..alpha_r as
+        # level-0 extended labels of their finite parts -theta, alpha_1..alpha_r:
+        # row i is column i of the affine Cartan matrix (Kac 6.1)
+        self.affine_roots: tuple[tuple[int, ...], ...] = tuple(
+            extended(self, 0, a)
+            for a in (tuple(-t for t in self.highest_root), *self.simple_roots)
         )
         # node 0's class last: batches of translated points at 1-50 kappa then
         # need fewer sweeps of the alcove kernel (up to a fifth on G2 and B3)
@@ -367,12 +367,13 @@ class RootSystem:
             (np.array(nodes), np.array([self.affine_roots[i] for i in nodes], dtype=np.int64))
             for nodes in self.colour_classes
         )
-        # nonzero (index, coordinate) pairs of each simple root and of theta,
-        # for the scalar reflection loop of :func:`sweep_reduce`
-        self._simple_support = tuple(
-            tuple((j, a) for j, a in enumerate(alpha) if a) for alpha in self.simple_roots
+        # nonzero (index, coordinate) pairs of each simple root and of each
+        # affine simple root: the tables :func:`sweep_reduce` reflects by in the
+        # dominant chamber and in the alcove
+        self.simple_supports, self.affine_supports = (
+            tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in rows)
+            for rows in (self.simple_roots, self.affine_roots)
         )
-        self._theta_support = tuple((j, t) for j, t in enumerate(self.highest_root) if t)
 
         self._weyl_lock = threading.Lock()
         self._weyl_cache: tuple[np.ndarray, np.ndarray] | None = None
@@ -526,6 +527,14 @@ def theta_pairing(rs: RootSystem, x: tuple) -> int:
     return sum(map(operator.mul, rs.comarks, x))
 
 
+def extended(rs: RootSystem, kappa: int, x: tuple) -> tuple:
+    """The extended Dynkin labels (kappa - level(x), *x) of x at level kappa:
+    the closed alcove is the orthant y >= 0, its walls the points with a zero
+    label, and generator s_i acts as y -= y_i * a_i with a_i row i of
+    ``rs.affine_roots`` (Kac, *Infinite Dimensional Lie Algebras*, 6.1)."""
+    return (kappa - theta_pairing(rs, x), *x)
+
+
 def canonical_key(rs: RootSystem, weight: tuple):
     """Deterministic weight ordering key: level pairing, coordinate sum, then
     first-coordinate-heavy tie break; puts the vacuum first among alcove sets."""
@@ -602,27 +611,21 @@ def apply_word(rs: RootSystem, word: tuple[int, ...], x: tuple) -> tuple:
     return tuple(x)
 
 
-def sweep_reduce(rs: RootSystem, y: list, max_steps: int, kappa: "int | None" = None) -> int:
-    """Reflect y in place into the dominant chamber, or with ``kappa`` into
-    the closed level-kappa alcove; returns the number of reflections.
+def sweep_reduce(supports: tuple, y: list, max_steps: int) -> int:
+    """Reflect y in place into the orthant y >= 0; returns the number of
+    reflections.  ``supports`` is ``RootSystem.simple_supports`` for a weight
+    y and the dominant chamber, ``RootSystem.affine_supports`` for the
+    :func:`extended` labels y and the closed alcove.
 
-    Each sweep applies the affine reflection s_0 (only with ``kappa``) and
-    then s_1..s_r in turn, each one where it is violated.  A violated
-    reflection crosses exactly one wall separating y from the chamber or
-    alcove, so every order takes the same number of reflections and lands on
-    the same point, while one sweep may cross several walls.  Passing
-    ``max_steps`` reflections raises AssertionError.
+    Each sweep applies s_i, as y -= y_i * a_i, for i in table order where
+    violated (y_i < 0).  A violated reflection crosses exactly one wall
+    separating y from the chamber, so every order takes the same number of
+    reflections and lands on the same point, while one sweep may cross
+    several walls.  Passing ``max_steps`` reflections raises AssertionError.
     """
     steps = 0
-    while True:
-        excess = theta_pairing(rs, y) - kappa if kappa is not None else 0
-        if excess <= 0 and min(y) >= 0:
-            return steps
-        if excess > 0:
-            for j, t in rs._theta_support:
-                y[j] -= excess * t
-            steps += 1
-        for i, support in enumerate(rs._simple_support):
+    while min(y) < 0:
+        for i, support in enumerate(supports):
             c = y[i]
             if c < 0:
                 for j, a in support:
@@ -630,19 +633,20 @@ def sweep_reduce(rs: RootSystem, y: list, max_steps: int, kappa: "int | None" = 
                 steps += 1
         if steps > max_steps:
             raise AssertionError("reduction failed to terminate")
+    return steps
 
 
 def dominant_reduce(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
     """(dominant point in the finite Weyl orbit of the integer weight x,
     (-1)^steps), exact.
 
-    Cyclic sweeps of simple reflections (:func:`sweep_reduce`), the order
-    :func:`kernels.dominant_reduce_batch` uses; on a wall the sign carries
-    no meaning.  Each reflection lowers #{a > 0 : (y, a^vee) < 0} by exactly
-    one, so at most |positive roots| of them happen.
+    Cyclic sweeps of s_1..s_r (:func:`sweep_reduce` over ``simple_supports``),
+    the order :func:`kernels.dominant_reduce_batch` uses; on a wall the sign
+    carries no meaning.  Each reflection lowers #{a > 0 : (y, a^vee) < 0} by
+    exactly one, so at most |positive roots| of them happen.
     """
     y = list(check_weight(rs, x))
-    steps = sweep_reduce(rs, y, len(rs.positive_roots))
+    steps = sweep_reduce(rs.simple_supports, y, len(rs.positive_roots))
     return tuple(y), -1 if steps % 2 else 1
 
 

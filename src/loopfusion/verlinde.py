@@ -43,7 +43,7 @@ from .fusion import (
     s_matrix,
 )
 from .rootdata import RootSystem, Weight, as_nonnegative, check_dominant, pairing_int
-from .rootdata import theta_pairing
+from .rootdata import extended, theta_pairing
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def _node_symmetries(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], tuple
     ctx = AffineContext(rs, kappa - rs.dual_coxeter)
 
     def nodes(y: tuple) -> tuple[int, ...]:
-        p = tuple(v - 1 for v in (kappa - theta_pairing(rs, y), *y))
+        p = tuple(v - 1 for v in extended(rs, kappa, y))
         assert sorted(p) == list(range(rs.rank + 1)), "a symmetry must permute the affine nodes"
         return p
 
@@ -196,10 +196,10 @@ def _node_symmetries(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], tuple
 def _label_symmetries(rs: RootSystem, k: int, labels: tuple, index: dict):
     """The current group and conjugation of :func:`_node_symmetries` as maps
     of the level-k label indexes, identity first: (currents, dual)."""
-    extended = [(k - theta_pairing(rs, w), *w) for w in labels]
+    ext = [extended(rs, k, w) for w in labels]
 
     def relabel(p: tuple[int, ...]) -> list[int]:
-        return [index[tuple(e[i] for i in p[1:])] for e in extended]
+        return [index[tuple(e[i] for i in p[1:])] for e in ext]
 
     group, conjugation = _node_symmetries(rs)
     return [relabel(p) for p in group], relabel(conjugation)

@@ -21,7 +21,13 @@ from loopfusion.affine_weyl import (
     total_degree,
 )
 from loopfusion.errors import ValidationError
-from loopfusion.rootdata import build_root_system, theta_pairing
+from loopfusion.rootdata import (
+    build_root_system,
+    dominant_reduce,
+    extended,
+    sweep_reduce,
+    theta_pairing,
+)
 
 
 def interior(ctx, x):
@@ -312,3 +318,77 @@ def test_rational_points_sweep_to_the_greedy_walk_endpoint(label, h):
         assert len(r.word) == r.length
         assert (r.status == WALL) == on_wall(ctx, x)
         assert all(isinstance(v, int) for v in r.reduced if v.denominator == 1)
+
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7"]
+)
+def test_the_closed_alcove_is_the_orthant_of_the_extended_labels(label):
+    from fractions import Fraction
+
+    rs = build_root_system(label)
+    rng = random.Random(15)
+    seen = set()
+    for h in (0, 2):
+        ctx = AffineContext(rs, h)
+        kappa = ctx.kappa
+        top = max(2, 2 * kappa // sum(rs.comarks))  # about half the points are labels
+        for n in range(40):
+            d = rng.choice((1, 1, 2, 3))
+            span = (-d, d * top) if rng.random() < 0.8 else (-3 * kappa, 3 * kappa)
+            x = tuple(Fraction(rng.randint(*span), d) for _ in range(rs.rank))
+            x = tuple(int(v) if v.denominator == 1 else v for v in x)
+            x = x if n else rs.rho  # interior at every level, and rare among E7's draws
+            ext = extended(rs, kappa, x)
+            r = alcove_reduce(ctx, x)
+            inside = min(ext) >= 0
+            seen.add((inside, inside and 0 in ext))
+            assert inside == (r.length == 0)
+            if inside:
+                assert r.reduced == x
+                assert (0 in ext) == (r.status == WALL) == on_wall(ctx, x)
+            for i, a in enumerate(rs.affine_roots):
+                z = reflect_generator(ctx, x, i)
+                assert extended(rs, kappa, z) == tuple(e - ext[i] * c for e, c in zip(ext, a))
+                assert extended(rs, kappa, z)[i] == -ext[i]
+                assert reflect_generator(ctx, z, i) == x
+            if all(isinstance(v, int) for v in x):
+                label_test = min(x) >= 0 and theta_pairing(rs, x) <= h
+                assert in_alcove(rs, h, x) == label_test == (min(extended(rs, h, x)) >= 0)
+                y = list(x)
+                steps = sweep_reduce(rs.simple_supports, y, len(rs.positive_roots))
+                assert (tuple(y), -1 if steps % 2 else 1) == dominant_reduce(rs, x)
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx: reflect_generator(ctx, (0.5, 1.0), 1),
+        lambda ctx: reflect_generator(ctx, (1, 2, 3), 1),
+        lambda ctx: reflect_generator(ctx, (1,), 0),
+        lambda ctx: apply_affine_word(ctx, (0, 1), (2.5, -1.0)),
+        lambda ctx: apply_affine_word(ctx, (), (1, 2, 3)),
+    ],
+    ids=["float", "too-long", "too-short-affine", "word-float", "empty-word-too-long"],
+)
+def test_generators_refuse_floats_and_points_of_the_wrong_length(call):
+    with pytest.raises(ValidationError):
+        call(ctx_of("A2", 1))
+
+
+def test_generators_return_python_ints_for_numpy_ints_and_integral_fractions():
+    from fractions import Fraction
+
+    ctx = ctx_of("A2", 1)
+    for z in (
+        reflect_generator(ctx, (np.int64(2), Fraction(6, 2)), 1),
+        apply_affine_word(ctx, (1,), (np.int64(2), Fraction(6, 2))),
+    ):
+        assert z == (-2, 5) and all(type(v) is int for v in z)
+
+
+@pytest.mark.parametrize("rows", [[], ()], ids=["list", "tuple"])
+def test_an_empty_batch_reduces_to_three_empty_arrays(rows):
+    reduced, lengths, walls = alcove_reduce_batch(ctx_of("A2", 1), rows)
+    assert reduced.shape == (0, 2) and lengths.shape == walls.shape == (0,)

@@ -297,14 +297,13 @@ def test_freudenthal_total_is_weyl_dimension(label, data):
 def test_tensor_int64_guard_boundary(monkeypatch, top, exact):
     # (top - 2) x (1): the largest rho-shifted coordinate is exactly top, and
     # from 2^40 on the kernel receives Python-int rows instead of int64 ones
-    from loopfusion import finite_reps, kernels
+    from loopfusion import kernels
 
     dtypes = []
     real = kernels.dominant_reduce_batch
     monkeypatch.setattr(
         kernels, "dominant_reduce_batch", lambda *a: dtypes.append(a[1].dtype) or real(*a)
     )
-    finite_reps._tensor_cached.cache_clear()
     rs = build_root_system("A1")
     decomp = tensor_decompose(rs, (top - 2,), (1,))
     assert decomp.terms == {(top - 1,): 1, (top - 3,): 1}

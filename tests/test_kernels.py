@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from loopfusion import kernels
 from loopfusion.affine_weyl import WALL, AffineContext, alcove_reduce, alcove_reduce_batch
-from loopfusion.rootdata import build_root_system, dominant_reduce, sweep_reduce
+from loopfusion.rootdata import build_root_system, dominant_reduce, extended, sweep_reduce
 
 
 def test_fits_int64_boundary():
@@ -251,9 +251,9 @@ def test_batch_paths_scalar_path_and_kernel_agree_far_from_the_alcove(label, h, 
         assert ([int(v) for v in via_object[0][a]], via_object[1][a], bool(via_object[2][a])) == want
         assert (kernel[0][a].tolist(), int(kernel[1][a]), bool(kernel[2][a])) == want
         # one wall per reflection: the scalar sweeps count exactly the length
-        y = list(x)
-        assert sweep_reduce(rs, y, r.length, kappa) == r.length
-        assert y == list(r.reduced)
+        y = list(extended(rs, kappa, x))
+        assert sweep_reduce(rs.affine_supports, y, r.length) == r.length
+        assert y == list(extended(rs, kappa, r.reduced))
 
 
 @settings(max_examples=30, deadline=None)
@@ -305,8 +305,8 @@ def test_alcove_reductions_raise_one_reflection_short_of_the_length():
     with pytest.raises(AssertionError, match="terminate"):
         kernels.alcove_reduce_batch(*args[:3], np.array([1, 0]), xs.copy())
     # the scalar loop counts the same reflections under the same bound
-    y = xs[0].tolist()
-    assert sweep_reduce(rs, y, length, kappa) == length
-    assert y == reduced[0].tolist()
+    y = list(extended(rs, kappa, xs[0].tolist()))
+    assert sweep_reduce(rs.affine_supports, y, length) == length
+    assert y == list(extended(rs, kappa, reduced[0].tolist()))
     with pytest.raises(AssertionError, match="terminate"):
-        sweep_reduce(rs, xs[0].tolist(), length - 1, kappa)
+        sweep_reduce(rs.affine_supports, list(extended(rs, kappa, xs[0].tolist())), length - 1)

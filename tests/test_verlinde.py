@@ -451,7 +451,7 @@ def test_fusion_matrices_take_one_kac_walton_batch_per_fundamental(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("loopfusion"):
-            for attr in ("tensor_decompose", "fuse_kw", "_fuse_kw_cached", "_tensor_cached"):
+            for attr in ("tensor_decompose", "fuse_kw"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     calls = []
