@@ -3,9 +3,11 @@
 All points handled here are rho-shifted: the fundamental alcove is the set
 with (x, alpha_i^vee) >= 0 for simple coroots and (x, theta^vee) <= kappa,
 its interior the strict version, and the walls the affine hyperplanes
-(x, alpha) in kappa*Z over positive roots.  Every alcove test and generator
-reads the extended Dynkin labels of :func:`rootdata.extended`, where the
-closed alcove is the orthant y >= 0 and s_0 is one generator among the rest.
+(x, alpha) in kappa*Z over positive roots.  Every alcove test, wall verdict
+and generator, scalar or batch, reads the extended Dynkin labels of
+:func:`rootdata.extended` (:func:`kernels.extended_batch` for a batch), where
+the closed alcove is the orthant y >= 0, its walls the points with a zero
+label, and s_0 is one generator among the rest.
 
 Reduction needs no walk from x.  Its length is the number of walls strictly
 separating x from the alcove (Humphreys, *Reflection Groups and Coxeter
@@ -16,9 +18,13 @@ the affine orbit in the closed alcove (Walton, "Fusion rules in WZW models",
 sweeps finish in integers, each reflection where violated: s_0..s_rank in
 turn for one point, one colour class of the affine diagram at a time for a
 batch.  The sweeps start from x or from its translate, whichever has
-the shorter closed-form length; every violated reflection crosses exactly
-one separating wall, so any order reaches the same point in exactly that
-many reflections.
+the shorter closed-form length; a batch gets both lengths from one product
+over the positive roots, the translate having x's quotients less n*C, with
+n the kappa*Q^vee shift and C the Cartan integers <alpha, alpha_i^vee>.
+Every violated reflection crosses exactly one separating wall, so any order
+reaches the same point in exactly that many reflections, and an affine Weyl
+element maps walls to walls, so x is on one exactly when its reduced point
+is.
 Only ``AlcoveReduction.word`` walks from x itself, greedily, because its
 letters are output: the first violated generator in the order 0..rank
 ("affine_first") or 1..rank, 0 ("finite_first") fires.
@@ -259,14 +265,18 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
 def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     """Vectorized reduction of integer points; (reduced, lengths, wall flags).
 
-    Each row is :func:`alcove_reduce` in closed form plus one kernel call
-    over all rows: rows in the closed alcove stay, the others are swept from
-    x or its kappa*Q^vee translate, whichever is shorter.  The kernel takes
-    that start's closed-form length as the row's reflection count and the
-    longest one as its bound on the sweeps.  The rows run as int64 when they
-    and the alcove's scale fit the kernels' range, otherwise as Python ints,
-    in which case reduced points and lengths come back as object arrays.
-    Non-integer entries raise ValidationError.
+    Each row is :func:`alcove_reduce` read off its extended Dynkin labels
+    (:func:`kernels.extended_batch`): a row with no negative label is in the
+    closed alcove and stays, with a wall flag where some label is zero.  The
+    others get, in one product over the positive roots, their closed-form
+    length and that of their kappa*Q^vee translate, and one kernel call
+    sweeps each from x or the translate, whichever is shorter, taking that
+    length as its reflection count.  Their wall flags are the kernel's zero
+    labels of the reduced points, a point being on a wall exactly when its
+    reduced point is.  The rows run as int64 when they and the alcove's scale
+    fit the kernels' range, otherwise as Python ints, in which case reduced
+    points and lengths come back as object arrays.  Non-integer entries
+    raise ValidationError.
     """
     # a list goes in as Python ints: numpy would make floats of entries past
     # 2^63 that sit beside negative ones
@@ -283,23 +293,23 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     kappa = ctx.kappa
     den = rs.form_den * kappa
     ys = kernels.int_rows(arr, den)
-    level = ys @ rs.np_comarks
-    status = ((ys == 0).any(axis=1) | (level == kappa)).astype(np.int64)
+    labels = kernels.extended_batch(rs.comarks, kappa, ys)
+    status = (labels == 0).any(axis=1).astype(np.int64)
     lengths = np.zeros(len(ys), dtype=ys.dtype)
-    out = np.flatnonzero((level > kappa) | (ys < 0).any(axis=1))
+    out = np.flatnonzero((labels < 0).any(axis=1))
     if out.size == 0:
         return ys, lengths, status
     xs = ys[out]
-    length, wall = kernels.alcove_length_batch(rs.np_root_pairs, den, xs)
-    moved = xs - kappa * ((xs @ rs.np_form_int) // den) @ rs.np_simple_coroots
-    moved_length, _ = kernels.alcove_length_batch(rs.np_root_pairs, den, moved)
+    shifts = (xs @ rs.np_form_int) // den
+    length, moved_length = kernels.alcove_length_batch(
+        rs.np_root_pairs, rs.np_positive_roots, den, xs, shifts
+    )
+    moved = xs - kappa * shifts @ rs.np_simple_coroots
     start = np.where((moved_length < length)[:, None], moved, xs)
-    steps = np.minimum(moved_length, length)
-    ys[out] = kernels.alcove_reduce_batch(
-        rs.np_colour_classes, rs.np_comarks, kappa, steps, start
-    )[0]
+    ys[out], _, status[out] = kernels.alcove_reduce_batch(
+        rs.np_colour_classes, rs.comarks, kappa, np.minimum(moved_length, length), start
+    )
     lengths[out] = length
-    status[out] = wall
     return ys, lengths, status
 
 
@@ -320,15 +330,11 @@ def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":
     return total
 
 
-def in_alcove(rs: RootSystem, k: int, weight: tuple) -> bool:
-    """Dominant and (weight, theta^vee) <= k: the level-k label condition,
-    every extended label at level k nonnegative."""
-    return min(extended(rs, k, weight)) >= 0
-
-
 def check_alcove(rs: RootSystem, k: int, weight: tuple) -> tuple:
-    """weight as a level-k label (a tuple of ints), or ValidationError."""
+    """weight as a level-k label (a tuple of ints), or ValidationError: a
+    dominant weight of level at most k, every extended label at level k
+    nonnegative."""
     weight = check_weight(rs, weight)
-    if not in_alcove(rs, k, weight):
+    if min(extended(rs, k, weight)) < 0:
         raise ValidationError(f"weight {weight} is outside the level-{k} alcove of {rs.spec}")
     return weight

@@ -1,17 +1,19 @@
-"""Batched numpy kernels: finite-Weyl reduction, alcove lengths and
-reduction, S-sums.
+"""Batched numpy kernels: finite-Weyl reduction, extended Dynkin labels,
+alcove lengths and reduction, S-sums.
 
 Both reductions run in cyclic sweeps, branch-free over all rows, each
 reflection acting by how far a row violates it, which is zero where it does
 not.  The dominant kernel applies s_1..s_r in turn and counts the
-reflections.  The alcove kernel works in extended coordinates
-(kappa - level, x), where the closed alcove is an orthant, and applies the
-affine generators s_0..s_r one colour class of pairwise orthogonal nodes at
-a time, one matrix step per class; it counts nothing, its callers having
-each row's length in closed form.  A violated reflection crosses exactly
-one wall separating the row from its chamber or alcove, so each row takes
-the same number of reflections as in any other order, and a sweep may
-apply several of them.
+reflections.  The alcove kernel works on the rows of
+:func:`extended_batch`, the batch twin of ``rootdata.extended``, where the
+closed alcove is the orthant y >= 0 and its walls the rows with a zero
+label.  It applies the affine generators s_0..s_r one colour class of
+pairwise orthogonal nodes at a time, one matrix step per class, and counts
+nothing: :func:`alcove_length_batch` gives each row's length, and its
+translate's, in closed form from one product over the positive roots.  A
+violated reflection crosses exactly one wall separating the row from its
+chamber or alcove, so each row takes the same number of reflections as in
+any other order, and a sweep may apply several of them.
 
 The reductions take integer rows of either dtype and keep it: int64, or an
 object array of Python ints, which have no magnitude limit.  Callers get
@@ -77,42 +79,52 @@ def _finite_sweep(simple, ys, cs) -> None:
         ys -= np.multiply.outer(c, alpha)
 
 
-def alcove_length_batch(pairs, den: int, xs):
-    """Closed-form alcove length and wall flag of each row of xs, no walk.
+def extended_batch(comarks, kappa: int, xs):
+    """The batch twin of :func:`rootdata.extended`: one row (kappa - level(x),
+    *x) of extended Dynkin labels per row x of xs, in the dtype of xs, the
+    level pairing x with ``comarks`` (``RootSystem.comarks``).  The closed
+    alcove is the orthant of these rows, its walls their zeros."""
+    return np.column_stack((kappa - xs @ comarks, xs))
 
-    ``pairs`` holds form_den * alpha under the form, one row per positive
-    root, and ``den`` is form_den * kappa.  With x . pair = q*den + r, a root
-    counts |q| walls strictly between x and the alcove, or q - 1 (q > 0)
-    and -q (q <= 0) when x lies on one of its walls (r = 0).  Object rows
-    give object lengths; np.divmod has no object loop, hence q*den == x . pair
-    as the wall test.
+
+def alcove_length_batch(pairs, roots, den: int, xs, shifts):
+    """Closed-form alcove lengths of each row x of xs and of its translate
+    x - kappa * (shifts . simple coroots), in one pass over the positive roots.
+
+    ``pairs`` holds form_den * alpha under the form and ``roots`` the Dynkin
+    labels <alpha, alpha_i^vee>, one row per positive root; ``den`` is
+    form_den * kappa.  With x . pair = q*den + r, a root counts |q| walls
+    strictly between x and the alcove, or q - 1 (q > 0) and -q (q <= 0) when
+    x lies on one of its walls (r = 0).  The translate has the quotients
+    q - shifts . roots and the same remainders.  Object rows give object
+    lengths; np.divmod has no object loop, hence q*den == x . pair as the
+    zero-remainder test.
     """
     p = xs @ pairs.T
     q = p // den
     on = p == q * den
-    return (np.abs(q) - (on & (q > 0))).sum(axis=1), on.any(axis=1)
+    return tuple((np.abs(t) - (on & (t > 0))).sum(axis=1) for t in (q, q - shifts @ roots.T))
 
 
 def alcove_reduce_batch(classes, comarks, kappa: int, lengths, xs):
     """Reduce each row of xs into the closed level-kappa alcove by cyclic sweeps.
 
-    The sweeps run in extended coordinates y = (kappa - level, x), where the
-    closed alcove is the orthant y >= 0 and s_i acts as y -= min(y_i, 0) *
-    a_i, a_i being row i of ``RootSystem.affine_roots``.  ``classes`` holds
-    (nodes, rows of a) per colour class: the reflections of one class commute
-    and leave each other's coordinates alone, so a sweep is one matrix step
-    per class.  ``lengths`` are the rows' closed-form lengths, which the
-    kernel returns as its reflection counts; a sweep reflects every row not
-    yet reduced at least once, so the longest length bounds the sweeps.
-    Returns (reduced, lengths, status), status being 1 for points on the
-    closed-alcove boundary (wall points) and 0 otherwise.  The rows keep the
-    dtype of xs.
+    The sweeps run on the :func:`extended_batch` rows y = (kappa - level, x),
+    where the closed alcove is the orthant y >= 0 and s_i acts as y -=
+    min(y_i, 0) * a_i, a_i being row i of ``RootSystem.affine_roots``.
+    ``classes`` holds (nodes, rows of a) per colour class: the reflections of
+    one class commute and leave each other's coordinates alone, so a sweep is
+    one matrix step per class.  ``lengths`` are the rows' closed-form
+    lengths, which the kernel returns as its reflection counts; a sweep
+    reflects every row not yet reduced at least once, so the longest length
+    bounds the sweeps.  Returns (reduced, lengths, status), status being 1
+    for reduced points with a zero label, on the closed-alcove boundary, and
+    0 otherwise.  The affine Weyl group maps walls to walls, so a row is on a
+    wall exactly when its reduced point is.  The rows keep the dtype of xs.
     """
     if len(xs) == 0:
         return np.array(xs), lengths, np.zeros(0, dtype=np.int64)
-    ys = np.empty((len(xs), len(comarks) + 1), dtype=xs.dtype)
-    ys[:, 0] = kappa - xs @ comarks
-    ys[:, 1:] = xs
+    ys = extended_batch(comarks, kappa, xs)
     for _ in range(int(lengths.max())):
         if ys.min() >= 0:
             break

@@ -358,9 +358,9 @@ class RootSystem:
 
         # integer views used by the numeric kernels
         self.np_simple = np.array(self.simple_roots, dtype=np.int64)
-        self.np_comarks = np.array(self.comarks, dtype=np.int64)
         self.np_form_int = np.array(self.form_int, dtype=np.int64)
         self.np_root_pairs = np.array(self.root_pairs, dtype=np.int64)
+        self.np_positive_roots = np.array(self.positive_roots, dtype=np.int64)
         self.np_simple_coroots = np.array(self.simple_coroot_weights, dtype=np.int64)
         # per colour class: its nodes and their affine_roots rows
         self.np_colour_classes = tuple(

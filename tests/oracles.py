@@ -3,7 +3,8 @@
 Everything here is computed from first principles with no imports from the
 package under test: closed-form su(2) rules, frozen Lie-theory tables, a
 brute-force affine orbit search, and a standalone coroot generator working
-straight from frozen Cartan matrices.
+straight from frozen Cartan matrices.  The index formula takes its S-matrix
+and characters as arguments, so that it sums them with no alcove reduction.
 """
 
 from __future__ import annotations
@@ -198,3 +199,24 @@ def wall_by_enumeration(cartan, kappa: int, x) -> bool:
         if (value / kappa).denominator == 1:
             return True
     return False
+
+
+def index_euler_characteristic(sm, character, genus: int, insertions) -> complex:
+    """The index formula sum_mu S_{0mu}^(2-2g) prod_i chi_{lambda_i}(mu).
+
+    It is the signed Euler characteristic of the genus-g cohomology with
+    dominant insertions lambda_i, read off the unreduced weights: the Weyl
+    character changes sign under the shifted affine Weyl group and vanishes
+    on its walls (Teleman and Woodward, "The index formula for the moduli of
+    G-bundles on a curve", 2009).  ``sm`` has the level's ``labels`` and
+    S-matrix ``entries``, and ``character(lam, mu)`` is the Weyl character of
+    lam at exp(-2 pi i (mu+rho)/kappa), for any dominant lam.
+    """
+    vacuum = next(i for i, lw in enumerate(sm.labels) if not any(lw.weight))
+    total = 0j
+    for m, lw in enumerate(sm.labels):
+        term = complex(sm.entries[vacuum, m]) ** (2 - 2 * genus)
+        for lam in insertions:
+            term *= character(lam, lw.weight)
+        total += term
+    return total

@@ -15,7 +15,6 @@ from loopfusion.affine_weyl import (
     alcove_reduce_batch,
     apply_affine_word,
     check_alcove,
-    in_alcove,
     on_wall,
     reflect_generator,
     total_degree,
@@ -191,13 +190,18 @@ def test_batch_reduction_matches_single():
 
 def test_check_alcove_and_validation():
     rs = build_root_system("A1")
-    assert in_alcove(rs, 2, (0,))
-    check_alcove(rs, 2, (0,))
-    check_alcove(rs, 2, (2,))
-    with pytest.raises(ValidationError):
-        check_alcove(rs, 2, (3,))
-    with pytest.raises(ValidationError):
-        check_alcove(rs, 2, (-1,))
+    assert check_alcove(rs, 2, (0,)) == (0,)
+    assert check_alcove(rs, 2, (2,)) == (2,)
+    # off the alcove, of the wrong length, or not integers
+    for label, k, weight in [
+        ("A1", 2, (3,)),
+        ("A1", 2, (-1,)),
+        ("A1", 2, (1, 5)),
+        ("A2", 1, (0.5, 0.5)),
+        ("A1", 2, (1.5,)),
+    ]:
+        with pytest.raises(ValidationError):
+            check_alcove(build_root_system(label), k, weight)
     ctx = ctx_of("A1", 2)
     with pytest.raises(ValidationError):
         AffineContext(build_root_system("A1"), -1)
@@ -354,10 +358,18 @@ def test_the_closed_alcove_is_the_orthant_of_the_extended_labels(label):
                 assert reflect_generator(ctx, z, i) == x
             if all(isinstance(v, int) for v in x):
                 label_test = min(x) >= 0 and theta_pairing(rs, x) <= h
-                assert in_alcove(rs, h, x) == label_test == (min(extended(rs, h, x)) >= 0)
+                assert label_test == (min(extended(rs, h, x)) >= 0)
+                if label_test:
+                    assert check_alcove(rs, h, x) == x
+                else:
+                    with pytest.raises(ValidationError):
+                        check_alcove(rs, h, x)
                 y = list(x)
                 steps = sweep_reduce(rs.simple_supports, y, len(rs.positive_roots))
                 assert (tuple(y), -1 if steps % 2 else 1) == dominant_reduce(rs, x)
+            else:  # a rational point is no label, whatever its extended labels
+                with pytest.raises(ValidationError):
+                    check_alcove(rs, h, x)
     assert seen == {(False, False), (True, False), (True, True)}
 
 

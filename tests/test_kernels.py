@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopfusion import kernels
-from loopfusion.affine_weyl import WALL, AffineContext, alcove_reduce, alcove_reduce_batch
+from loopfusion.affine_weyl import (
+    WALL,
+    AffineContext,
+    _length_and_wall,
+    _translate,
+    alcove_reduce,
+    alcove_reduce_batch,
+)
 from loopfusion.rootdata import build_root_system, dominant_reduce, extended, sweep_reduce
 
 
@@ -34,6 +41,13 @@ def random_rows(rng, rank, n, lo=-40, hi=40):
     return np.array(
         [[rng.randint(lo, hi) for _ in range(rank)] for _ in range(n)], dtype=np.int64
     )
+
+
+def closed_form_lengths(rs, kappa, xs):
+    """The closed-form lengths of the rows of xs and of their kappa*Q^vee translates."""
+    den = rs.form_den * kappa
+    shifts = (xs @ rs.np_form_int) // den
+    return kernels.alcove_length_batch(rs.np_root_pairs, rs.np_positive_roots, den, xs, shifts)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
@@ -66,13 +80,11 @@ def test_alcove_reduce_backends_agree(label, h):
     kappa = ctx.kappa
     rng = random.Random(9)
     xs = random_rows(rng, rs.rank, 300, lo=-3 * kappa, hi=3 * kappa)
-    lengths, walls = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
-    lengths_obj, walls_obj = kernels.alcove_length_batch(
-        rs.np_root_pairs, rs.form_den * kappa, xs.astype(object)
-    )
+    lengths, moved = closed_form_lengths(rs, kappa, xs)
+    lengths_obj, moved_obj = closed_form_lengths(rs, kappa, xs.astype(object))
     assert lengths.tolist() == lengths_obj.tolist()
-    assert walls.tolist() == walls_obj.tolist()
-    args = (rs.np_colour_classes, rs.np_comarks, kappa)
+    assert moved.tolist() == moved_obj.tolist()
+    args = (rs.np_colour_classes, rs.comarks, kappa)
     via_int64 = kernels.alcove_reduce_batch(*args, lengths, xs.copy())
     via_object = kernels.alcove_reduce_batch(*args, lengths_obj, xs.astype(object))
     assert via_object[0].dtype == object
@@ -81,11 +93,13 @@ def test_alcove_reduce_backends_agree(label, h):
     reduced, steps, status = via_int64
     assert steps.tolist() == lengths.tolist()
     assert 0 < status.sum() < len(xs)  # both verdicts occur
-    for x, red, ell, wall, flag in zip(xs, reduced, lengths, status, walls):
-        exact = alcove_reduce(ctx, tuple(int(v) for v in x))
+    for x, red, ell, ell_moved, wall in zip(xs, reduced, lengths, moved, status):
+        x = tuple(int(v) for v in x)
+        exact = alcove_reduce(ctx, x)
         assert tuple(int(v) for v in red) == exact.reduced
         assert int(ell) == exact.length
-        assert int(wall) == int(flag) == (exact.status == WALL)
+        assert int(ell_moved) == _length_and_wall(ctx, _translate(ctx, x))[0]
+        assert int(wall) == (exact.status == WALL)
 
 
 def test_signed_sum_backends_agree():
@@ -207,7 +221,7 @@ def test_empty_batches():
     reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
     assert reduced.shape == (0, 2)
     reduced, steps, status = kernels.alcove_reduce_batch(
-        rs.np_colour_classes, rs.np_comarks, 3, np.empty(0, dtype=np.int64), xs
+        rs.np_colour_classes, rs.comarks, 3, np.empty(0, dtype=np.int64), xs
     )
     assert reduced.shape == (0, 2)
 
@@ -242,8 +256,8 @@ def test_batch_paths_scalar_path_and_kernel_agree_far_from_the_alcove(label, h, 
     via_int64 = alcove_reduce_batch(ctx, xs.copy())
     via_object = alcove_reduce_batch(ctx, xs.astype(object))
     # the kernel on the raw rows, no translation first, within their closed-form lengths
-    lengths, _ = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
-    kernel = kernels.alcove_reduce_batch(rs.np_colour_classes, rs.np_comarks, kappa, lengths, xs.copy())
+    lengths, _ = closed_form_lengths(rs, kappa, xs)
+    kernel = kernels.alcove_reduce_batch(rs.np_colour_classes, rs.comarks, kappa, lengths, xs.copy())
     for a, x in enumerate(xs.tolist()):
         r = alcove_reduce(ctx, tuple(x))
         want = (list(r.reduced), r.length, r.status == WALL)
@@ -295,10 +309,10 @@ def test_alcove_reductions_raise_one_reflection_short_of_the_length():
     rs, kappa = ctx.rs, ctx.kappa
     xs = random_rows(random.Random(8), rs.rank, 2, lo=-10 * kappa, hi=10 * kappa)
     xs[1] = 1  # rho, already in the alcove, beside the far row
-    lengths, _ = kernels.alcove_length_batch(rs.np_root_pairs, rs.form_den * kappa, xs)
+    lengths, _ = closed_form_lengths(rs, kappa, xs)
     length = int(lengths[0])
     assert length > 100
-    args = (rs.np_colour_classes, rs.np_comarks, kappa, lengths)
+    args = (rs.np_colour_classes, rs.comarks, kappa, lengths)
     reduced, steps, _ = kernels.alcove_reduce_batch(*args, xs.copy())
     assert steps.tolist() == [length, 0]
     # a sweep reflects a row at most rank + 1 times, so a count of 1 cannot reach the alcove
@@ -310,3 +324,58 @@ def test_alcove_reductions_raise_one_reflection_short_of_the_length():
     assert y == list(extended(rs, kappa, reduced[0].tolist()))
     with pytest.raises(AssertionError, match="terminate"):
         sweep_reduce(rs.affine_supports, list(extended(rs, kappa, xs[0].tolist())), length - 1)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"])
+def test_the_kernel_sweeps_only_rows_off_the_alcove_from_their_shorter_start(label, monkeypatch):
+    # the rows and reflection counts each kernel call receives: exactly the
+    # rows with a negative extended label, each from x or its translate,
+    # whichever has the shorter closed-form length, counting that length
+    calls = []
+    kernel = kernels.alcove_reduce_batch
+
+    def spy(*args):
+        calls.append((args[3], args[4]))
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "alcove_reduce_batch", spy)
+    rs = build_root_system(label)
+    rng = random.Random(f"{label} rows")
+    for h in (0, 2):
+        ctx = AffineContext(rs, h)
+        kappa = ctx.kappa
+
+        def far(scale):
+            while min(extended(rs, kappa, x := [rng.randint(-scale, scale) for _ in range(rs.rank)])) >= 0:
+                pass
+            return x
+
+        near = [list(alcove_reduce(ctx, far(3 * kappa)).reduced) for _ in range(5)]
+        out_small = [far(rng.choice((1, 10, 50)) * kappa) for _ in range(6)]
+        out_huge = [far(rng.randint(2, 8) * kernels.INT64_SAFE_LIMIT) for _ in range(4)]
+        mixed = near[:3] + out_small[:3] + out_huge[:2]
+        rng.shuffle(mixed)
+        batches = [near, out_small, out_huge, near[:2] + out_small, mixed]
+        for rows in batches:
+            calls.clear()
+            big = any(abs(v) >= kernels.INT64_SAFE_LIMIT for row in rows for v in row)
+            batch = alcove_reduce_batch(ctx, np.array(rows, dtype=object if big else np.int64))
+            assert (batch[0].dtype == object) == big
+            off = [tuple(x) for x in rows if min(extended(rs, kappa, x)) < 0]
+            if not off:
+                assert calls == []
+                continue
+            [(counts, starts)] = calls
+            assert len(starts) == len(off)
+            for x, count, start in zip(off, counts, starts):
+                length = _length_and_wall(ctx, x)[0]
+                moved = _translate(ctx, x)
+                moved_length = _length_and_wall(ctx, moved)[0]
+                assert count == min(length, moved_length)
+                assert tuple(start) == (moved if moved_length < length else x)
+                assert (min(extended(rs, kappa, tuple(start))) < 0) == (count > 0)
+            for a, x in enumerate(rows):
+                r = alcove_reduce(ctx, tuple(x))
+                assert (list(batch[0][a]), batch[1][a], bool(batch[2][a])) == (
+                    list(r.reduced), r.length, r.status == WALL
+                )

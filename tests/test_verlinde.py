@@ -1,5 +1,6 @@
 """Verlinde sums, cohomology verdicts, and node factorization."""
 
+import functools
 import itertools
 import random
 
@@ -8,7 +9,8 @@ import pytest
 
 from loopfusion.affine_weyl import INTERIOR, AffineContext, alcove_reduce
 from loopfusion.errors import NumericalError, ResourceError, ValidationError
-from loopfusion.fusion import alcove_weights, conjugate_weight, fuse_kw, fuse_s
+from loopfusion.finite_reps import character_ratio
+from loopfusion.fusion import alcove_weights, conjugate_weight, fuse_kw, fuse_s, s_matrix
 from loopfusion.rootdata import RootSystem, build_root_system
 from loopfusion.verlinde import (
     CohomologyReport,
@@ -18,6 +20,8 @@ from loopfusion.verlinde import (
     verlinde_dimension,
     verlinde_dimension_s,
 )
+
+import oracles
 
 
 def weights_of(rs, k):
@@ -578,3 +582,30 @@ def test_concurrent_first_calls_share_one_consistent_cache(monkeypatch):
             assert len(verlinde.fusion_matrices(a2, 4)._rows) == max(genera) + 1
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize(
+    "label,k",
+    [("A1", 2), ("A2", 2), ("G2", 1), ("B3", 1), ("C2", 2), ("A3", 1), ("B2", 1)],
+)
+def test_report_euler_characteristic_equals_the_index_formula(label, k):
+    # the Bott degree and the wall verdict against a sum that reduces nothing
+    rs = build_root_system(label)
+    kappa = k + rs.dual_coxeter
+    sm = s_matrix(rs, k)
+    character = functools.partial(character_ratio, rs, k)
+    rng = random.Random(f"{label} {k} index")
+    verdicts = set()
+    for genus in range(4):
+        for n in (1, 2):
+            for _ in range(3):
+                lams = tuple(
+                    tuple(rng.randint(0, rng.choice((1, 3, 50)) * kappa) for _ in range(rs.rank))
+                    for _ in range(n)
+                )
+                report = cohomology_report(rs, k, Surface(genus=genus, insertions=lams))
+                index = oracles.index_euler_characteristic(sm, character, genus, lams)
+                assert abs(index.imag) < 1e-6
+                assert abs(index.real - report.euler_characteristic) < 1e-6
+                verdicts.add(report.vanishes)
+    assert verdicts == {True, False}
