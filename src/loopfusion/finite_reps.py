@@ -2,12 +2,13 @@
 
 Dimensions by the Weyl product, weight multiplicities by the Freudenthal
 recursion in exact scaled-integer arithmetic over the dominant weights only
-(Moody-Patera), expanded by Weyl orbits afterwards, tensor decomposition by
-the Klimyk reflection rule, and Weyl-character evaluation at the torus
-points whose ratios reproduce S-matrix columns.  The Klimyk rows have one
-home, :func:`klimyk_reduce`, which reflects the rows of many offsets in one
-batch; :func:`tensor_decompose` is its one-offset case and the Kac-Walton
-fusion rows its many-offset one.
+(Moody-Patera), each expanded to its Weyl orbit as soon as its multiplicity
+is known, tensor decomposition by the Klimyk reflection rule, and
+Weyl-character evaluation at the torus points whose ratios reproduce
+S-matrix columns.  The Klimyk rows have one home, :func:`klimyk_reduce`,
+which reflects the rows of many offsets in one batch;
+:func:`tensor_decompose` is its one-offset case and the Kac-Walton fusion
+rows its many-offset one.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from .errors import ResourceError
 from .rootdata import (
     RootSystem,
     Weight,
-    cap_exceeded,
     check_dominant,
+    check_orbit_size,
     is_dominant,
     pairing_int,
-    weyl_cap,
     weyl_orbit,
-    weyl_order_from_heights,
 )
 
 WEIGHT_CAP_DEFAULT = 10**6
@@ -95,56 +94,32 @@ def _rho_coroot_product(rs: RootSystem) -> int:
     return prod(sum(coroot) for coroot in rs.positive_coroots)
 
 
-def _support(nu: Weight) -> Weight:
-    return tuple(int(v != 0) for v in nu)
-
-
-@lru_cache(maxsize=None)
-def _orbit_size(rs: RootSystem, support: Weight) -> int:
-    """|W| / |W_J| for a dominant weight whose labels vanish on J.
-
-    The stabilizer is the parabolic subgroup W_J, whose roots are the
-    positive roots supported on J; no orbit is enumerated.
-    """
-    heights = (h for k, h in zip(rs.root_coeffs, rs.root_heights)
-               if not any(c for c, s in zip(k, support) if s))
-    return rs.weyl_order // weyl_order_from_heights(heights)
-
-
 @lru_cache(maxsize=256)
 def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicities:
     # The dominant weights of V_lam are the dominant nu <= lam, and each one
     # is reached from lam through dominant weights by subtracting positive
     # roots (Moody-Patera), so the closure below finds all of them without
     # touching the rest of the root-lattice cone.  The cap counts every
-    # weight of each orbit found, so it refuses before any recursion runs;
-    # the alpha_i-string through lam alone refuses lam_i >= cap at once.
-    # Each orbit is also held to the Weyl cap that its expansion below will
-    # meet in weyl_orbit, so that refusal too comes before any recursion.
+    # weight of each orbit found, in closed form, so it refuses before any
+    # recursion runs; the alpha_i-string through lam alone refuses lam_i >=
+    # cap at once.  The same count holds each orbit to the Weyl cap that its
+    # expansion below will meet in weyl_orbit.
     too_many = ResourceError(f"weight system of {lam} exceeds the cap {cap}")
     if max(lam) >= cap:
         raise too_many
-    orbit_cap = weyl_cap()
-
-    def orbit_size(nu: Weight) -> int:
-        size = _orbit_size(rs, _support(nu))
-        if size > orbit_cap:
-            raise cap_exceeded(f"Weyl orbit of {nu} in {rs.spec}", orbit_cap)
-        return size
-
     depth_of: dict[Weight, int] = {lam: 0}
-    count = orbit_size(lam)
+    count = 0
     frontier = [lam]
     while frontier:
         nxt = []
         for x in frontier:
+            count += check_orbit_size(rs, x, f"Weyl orbit of {x} in {rs.spec}")
+            if count > cap:
+                raise too_many
             for alpha, a_ht in zip(rs.positive_roots, rs.root_heights):
                 y = tuple(v - a for v, a in zip(x, alpha))
                 if y not in depth_of and is_dominant(y):
                     depth_of[y] = depth_of[x] + a_ht
-                    count += orbit_size(y)
-                    if count > cap:
-                        raise too_many
                     nxt.append(y)
         frontier = nxt
 

@@ -15,6 +15,8 @@ instance.
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .affine_weyl import AffineContext, alcove_reduce_batch, check_alcove
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ResourceError, ValidationError
 from .finite_reps import WeightCombination, klimyk_reduce, weyl_dimension
 from .rootdata import (
     RootSystem,
@@ -31,10 +33,13 @@ from .rootdata import (
     as_nonnegative,
     canonical_key,
     dominant_representative,
+    weyl_group_size,
 )
 
 S_TOLERANCE = 1e-9
 ROUND_TOLERANCE = 1e-6
+# bytes the Weyl sum behind s_matrix may take, about 24 * |W| * n^2 for n labels
+S_BYTE_CAP = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,15 @@ def iter_alcove_labels(rs: RootSystem, k: int) -> Iterator[Weight]:
     return fill(0, k)
 
 
+def more_labels_than(rs: RootSystem, k: int, most: int) -> bool:
+    """Whether level k has more than ``most`` alcove labels.  Past the bound
+    prod(k // c + 1) on their number the labels are counted lazily, at most
+    most + 1 of them, so that a huge level is refused without listing them."""
+    return math.prod(k // c + 1 for c in rs.comarks) > most and sum(
+        1 for _ in itertools.islice(iter_alcove_labels(rs, k), most + 1)
+    ) > most
+
+
 def alcove_weights(rs: RootSystem, k: int) -> list[LevelWeight]:
     """Every level-k alcove label, canonically ordered, vacuum first."""
     k = as_nonnegative(k, "level")
@@ -105,6 +119,12 @@ _smatrix_lock = threading.Lock()
 
 
 def _build_s_matrix(rs: RootSystem, k: int) -> SMatrix:
+    # the signed Weyl sum holds int64 and complex128 arrays of shape (|W|, n, n)
+    if more_labels_than(rs, k, math.isqrt(S_BYTE_CAP // (24 * weyl_group_size(rs)))):
+        raise ResourceError(
+            f"level-{k} S-matrix of {rs.spec} exceeds the cap of {S_BYTE_CAP} bytes "
+            "for its Weyl sum"
+        )
     labels = alcove_weights(rs, k)
     kappa = k + rs.dual_coxeter
     mats, signs = rs.weyl_matrices()

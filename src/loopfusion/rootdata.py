@@ -74,11 +74,27 @@ def cap_exceeded(what: str, cap: int) -> ResourceError:
     return ResourceError(f"{what} exceeds the cap {cap} (raise {WEYL_CAP_ENV} to override)")
 
 
-def check_weyl_cap(rs: "RootSystem") -> None:
-    """Raise ResourceError when enumerating the Weyl group of rs exceeds the cap."""
+@lru_cache(maxsize=None)
+def _orbit_size(rs: "RootSystem", support: Weight) -> int:
+    """|W| / |W_J| for a dominant weight whose labels vanish on J.
+
+    The stabilizer is the parabolic subgroup W_J, whose roots are the
+    positive roots supported on J; no orbit is enumerated.
+    """
+    heights = (h for k, h in zip(rs.root_coeffs, rs.root_heights)
+               if not any(c for c, s in zip(k, support) if s))
+    return rs.weyl_order // weyl_order_from_heights(heights)
+
+
+def check_orbit_size(rs: "RootSystem", top: Weight, what: str) -> int:
+    """The size of the Weyl orbit of the dominant weight top, in closed form;
+    raises the Weyl-cap ResourceError for ``what`` when it passes the cap, so
+    an orbit is refused before any point of it is walked."""
     cap = weyl_cap()
-    if rs.weyl_order > cap:
-        raise cap_exceeded(f"Weyl order {rs.weyl_order} of {rs.spec}", cap)
+    size = _orbit_size(rs, tuple(int(v != 0) for v in top))
+    if size > cap:
+        raise cap_exceeded(what, cap)
+    return size
 
 
 @dataclass(frozen=True)
@@ -381,27 +397,28 @@ class RootSystem:
     # -- Weyl-group material --------------------------------------------------
 
     def weyl_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """All Weyl elements as int64 matrices plus their signs.
+        """All Weyl elements as int64 matrices plus their signs, in
+        :func:`enumerate_weyl` order.
 
-        Cached after the first call; guarded by the Weyl-order cap.
+        Cached after the first call; guarded by the Weyl-order cap.  Each
+        element is s_i times its parent, whose matrix it copies with only the
+        rows in the support of alpha_i changed, and whose sign it flips.
         """
-        check_weyl_cap(self)
+        size = weyl_group_size(self)
         with self._weyl_lock:
             if self._weyl_cache is None:
-                mats = []
-                signs = []
-                for _, mat, sign in _weyl_bfs(self):
-                    mats.append(mat)
-                    signs.append(sign)
-                self._weyl_cache = (np.array(mats, dtype=np.int64),
-                                    np.array(signs, dtype=np.int64))
+                mats = np.empty((size, self.rank, self.rank), dtype=np.int64)
+                mats[0] = np.eye(self.rank, dtype=np.int64)
+                signs = np.ones(size, dtype=np.int64)
+                for n, (_, parent, i) in enumerate(_orbit_walk(self, self.rho)):
+                    if n:
+                        # s_i w = w - alpha_i (row i of w)
+                        mats[n] = mats[parent]
+                        for j, a in self.simple_supports[i]:
+                            mats[n, j] -= a * mats[parent, i]
+                        signs[n] = -signs[parent]
+                self._weyl_cache = (mats, signs)
             return self._weyl_cache
-
-    def _simple_matrix(self, i: int) -> np.ndarray:
-        m = np.eye(self.rank, dtype=np.int64)
-        alpha = self.np_simple[i]
-        m[:, i] -= alpha
-        return m
 
     def describe(self) -> dict:
         """JSON-ready summary of every construction field."""
@@ -541,67 +558,63 @@ def canonical_key(rs: RootSystem, weight: tuple):
     return (theta_pairing(rs, weight), sum(weight), tuple(-v for v in weight))
 
 
-def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
-    """Full orbit of x under the finite Weyl group.
+def _orbit_walk(rs: RootSystem, top: Weight) -> Iterator[tuple[Weight, int, int]]:
+    """Each point of the Weyl orbit of the dominant weight top once, nearest
+    top first, as (z, index of its parent, i) with z = s_i(parent); top
+    comes first, as (top, -1, -1).
 
-    Walks down from the dominant point, reflecting only in positive
-    coordinates; every orbit point is reached that way.  Raises
-    ResourceError once the orbit passes the Weyl cap, so small orbits of
-    large groups (E7, E8) stay open.
+    From y the walk keeps z = s_i y (y_i > 0) only when no coordinate of z
+    before i is negative.  A point z below top has one parent, s_j z for the
+    least j with z_j < 0, which lies one reflection nearer top, so the walk
+    needs no seen set (Snow, "Weyl group orbits", ACM TOMS 1990).
+    """
+    points = [top]
+    yield top, -1, -1
+    for parent, y in enumerate(points):  # points grows as the walk goes
+        for i, (c, support) in enumerate(zip(y, rs.simple_supports)):
+            if c > 0:
+                z = list(y)
+                for j, a in support:
+                    z[j] -= c * a
+                if min(z[:i], default=0) >= 0:
+                    z = tuple(z)
+                    points.append(z)
+                    yield z, parent, i
+
+
+def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
+    """Full orbit of x under the finite Weyl group, walked down from its
+    dominant point.
+
+    Raises ResourceError when the orbit's closed-form size passes the Weyl
+    cap, before any point is walked, so small orbits of large groups (E7,
+    E8) stay open.
     """
     x = check_weight(rs, x)
-    cap = weyl_cap()
     top = dominant_reduce(rs, x)[0]
-    seen = {top}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for yi, alpha in zip(y, rs.simple_roots):
-                if yi > 0:
-                    z = tuple(v - yi * a for v, a in zip(y, alpha))
-                    if z not in seen:
-                        if len(seen) == cap:
-                            raise cap_exceeded(f"Weyl orbit of {tuple(x)} in {rs.spec}", cap)
-                        seen.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    return frozenset(seen)
+    check_orbit_size(rs, top, f"Weyl orbit of {x} in {rs.spec}")
+    return frozenset(z for z, _, _ in _orbit_walk(rs, top))
 
 
-def _weyl_bfs(rs: RootSystem) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
-    """BFS over the Cayley graph: (reduced word, matrix, sign) per element.
-
-    Elements are identified by their action on rho, which is regular, so
-    each one appears exactly once.
-    """
-    simple_mats = [rs._simple_matrix(i) for i in range(rs.rank)]
-    rho_vec = np.array(rs.rho, dtype=np.int64)
-    seen = {rs.rho}
-    level: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(rs.rank, dtype=np.int64))]
-    while level:
-        for word, mat in level:
-            yield word, mat, 1 if len(word) % 2 == 0 else -1
-        nxt: list[tuple[tuple[int, ...], np.ndarray]] = []
-        for word, mat in level:
-            for i in range(rs.rank):
-                child_mat = mat @ simple_mats[i]
-                image = tuple(int(v) for v in child_mat @ rho_vec)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append((word + (i,), child_mat))
-        level = nxt
+def weyl_group_size(rs: RootSystem) -> int:
+    """|W|, the size of the orbit of rho, which is regular: its points are
+    the Weyl elements w, as w(rho).  Refused past the Weyl cap."""
+    return check_orbit_size(rs, rs.rho, f"Weyl order {rs.weyl_order} of {rs.spec}")
 
 
 def enumerate_weyl(rs: RootSystem) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield each Weyl element once as (reduced word, sign).
 
     Words are tuples of simple-reflection indexes, composed left to right as
-    maps (the last index acts first); BFS order, identity first.
+    maps (the last index acts first); identity first, then by length.  An
+    element's word is its letter i followed by its parent's word.
     """
-    check_weyl_cap(rs)
-    for word, _, sign in _weyl_bfs(rs):
-        yield word, sign
+    weyl_group_size(rs)
+    words: list[tuple[int, ...]] = []
+    for _, parent, i in _orbit_walk(rs, rs.rho):
+        word = (i, *words[parent]) if words else ()
+        words.append(word)
+        yield word, -1 if len(word) % 2 else 1
 
 
 def apply_word(rs: RootSystem, word: tuple[int, ...], x: tuple) -> tuple:

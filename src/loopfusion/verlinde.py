@@ -23,7 +23,6 @@ estimated float error could reach the integer.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -38,8 +37,8 @@ from .fusion import (
     ROUND_TOLERANCE,
     alcove_weights,
     conjugate_weight,
-    iter_alcove_labels,
     kac_walton_rows,
+    more_labels_than,
     s_matrix,
 )
 from .rootdata import RootSystem, Weight, as_nonnegative, check_dominant, pairing_int
@@ -224,13 +223,8 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
         f"level-{k} fusion matrices of {rs.spec} exceed the cap of "
         f"{FUSION_ENTRY_CAP} stored coefficients"
     )
-    # every row of every N_a is nonzero, so n labels store n*n coefficients at
-    # least; past the bound prod(k // c + 1) on n, count the labels lazily, so
-    # that a huge level is refused without listing them
-    most = math.isqrt(FUSION_ENTRY_CAP)
-    if math.prod(k // c + 1 for c in rs.comarks) > most and sum(
-        1 for _ in itertools.islice(iter_alcove_labels(rs, k), most + 1)
-    ) > most:
+    # every row of every N_a is nonzero, so n labels store n*n coefficients at least
+    if more_labels_than(rs, k, math.isqrt(FUSION_ENTRY_CAP)):
         raise too_many
     labels = tuple(lw.weight for lw in alcove_weights(rs, k))
     index = {w: i for i, w in enumerate(labels)}

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from loopfusion.errors import ResourceError, ValidationError
 from loopfusion.finite_reps import (
     VirtualCharacter,
-    _orbit_size,
     character_numerator,
     character_ratio,
     tensor_decompose,
@@ -21,7 +20,7 @@ from loopfusion.finite_reps import (
     weyl_dimension,
 )
 from loopfusion.fusion import FusionElement
-from loopfusion.rootdata import build_root_system, weyl_cap, weyl_orbit
+from loopfusion.rootdata import _orbit_size, build_root_system, weyl_cap, weyl_orbit
 
 import oracles
 

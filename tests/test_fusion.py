@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from loopfusion.errors import NumericalError, ValidationError
+from loopfusion.errors import NumericalError, ResourceError, ValidationError
 from loopfusion.fusion import (
     FusionElement,
     LevelWeight,
@@ -273,6 +273,33 @@ def test_level_weight_is_hashable_record():
     lw = LevelWeight(weight=(1, 0), k=3)
     assert lw.weight == (1, 0) and lw.k == 3
     assert len({lw, LevelWeight(weight=(1, 0), k=3)}) == 1
+
+
+def test_s_matrix_refuses_past_its_byte_cap_before_any_walk_or_label_list(monkeypatch):
+    from loopfusion import fusion, kernels
+    from loopfusion.rootdata import RootSystem
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the byte cap must refuse first")
+
+    def listed(*args, **kwargs):
+        raise LookupError("labels listed")
+
+    monkeypatch.setattr(kernels, "signed_weyl_sum", refuse)
+    monkeypatch.setattr(RootSystem, "weyl_matrices", refuse)
+    monkeypatch.setattr(fusion, "alcove_weights", listed)
+    # about 24 |W| n^2 bytes: A2 k=200 (n = 20301) 59 GB, E6 k=5 (n = 78) 7.6 GB
+    for label, k in [("A2", 200), ("E6", 5), ("A2", 10**9)]:
+        with pytest.raises(ResourceError, match=f"level-{k} S-matrix of {label} exceeds the cap "
+                           f"of {2**32} bytes for its Weyl sum"):
+            s_matrix(build_root_system(label), k)
+    # E6 k=4 (2.2 GB) and A2 k=103 (n = 5460, 4.29 GB) pass on to list their labels
+    for label, k in [("E6", 4), ("A2", 103)]:
+        with pytest.raises(LookupError):
+            s_matrix(build_root_system(label), k)
+    # E7 k=3 is past both caps; the Weyl cap, checked first, keeps its message
+    with pytest.raises(ResourceError, match="Weyl order 2903040 of E7 exceeds the cap 51840"):
+        s_matrix(build_root_system("E7"), 3)
 
 
 def test_routes_agree_on_every_e6_level_2_pair():

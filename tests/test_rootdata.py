@@ -20,6 +20,7 @@ from loopfusion.rootdata import (
     dominant_representative,
     enumerate_weyl,
     pairing,
+    sweep_reduce,
     theta_pairing,
     weyl_orbit,
 )
@@ -266,16 +267,46 @@ def test_malformed_weyl_cap_is_rejected(monkeypatch, raw):
             call()
 
 
-def test_weyl_matrices_agree_with_words():
-    import numpy as np
+def test_the_cap_refuses_before_any_point_is_walked(monkeypatch):
+    from loopfusion import rootdata
 
-    rs = build_root_system("B2")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Weyl cap must refuse before the orbit walk")
+
+    monkeypatch.setattr(rootdata, "_orbit_walk", refuse)
+    e7 = build_root_system("E7")
+    orbit = r"Weyl orbit of \(1, 1, 1, 1, 1, 1, 1\) in E7 exceeds the cap 51840 "
+    order = r"Weyl order 2903040 of E7 exceeds the cap 51840 "
+    hint = r"\(raise LOOPFUSION_WEYL_CAP to override\)$"
+    with pytest.raises(ResourceError, match=orbit + hint):
+        weyl_orbit(e7, (1,) * 7)
+    with pytest.raises(ResourceError, match=order + hint):
+        list(enumerate_weyl(e7))
+    with pytest.raises(ResourceError, match=order + hint):
+        e7.weyl_matrices()
+    monkeypatch.setenv("LOOPFUSION_WEYL_CAP", "2")
+    with pytest.raises(ResourceError, match=r"Weyl orbit of \(1, 0\) in A2 exceeds the cap 2 " + hint):
+        weyl_orbit(build_root_system("A2"), (1, 0))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_weyl_matrices_agree_with_words(label):
+    rs = build_root_system(label)
     mats, signs = rs.weyl_matrices()
-    assert mats.shape == (8, 2, 2)
+    assert mats.shape == (rs.weyl_order, rs.rank, rs.rank)
     assert set(signs.tolist()) == {1, -1}
-    for (word, sign), mat, msign in zip(enumerate_weyl(rs), mats, signs):
+    assert len({m.tobytes() for m in mats}) == rs.weyl_order
+    elems = list(enumerate_weyl(rs))
+    assert len(elems) == rs.weyl_order
+    lengths = [len(word) for word, _ in elems]
+    assert lengths == sorted(lengths)
+    rho = np.array(rs.rho)
+    for (word, sign), mat, msign in zip(elems, mats, signs):
         assert sign == msign
-        assert apply_word(rs, word, rs.rho) == tuple(int(v) for v in mat @ np.array(rs.rho))
+        image = [int(v) for v in mat @ rho]
+        assert apply_word(rs, word, rs.rho) == tuple(image)
+        # every word is reduced: as long as the reflections taking w(rho) back to rho
+        assert len(word) == sweep_reduce(rs.simple_supports, image, len(rs.positive_roots))
 
 
 def test_describe_serializes_to_json():
