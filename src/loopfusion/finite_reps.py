@@ -3,7 +3,10 @@
 Dimensions by the Weyl product, weight multiplicities by the Freudenthal
 recursion in exact scaled-integer arithmetic over the dominant weights only
 (Moody-Patera), each expanded to its Weyl orbit as soon as its multiplicity
-is known, tensor decomposition by the Klimyk reflection rule, and
+is known.  The recursion reads each root string once: it keeps, for this
+recursion only, the tail sums of m(w) (w, alpha) up each alpha-string,
+filled from the top, so its cost grows with the number of weights, not
+with their size.  Then tensor decomposition by the Klimyk reflection rule, and
 Weyl-character evaluation at the torus points whose ratios reproduce
 S-matrix columns.  The Klimyk rows have one home, :func:`klimyk_reduce`,
 which reflects the rows of many offsets in one batch;
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -26,8 +30,8 @@ from .rootdata import (
     Weight,
     check_dominant,
     check_orbit_size,
-    is_dominant,
     pairing_int,
+    weyl_cap,
     weyl_orbit,
 )
 
@@ -80,9 +84,7 @@ def weyl_dimension(rs: RootSystem, lam: tuple) -> int:
     """dim V_lambda = prod over positive roots of (lam+rho, a^vee)/(rho, a^vee)."""
     lam = check_dominant(rs, lam)
     shifted = [v + 1 for v in lam]
-    num = 1
-    for coroot in rs.positive_coroots:
-        num *= sum(c * v for c, v in zip(coroot, shifted))
+    num = prod(sum(map(mul, coroot, shifted)) for coroot in rs.positive_coroots)
     out, rem = divmod(num, _rho_coroot_product(rs))
     assert rem == 0 and out > 0
     return out
@@ -95,7 +97,7 @@ def _rho_coroot_product(rs: RootSystem) -> int:
 
 
 @lru_cache(maxsize=256)
-def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicities:
+def _weight_system(rs: RootSystem, lam: Weight, cap: int, orbit_cap: int) -> WeightMultiplicities:
     # The dominant weights of V_lam are the dominant nu <= lam, and each one
     # is reached from lam through dominant weights by subtracting positive
     # roots (Moody-Patera), so the closure below finds all of them without
@@ -103,7 +105,9 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicitie
     # weight of each orbit found, in closed form, so it refuses before any
     # recursion runs; the alpha_i-string through lam alone refuses lam_i >=
     # cap at once.  The same count holds each orbit to the Weyl cap that its
-    # expansion below will meet in weyl_orbit.
+    # expansion below will meet in weyl_orbit.  That cap is orbit_cap, an
+    # argument only so that it is part of the cache key: lowering the cap
+    # refuses a cached system too.
     too_many = ResourceError(f"weight system of {lam} exceeds the cap {cap}")
     if max(lam) >= cap:
         raise too_many
@@ -116,19 +120,30 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicitie
             count += check_orbit_size(rs, x, f"Weyl orbit of {x} in {rs.spec}")
             if count > cap:
                 raise too_many
+            depth = depth_of[x]
             for alpha, a_ht in zip(rs.positive_roots, rs.root_heights):
-                y = tuple(v - a for v, a in zip(x, alpha))
-                if y not in depth_of and is_dominant(y):
-                    depth_of[y] = depth_of[x] + a_ht
+                y = tuple(map(sub, x, alpha))
+                if y not in depth_of and min(y) >= 0:
+                    depth_of[y] = depth + a_ht
                     nxt.append(y)
         frontier = nxt
 
     # Freudenthal recursion, exact: the scaled form makes every term integral.
     # Each orbit is expanded as soon as its multiplicity is known (Klimyk
     # needs every weight anyway), so the higher weights nu + j*alpha that the
-    # recursion reads are plain lookups.
+    # recursion reads are plain lookups.  The numerator for nu is
+    # sum_alpha T_alpha(nu + alpha), with the tail sums
+    # T_alpha(w) = sum_{j>=0} m(w + j*alpha) * form_den * (w + j*alpha, alpha)
+    # kept for this recursion only: a string is walked up only to its first
+    # known tail, or its top, and filled on the way down, so each (weight,
+    # root) tail is summed once.  form_den * (w + j*alpha, alpha) is
+    # w.pair + j * alpha.pair with pair the root's row of rs.root_pairs.
     lam_rho = tuple(v + 1 for v in lam)
     lam_rho_sq = pairing_int(rs, lam_rho, lam_rho)
+    strings = [
+        (alpha, pair, sum(map(mul, alpha, pair)), {})
+        for alpha, pair in zip(rs.positive_roots, rs.root_pairs)
+    ]
     mults: dict[Weight, int] = {}
     full: dict[Weight, int] = {}
     for nu in sorted(depth_of, key=lambda w: (depth_of[w], w)):
@@ -136,19 +151,27 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int) -> WeightMultiplicitie
             q = 1
         else:
             numer = 0
-            for alpha in rs.positive_roots:
-                mu = tuple(v + a for v, a in zip(nu, alpha))
-                while m := full.get(mu, 0):  # alpha-strings of weights are unbroken
-                    numer += m * pairing_int(rs, mu, alpha)
-                    mu = tuple(v + a for v, a in zip(mu, alpha))
+            for alpha, pair, step, tails in strings:
+                mu = tuple(map(add, nu, alpha))
+                string = []
+                while mu not in tails and (m := full.get(mu, 0)):  # strings are unbroken
+                    string.append((mu, m))
+                    mu = tuple(map(add, mu, alpha))
+                tail = tails.get(mu, 0)
+                if string:
+                    base = sum(map(mul, string[0][0], pair))
+                    for j in range(len(string) - 1, -1, -1):
+                        w, m = string[j]
+                        tail += m * (base + j * step)
+                        tails[w] = tail
+                numer += tail
             nu_rho = tuple(v + 1 for v in nu)
             denom = lam_rho_sq - pairing_int(rs, nu_rho, nu_rho)
             assert denom > 0
             q, rem = divmod(2 * numer, denom)
             assert rem == 0 and q > 0
         mults[nu] = q
-        for w in weyl_orbit(rs, nu):
-            full[w] = q
+        full.update(dict.fromkeys(weyl_orbit(rs, nu), q))
     out = WeightMultiplicities(highest=lam, by_weight=full, dominant=mults)
     assert out.total() == weyl_dimension(rs, lam)
     return out
@@ -162,7 +185,7 @@ def weight_multiplicities(
     Raises ResourceError when the irrep has more than ``cap`` distinct weights.
     """
     lam = check_dominant(rs, lam)
-    return _weight_system(rs, lam, cap)
+    return _weight_system(rs, lam, cap, weyl_cap())
 
 
 def tensor_decompose(rs: RootSystem, lam: tuple, mu: tuple) -> VirtualCharacter:

@@ -175,6 +175,7 @@ def _build_s_matrix(rs: RootSystem, k: int) -> SMatrix:
 def s_matrix(rs: RootSystem, k: int) -> SMatrix:
     """The S-matrix at level k, cached; all structural gates enforced."""
     k = as_nonnegative(k, "level")
+    weyl_group_size(rs)  # the Weyl cap may have been lowered since a cached build
     key = (rs.spec.series, rs.spec.rank, k)
     with _smatrix_lock:
         got = _smatrix_cache.get(key)

@@ -410,13 +410,14 @@ class RootSystem:
                 mats = np.empty((size, self.rank, self.rank), dtype=np.int64)
                 mats[0] = np.eye(self.rank, dtype=np.int64)
                 signs = np.ones(size, dtype=np.int64)
-                for n, (_, parent, i) in enumerate(_orbit_walk(self, self.rho)):
-                    if n:
-                        # s_i w = w - alpha_i (row i of w)
-                        mats[n] = mats[parent]
-                        for j, a in self.simple_supports[i]:
-                            mats[n, j] -= a * mats[parent, i]
-                        signs[n] = -signs[parent]
+                _, parents, letters = _orbit_walk(self, self.rho)
+                for n in range(1, size):
+                    # s_i w = w - alpha_i (row i of w)
+                    parent, i = parents[n], letters[n]
+                    mats[n] = mats[parent]
+                    for j, a in self.simple_supports[i]:
+                        mats[n, j] -= a * mats[parent, i]
+                    signs[n] = -signs[parent]
                 self._weyl_cache = (mats, signs)
             return self._weyl_cache
 
@@ -512,10 +513,9 @@ def pairing_int(rs: RootSystem, x: tuple, y: tuple):
     vectors.  No rank check: this is the inner-loop form of :func:`pairing`.
     """
     total = 0
-    for i, xi in enumerate(x):
+    for xi, row in zip(x, rs.form_int):
         if xi:
-            row = rs.form_int[i]
-            total += xi * sum(yj * row[j] for j, yj in enumerate(y) if yj)
+            total += xi * sum(map(operator.mul, row, y))
     return total
 
 
@@ -558,28 +558,39 @@ def canonical_key(rs: RootSystem, weight: tuple):
     return (theta_pairing(rs, weight), sum(weight), tuple(-v for v in weight))
 
 
-def _orbit_walk(rs: RootSystem, top: Weight) -> Iterator[tuple[Weight, int, int]]:
+def _orbit_walk(rs: RootSystem, top: Weight) -> tuple[list[Weight], list[int], list[int]]:
     """Each point of the Weyl orbit of the dominant weight top once, nearest
-    top first, as (z, index of its parent, i) with z = s_i(parent); top
-    comes first, as (top, -1, -1).
+    top first, as three lists built in one loop: the points z, the index of
+    each one's parent and the letter i with z = s_i(parent).  top comes
+    first, with parent and letter -1.
 
     From y the walk keeps z = s_i y (y_i > 0) only when no coordinate of z
     before i is negative.  A point z below top has one parent, s_j z for the
     least j with z_j < 0, which lies one reflection nearer top, so the walk
     needs no seen set (Snow, "Weyl group orbits", ACM TOMS 1990).
     """
-    points = [top]
-    yield top, -1, -1
+    points, parents, letters = [top], [-1], [-1]
+    add_point, add_parent, add_letter = points.append, parents.append, letters.append
+    roots, supports = rs.simple_roots, rs.simple_supports
     for parent, y in enumerate(points):  # points grows as the walk goes
-        for i, (c, support) in enumerate(zip(y, rs.simple_supports)):
+        first = -1  # index of y's first negative coordinate, once passed
+        for i, c in enumerate(y):
             if c > 0:
+                # s_i raises the coordinates alpha_i touches besides the i-th
+                # and leaves the rest, so z is refused before it is built
+                # when y's first negative coordinate stays negative in it
+                if first >= 0 and y[first] < c * roots[i][first]:
+                    continue
                 z = list(y)
-                for j, a in support:
+                for j, a in supports[i]:
                     z[j] -= c * a
-                if min(z[:i], default=0) >= 0:
-                    z = tuple(z)
-                    points.append(z)
-                    yield z, parent, i
+                if first < 0 or min(z[:i]) >= 0:
+                    add_point(tuple(z))
+                    add_parent(parent)
+                    add_letter(i)
+            elif c and first < 0:
+                first = i
+    return points, parents, letters
 
 
 def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
@@ -593,7 +604,7 @@ def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
     x = check_weight(rs, x)
     top = dominant_reduce(rs, x)[0]
     check_orbit_size(rs, top, f"Weyl orbit of {x} in {rs.spec}")
-    return frozenset(z for z, _, _ in _orbit_walk(rs, top))
+    return frozenset(_orbit_walk(rs, top)[0])
 
 
 def weyl_group_size(rs: RootSystem) -> int:
@@ -610,9 +621,11 @@ def enumerate_weyl(rs: RootSystem) -> Iterator[tuple[tuple[int, ...], int]]:
     element's word is its letter i followed by its parent's word.
     """
     weyl_group_size(rs)
-    words: list[tuple[int, ...]] = []
-    for _, parent, i in _orbit_walk(rs, rs.rho):
-        word = (i, *words[parent]) if words else ()
+    _, parents, letters = _orbit_walk(rs, rs.rho)
+    words: list[tuple[int, ...]] = [()]
+    yield (), 1
+    for parent, i in zip(parents[1:], letters[1:]):
+        word = (i, *words[parent])
         words.append(word)
         yield word, -1 if len(word) % 2 else 1
 

@@ -19,7 +19,7 @@ from loopfusion.finite_reps import (
     weight_multiplicities,
     weyl_dimension,
 )
-from loopfusion.fusion import FusionElement
+from loopfusion.fusion import FusionElement, s_matrix
 from loopfusion.rootdata import _orbit_size, build_root_system, weyl_cap, weyl_orbit
 
 import oracles
@@ -114,6 +114,33 @@ def test_huge_weights_are_refused_before_any_recursion(monkeypatch):
     monkeypatch.setenv("LOOPFUSION_WEYL_CAP", "5")
     with pytest.raises(ResourceError, match=r"orbit of \(1, 1\)"):
         weight_multiplicities(build_root_system("A2"), (3, 0), cap=999)
+
+
+def test_a_lowered_weyl_cap_refuses_cached_answers_too(monkeypatch):
+    a2 = build_root_system("A2")
+    assert weight_multiplicities(a2, (1, 1)).total() == 8
+    assert len(s_matrix(a2, 1).labels) == 3
+    monkeypatch.setenv("LOOPFUSION_WEYL_CAP", "2")
+    with pytest.raises(ResourceError, match=r"orbit of \(1, 1\)"):
+        weight_multiplicities(a2, (1, 1))
+    with pytest.raises(ResourceError, match="Weyl order 6 of A2"):
+        s_matrix(a2, 1)
+
+
+def test_a1_weight_system_of_20000_is_one_string_of_multiplicity_one():
+    m = weight_multiplicities(build_root_system("A1"), (20000,))
+    assert len(m.by_weight) == 20001
+    assert set(m.by_weight) == {(v,) for v in range(-20000, 20001, 2)}
+    assert set(m.by_weight.values()) == {1}
+    assert m.dominant == {(v,): 1 for v in range(0, 20001, 2)}
+
+
+def test_a3_weight_system_of_8_8_8_sums_to_its_dimension():
+    a3 = build_root_system("A3")
+    m = weight_multiplicities(a3, (8, 8, 8))
+    assert m.total() == weyl_dimension(a3, (8, 8, 8)) == 9**6
+    for w, mult in m.dominant.items():
+        assert all(m.by_weight[y] == mult for y in weyl_orbit(a3, w))
 
 
 ORBIT_LABELS = ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "D5", "G2", "F4", "E6", "E7", "E8"]
