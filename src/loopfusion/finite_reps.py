@@ -106,8 +106,8 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int, orbit_cap: int) -> Wei
     # recursion runs; the alpha_i-string through lam alone refuses lam_i >=
     # cap at once.  The same count holds each orbit to the Weyl cap that its
     # expansion below will meet in weyl_orbit.  That cap is orbit_cap, an
-    # argument only so that it is part of the cache key: lowering the cap
-    # refuses a cached system too.
+    # argument so that it is part of the cache key: lowering the cap refuses
+    # a cached system too.
     too_many = ResourceError(f"weight system of {lam} exceeds the cap {cap}")
     if max(lam) >= cap:
         raise too_many
@@ -117,7 +117,7 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int, orbit_cap: int) -> Wei
     while frontier:
         nxt = []
         for x in frontier:
-            count += check_orbit_size(rs, x, f"Weyl orbit of {x} in {rs.spec}")
+            count += check_orbit_size(rs, x, "Weyl orbit of {} in {}", x, rs.spec, cap=orbit_cap)
             if count > cap:
                 raise too_many
             depth = depth_of[x]

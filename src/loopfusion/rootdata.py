@@ -86,14 +86,16 @@ def _orbit_size(rs: "RootSystem", support: Weight) -> int:
     return rs.weyl_order // weyl_order_from_heights(heights)
 
 
-def check_orbit_size(rs: "RootSystem", top: Weight, what: str) -> int:
+def check_orbit_size(rs: "RootSystem", top: Weight, what: str, *args, cap: "int | None" = None) -> int:
     """The size of the Weyl orbit of the dominant weight top, in closed form;
-    raises the Weyl-cap ResourceError for ``what`` when it passes the cap, so
-    an orbit is refused before any point of it is walked."""
-    cap = weyl_cap()
+    raises the Weyl-cap ResourceError for ``what.format(*args)`` when it
+    passes ``cap`` (default :func:`weyl_cap`), so an orbit is refused before
+    any point of it is walked.  The message is built only when it raises."""
+    if cap is None:
+        cap = weyl_cap()
     size = _orbit_size(rs, tuple(int(v != 0) for v in top))
     if size > cap:
-        raise cap_exceeded(what, cap)
+        raise cap_exceeded(what.format(*args), cap)
     return size
 
 
@@ -603,14 +605,14 @@ def weyl_orbit(rs: RootSystem, x: tuple) -> frozenset:
     """
     x = check_weight(rs, x)
     top = dominant_reduce(rs, x)[0]
-    check_orbit_size(rs, top, f"Weyl orbit of {x} in {rs.spec}")
+    check_orbit_size(rs, top, "Weyl orbit of {} in {}", x, rs.spec)
     return frozenset(_orbit_walk(rs, top)[0])
 
 
 def weyl_group_size(rs: RootSystem) -> int:
     """|W|, the size of the orbit of rho, which is regular: its points are
     the Weyl elements w, as w(rho).  Refused past the Weyl cap."""
-    return check_orbit_size(rs, rs.rho, f"Weyl order {rs.weyl_order} of {rs.spec}")
+    return check_orbit_size(rs, rs.rho, "Weyl order {} of {}", rs.weyl_order, rs.spec)
 
 
 def enumerate_weyl(rs: RootSystem) -> Iterator[tuple[tuple[int, ...], int]]:

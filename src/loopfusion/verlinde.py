@@ -10,10 +10,11 @@ N_{lam mu}^nu (Schellekens and Yankielowicz 1990) and charge conjugation
 gives N_{lam* mu*}^{nu*} = N_{lam mu}^nu, so a label whose orbit already
 holds a matrix gets a relabelled copy.  Both permute the affine Dynkin nodes
 at every level, so they are read once per algebra, as node permutations.
-Only one fundamental label per orbit takes Kac-Walton rows, one batched
-reduction with one row per current orbit of labels
-(:func:`fusion.kac_walton_rows`: finite stage, then affine stage); the other
-orbits follow by multiplying fusion matrices.
+Every other label is peeled off a product of built matrices, by
+N_f N_b = sum_c N_{fb}^c N_c with f fundamental, once every other label of
+that row is built.  Only a fundamental that no such product reaches takes
+Kac-Walton rows, one batched reduction with one row per current orbit of
+labels (:func:`fusion.kac_walton_rows`: finite stage, then affine stage).
 Reports first reduce arbitrary dominant insertions into the alcove,
 recording the vanishing verdict and the single cohomological degree.  The
 floating-point S-matrix sum survives only as the cross-check
@@ -211,13 +212,20 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
     the simple currents and conjugation, which then costs no arithmetic; both
     act on the labels as the affine-node permutations of
     :func:`_node_symmetries`, read once per algebra, so no label is reduced
-    to find them.  The vacuum comes first (its orbit holds the k omega_j),
-    then the fundamentals by increasing dimension, so that each orbit's one
-    Kac-Walton batch runs on its cheapest member, then the other labels in
-    (lam, rho) order by products.  An algebra without currents or
-    conjugation (E8, F4, G2) runs the same steps with nothing to copy.
-    Raises ResourceError as soon as the stored coefficients, copies
-    included, pass FUSION_ENTRY_CAP.
+    to find them.  The vacuum comes first (its orbit holds the k omega_j).
+    Every other label t is peeled off a product by the ring identity
+    N_f N_b = sum_c N_fb^c N_c, once f is a built fundamental, b a built
+    label whose row of N_f holds t, and every other label of that row is
+    built: N_t = (N_f N_b - sum_{c != t} N_fb^c N_c) / N_fb^t, an exact
+    division.  Sweeps over the unbuilt labels in (lam, rho) order try
+    b = lam - omega_i first; only a fundamental label searches the rows of
+    the built N_f.  When a sweep builds nothing, the unbuilt fundamental of
+    least dimension takes a Kac-Walton batch, and the sweeps go on.  So only
+    the fundamentals that no product reaches are batched (E6 k=2: omega_1
+    alone; E8 k=4: neither omega_3 nor omega_6, whose orbits pass the
+    default Weyl cap).  An algebra without currents or conjugation (E8, F4,
+    G2) runs the same steps with nothing to copy.  Raises ResourceError as
+    soon as the stored coefficients, copies included, pass FUSION_ENTRY_CAP.
     """
     too_many = ResourceError(
         f"level-{k} fusion matrices of {rs.spec} exceed the cap of "
@@ -254,51 +262,75 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
                 rows = [matrix[c] for c in dual] if conj else matrix
                 keep(perm[a], [{perm[c]: x for c, x in row.items()} for row in rows])
 
+    def peel(t: int, f: int, b: int) -> bool:
+        """Store N_t = (N_f N_b - sum_{c != t} N_fb^c N_c) / N_fb^t when N_b
+        is built, row b of N_f holds t and every other label of it is built."""
+        if fusion[b] is None:
+            return False
+        terms = fusion[f][b]
+        if t not in terms or any(fusion[c] is None for c in terms if c != t):
+            return False
+        prod = _product(fusion[f], fusion[b])
+        for c, coeff in terms.items():
+            if c != t:
+                for acc, row in zip(prod, fusion[c]):
+                    for d, x in row.items():
+                        acc[d] -= coeff * x
+        matrix = [{d: x for d, x in acc.items() if x} for acc in prod]
+        coeff = terms[t]
+        if coeff != 1:
+            assert all(x % coeff == 0 for row in matrix for x in row.values())
+            matrix = [{d: x // coeff for d, x in row.items()} for row in matrix]
+        store(t, matrix)
+        return True
+
     store(0, [{b: 1} for b in range(n)])  # the vacuum, and the currents k omega_j
-    # one Kac-Walton row per current orbit of labels: row J mu of N_omega is
-    # row mu with columns relabelled by J, since N_{omega, J mu}^{J nu} = N_{omega mu}^nu
-    reps = sorted({min(g[b] for g in currents) for b in range(n)})
-    # only the fundamental labels need Kac-Walton rows, one batch per orbit,
-    # run on its member of least dimension; the rest follow from
-    # N_omega N_mu = N_lam + sum_c N_{omega mu}^c N_c for lam = mu + omega,
-    # where every other c lies strictly below lam in the dominance order
-    fundamental = {}  # i -> label index of omega_i
+    fundamental = {}  # label index of omega_i -> i
     for i in range(rs.rank):
         omega = tuple(int(j == i) for j in range(rs.rank))
         if omega in index:
-            fundamental[i] = index[omega]
-    batches = list(fundamental.values())
-    if symmetries:  # otherwise every orbit is one label
-        batches.sort(key=lambda f: weyl_dimension(rs, labels[f]))
-    for f in batches:
-        if fusion[f] is not None:
-            continue
-        matrix: Sparse = [{} for _ in range(n)]
-        for b, row in zip(reps, kac_walton_rows(rs, k, labels[f], [labels[b] for b in reps])):
-            row = {index[c]: m for c, m in row.items()}
-            matrix[b] = row
-            for g in currents[1:]:
-                matrix[g[b]] = {g[c]: m for c, m in row.items()}
-        store(f, matrix)
-    # multiply by the sparsest fundamental matrix that fits
-    order = sorted(fundamental, key=lambda i: sum(map(len, fusion[fundamental[i]])))
+            fundamental[index[omega]] = i
+    # one Kac-Walton row per current orbit of labels: row J mu of N_omega is
+    # row mu with columns relabelled by J, since N_{omega, J mu}^{J nu} = N_{omega mu}^nu
+    reps = sorted({min(g[b] for g in currents) for b in range(n)})
     rho = (1,) * rs.rank
-    for a in sorted(range(n), key=lambda a: pairing_int(rs, labels[a], rho)):
-        if fusion[a] is not None:
-            continue
-        lam = labels[a]
-        i = next(i for i in order if lam[i])
-        f = fundamental[i]
-        mu = index[tuple(v - (j == i) for j, v in enumerate(lam))]
-        prod = _product(fusion[f], fusion[mu])
-        for c, coeff in fusion[f][mu].items():
-            if c == a:
-                assert coeff == 1
+    pending = sorted(range(n), key=lambda a: pairing_int(rs, labels[a], rho))
+    while pending := [a for a in pending if fusion[a] is None]:
+        # multiply by the sparsest built fundamental matrix that fits
+        order = sorted(
+            (f for f in fundamental if fusion[f] is not None),
+            key=lambda f: sum(map(len, fusion[f])),
+        )
+        progress = False
+        for a in pending:
+            if fusion[a] is not None:  # a copy of a label built in this sweep
                 continue
-            for acc, row in zip(prod, fusion[c]):
-                for d, x in row.items():
-                    acc[d] -= coeff * x
-        store(a, [{c: x for c, x in acc.items() if x} for acc in prod])
+            lam = labels[a]
+            if a in fundamental:
+                # a fundamental comes off any built product N_f N_b that holds it
+                pairs = ((f, b) for f in order for b in range(n))
+            else:
+                # lam = mu + omega_i: N_{omega_i mu}^lam = 1, and every other
+                # label of that row lies strictly below lam in the dominance order
+                pairs = (
+                    (f, index[tuple(v - (j == fundamental[f]) for j, v in enumerate(lam))])
+                    for f in order
+                    if lam[fundamental[f]]
+                )
+            progress |= any(peel(a, f, b) for f, b in pairs)
+        if not progress:
+            # stuck: the unbuilt fundamental of least dimension takes its Kac-Walton batch
+            f = min(
+                (f for f in fundamental if fusion[f] is None),
+                key=lambda f: weyl_dimension(rs, labels[f]),
+            )
+            matrix: Sparse = [{} for _ in range(n)]
+            for b, row in zip(reps, kac_walton_rows(rs, k, labels[f], [labels[b] for b in reps])):
+                row = {index[c]: m for c, m in row.items()}
+                matrix[b] = row
+                for g in currents[1:]:
+                    matrix[g[b]] = {g[c]: m for c, m in row.items()}
+            store(f, matrix)
     # e_0 H = sum_mu e_mu N_{mu*}; H commutes with every N_b, so e_b H = (e_0 H) N_b
     h0 = [0] * n
     for mu in range(n):

@@ -1,5 +1,8 @@
 """Exact fusion matrices against SHA-256 digests frozen from the build before
-it used fusion-ring symmetries.
+it used fusion-ring symmetries.  The last three pairs (E7 k=4, E8 k=3, E8
+k=4) were frozen later, from the build that still ran one Kac-Walton batch
+per fundamental orbit, before fundamentals were peeled off products; its
+E8 k=4 needed LOOPFUSION_WEYL_CAP=10000000.
 
 For each (algebra, level) the golden holds one digest each of the canonical
 labels, the sparse matrices N_a, the conjugation ``dual`` and the handle
@@ -23,6 +26,7 @@ PAIRS = [
     ("D4", 4), ("D5", 2), ("D5", 3), ("D6", 2),
     ("E6", 1), ("E6", 2), ("E6", 4), ("E7", 3),
     ("F4", 2), ("F4", 3), ("G2", 3),
+    ("E7", 4), ("E8", 3), ("E8", 4),
 ]
 
 

@@ -445,10 +445,11 @@ def test_kac_walton_fusion_has_the_current_and_conjugation_symmetries(label, k):
             }
 
 
-def test_fusion_matrices_take_one_kac_walton_batch_per_fundamental(monkeypatch):
+def test_fusion_matrices_batch_only_the_fundamentals_no_product_reaches(monkeypatch):
     import sys
 
     from loopfusion import verlinde
+    from loopfusion.rootdata import WEYL_CAP_ENV
 
     def refuse(*args, **kwargs):
         raise AssertionError("the build must not go through per-pair products")
@@ -464,19 +465,30 @@ def test_fusion_matrices_take_one_kac_walton_batch_per_fundamental(monkeypatch):
         verlinde, "kac_walton_rows", lambda *a: calls.append((a[2], list(a[3]))) or real(*a)
     )
     monkeypatch.setattr(verlinde, "_fusion_cache", {})
+    monkeypatch.delenv(WEYL_CAP_ENV, raising=False)
     e6 = build_root_system("E6")
     fm = verlinde.fusion_matrices(e6, 2)
     fundamentals = [w for w in fm.labels if sorted(w) == [0] * 5 + [1]]
     assert len(fundamentals) == 5  # comarks (1, 2, 3, 2, 1, 2): omega_3 is past level 2
-    # the currents and conjugation split them into the orbits {omega_1, omega_5}
-    # (dimension 27 each) and {omega_2, omega_4, omega_6} (351, 351, 78)
-    omega_1, omega_6 = (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)
-    assert [lam for lam, _ in calls] == [omega_1, omega_6]
+    # omega_1 (dimension 27) takes the one batch, and conjugation copies it to
+    # omega_5; omega_2, omega_4 and omega_6 are peeled off products
+    assert [lam for lam, _ in calls] == [(1, 0, 0, 0, 0, 0)]
     orbits = current_orbits(e6, 2)
     assert len(fm.labels) == 9 and sorted(map(len, orbits)) == [3, 3, 3]
-    for _, mus in calls:
-        assert len(mus) == 3
-        assert all(sum(mu in orbit for mu in mus) == 1 for orbit in orbits)
+    mus = calls[0][1]
+    assert len(mus) == 3 and all(sum(mu in orbit for mu in mus) == 1 for orbit in orbits)
+
+    # F4 omega_2 (dimension 1274) comes off N_omega_1 N_omega_1 at level 3
+    calls.clear()
+    verlinde.fusion_matrices(build_root_system("F4"), 3)
+    assert [lam for lam, _ in calls] == [(0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)]
+
+    # the orbits of E8 omega_3 and omega_6 (60480 and 69120 points) pass the
+    # default Weyl cap; both come off products, so level 4 answers
+    calls.clear()
+    e8 = build_root_system("E8")
+    assert verlinde_dimension(e8, 4, Surface(genus=2)) == 646
+    assert [lam.index(1) for lam, _ in calls] == [0, 6, 1, 7]
 
 
 def test_e7_e8_open_at_low_level():
