@@ -8,16 +8,18 @@ recursion only, the tail sums of m(w) (w, alpha) up each alpha-string,
 filled from the top, so its cost grows with the number of weights, not
 with their size.  Then tensor decomposition by the Klimyk reflection rule, and
 Weyl-character evaluation at the torus points whose ratios reproduce
-S-matrix columns.  The Klimyk rows have one home, :func:`klimyk_reduce`,
-which reflects the rows of many offsets in one batch;
-:func:`tensor_decompose` is its one-offset case and the Kac-Walton fusion
-rows its many-offset one.
+S-matrix columns.  The Klimyk rows offset + nu, over the weights nu and
+for many offsets at once, have one home, :func:`klimyk_rows`.
+:func:`tensor_decompose` sweeps its one-offset rows into the dominant
+chamber; the Kac-Walton fusion rows sweep the extended labels of theirs
+into the alcove.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import prod
 from operator import add, mul, sub
 
@@ -191,42 +193,44 @@ def weight_multiplicities(
 def tensor_decompose(rs: RootSystem, lam: tuple, mu: tuple) -> VirtualCharacter:
     """Klimyk rule: reflect lam + rho + (each weight of mu) back to dominance.
 
-    The result is the honest decomposition of the tensor product, so every
-    coefficient is nonnegative and the dimension identity holds.
+    The rows are swept into the dominant chamber in one kernel call, which
+    counts each row's reflections for its sign; rows landing on a chamber
+    wall cancel.  The result is the honest decomposition of the tensor
+    product, so every coefficient is nonnegative and the dimension identity
+    holds.
     """
     lam = check_dominant(rs, lam)
     mu = check_dominant(rs, mu)
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam  # iterate over the smaller weight system
-    _, points, coeffs = klimyk_reduce(rs, mu, [tuple(v + 1 for v in lam)])
+    rows, mults = klimyk_rows(rs, mu, [tuple(v + 1 for v in lam)])
+    reduced, signs, _ = kernels.dominant_reduce_batch(
+        rs.np_finite_classes, rows, len(rs.positive_roots)
+    )
+    kept = np.flatnonzero(reduced.all(axis=1))  # rows on a chamber wall cancel
     out = VirtualCharacter()
-    for point, coeff in zip((points - 1).tolist(), coeffs):
-        out.add(tuple(point), coeff)
+    for point, sign, i in zip((reduced[kept] - 1).tolist(), signs[kept].tolist(), kept.tolist()):
+        out.add(tuple(point), sign * mults[i])
     assert all(v > 0 for v in out.terms.values())
     return VirtualCharacter(dict(sorted(out.terms.items())))
 
 
-def klimyk_reduce(rs: RootSystem, lam: Weight, offsets: list) -> tuple:
+def klimyk_rows(rs: RootSystem, lam: Weight, offsets: list, *scalars) -> tuple:
     """The Klimyk rows offset + nu over the weights nu of V_lam, for many offsets.
 
-    Every row is reflected back to the dominant chamber in one batch; rows
-    landing on a chamber wall cancel and are dropped.  Returns (which,
-    points, coeffs) for the rest: the index of each row's offset, its
-    dominant point as an (n, rank) array (int64 when every row fits the
-    int64 kernel range, otherwise Python ints) and its multiplicity times
-    the reflection sign.  With the offset lam' + rho, the points minus rho
-    carry V_lam' (x) V_lam.
+    Returns (rows, mults): the rows offset by offset, each offset's rows in
+    the order of ``mults``, the multiplicities of the nu.  The rows come
+    from :func:`kernels.int_rows`: int64 when every entry and every one of
+    ``scalars`` fits the int64 kernel range, otherwise Python ints.  With
+    the offset lam' + rho, the rows reduced to the dominant chamber carry
+    V_lam' (x) V_lam, and reduced into the level-k alcove its fusion
+    product.
     """
     system = weight_multiplicities(rs, lam)
-    mults = list(system.by_weight.values())
     offsets = kernels.int_rows(np.array(offsets, dtype=object).reshape(-1, rs.rank))
-    rows = offsets[:, None, :] + np.array(list(system.by_weight))
-    rows = kernels.int_rows(rows.reshape(-1, rs.rank))
-    reduced, signs, _ = kernels.dominant_reduce_batch(rs.np_simple, rows, len(rs.positive_roots))
-    kept = np.flatnonzero((reduced != 0).all(axis=1))
-    which, at = np.divmod(kept, len(mults))
-    coeffs = [s * mults[i] for s, i in zip(signs[kept].tolist(), at.tolist())]
-    return which.tolist(), reduced[kept], coeffs
+    weights = np.fromiter(chain.from_iterable(system.by_weight), np.int64).reshape(-1, rs.rank)
+    rows = offsets[:, None, :] + weights
+    return kernels.int_rows(rows.reshape(-1, rs.rank), *scalars), list(system.by_weight.values())
 
 
 def tensor_dimension_identity(rs: RootSystem, lam: tuple, mu: tuple) -> bool:

@@ -6,10 +6,11 @@ algorithm, one signed affine-Weyl reduction of mu + rho + nu over the
 weights nu of V_lam at kappa = k + c (Walton 1990; Kac, *Infinite
 Dimensional Lie Algebras*, Exercise 13.35).  Its one home,
 :func:`kac_walton_rows`, takes a whole block of products V_lam (x) V_mu in
-one pass: a finite stage reflects every row to the dominant chamber and
-drops the chamber walls, and an affine stage reduces the survivors into the
-alcove.  :func:`fuse_kw` is its one-row case.  The exact route is
-authoritative; the test suite holds the two equal on every desk-scale
+one pass: one kernel call sweeps every row's extended Dynkin labels into
+the alcove, counting reflections for the sign, and the rows on a wall
+drop.  The finite Weyl group lies inside the affine one, so no finite
+stage comes first.  :func:`fuse_kw` is its one-row case.  The exact route
+is authoritative; the test suite holds the two equal on every desk-scale
 instance.
 """
 
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .affine_weyl import AffineContext, alcove_reduce_batch, check_alcove
+from .affine_weyl import check_alcove
 from .errors import NumericalError, ResourceError, ValidationError
-from .finite_reps import WeightCombination, klimyk_reduce, weyl_dimension
+from .finite_reps import WeightCombination, klimyk_rows, weyl_dimension
 from .rootdata import (
     RootSystem,
     Weight,
@@ -218,10 +219,9 @@ def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
 
 
 def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
-    """Kac-Walton fusion, exact: one row of :func:`kac_walton_rows`."""
+    """Kac-Walton fusion, exact: one row of :func:`kac_walton_rows`, which
+    checks both labels."""
     k = as_nonnegative(k, "level")
-    lam = check_alcove(rs, k, lam)
-    mu = check_alcove(rs, k, mu)
     if weyl_dimension(rs, mu) < weyl_dimension(rs, lam):
         lam, mu = mu, lam  # iterate over the smaller weight system
     return FusionElement(k=k, terms=dict(sorted(kac_walton_rows(rs, k, lam, [mu])[0].items())))
@@ -230,26 +230,35 @@ def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
 def kac_walton_rows(rs: RootSystem, k: int, lam: Weight, mus: list) -> list[dict[Weight, int]]:
     """The level-k products V_lam (x) V_mu for every alcove label mu in ``mus``, in one pass.
 
-    The rows mu + rho + nu over the weights nu of V_lam are reflected to
-    the dominant chamber together (:func:`finite_reps.klimyk_reduce`, which
-    drops the chamber walls), and the survivors are reduced into the alcove
-    together; a row on an affine wall cancels, the others count with the
-    finite sign times (-1)^length.  Returns one {label: coefficient} per mu.
+    The rows mu + rho + nu over the weights nu of V_lam
+    (:func:`finite_reps.klimyk_rows`) go into the level-kappa alcove in one
+    kernel call on their extended Dynkin labels, which counts each row's
+    reflections.  A row on a wall, a zero label, cancels; the others count
+    with their multiplicity times (-1)^reflections.  lam and every mu are
+    alcove labels, so |(nu, alpha)| <= level(lam) < kappa and
+    0 < (mu + rho, alpha) < kappa for every positive root alpha: a row
+    crosses at most one wall per positive root, which bounds its
+    reflections.  Returns one {label: coefficient} per mu; raises
+    ValidationError unless lam and every mu are level-k alcove labels.
     """
-    which, points, coeffs = klimyk_reduce(rs, lam, [tuple(v + 1 for v in mu) for mu in mus])
-    reduced, lengths, walls = alcove_reduce_batch(AffineContext(rs, k), points)
-    out: list[dict[Weight, int]] = [{} for _ in mus]
-    for a, label, ell, wall, coeff in zip(
-        which, (reduced - 1).tolist(), lengths.tolist(), walls.tolist(), coeffs
+    k = as_nonnegative(k, "level")
+    lam = check_alcove(rs, k, lam)
+    shifted = [tuple(v + 1 for v in check_alcove(rs, k, mu)) for mu in mus]
+    kappa = k + rs.dual_coxeter
+    rows, mults = klimyk_rows(rs, lam, shifted, kappa)
+    ys = kernels.extended_batch(rs.comarks, kappa, rows)
+    reduced, signs, _ = kernels.dominant_reduce_batch(
+        rs.np_colour_classes, ys, len(rs.positive_roots)
+    )
+    kept = np.flatnonzero(reduced.all(axis=1))  # rows on a wall cancel
+    which, at = np.divmod(kept, len(mults))
+    out = [FusionElement(k=k) for _ in mus]
+    for a, i, sign, label in zip(
+        which.tolist(), at.tolist(), signs[kept].tolist(), (reduced[kept, 1:] - 1).tolist()
     ):
-        if wall:
-            continue
-        row = out[a]
-        label = tuple(label)
-        row[label] = row.get(label, 0) + (-coeff if ell % 2 else coeff)
-    out = [{c: m for c, m in row.items() if m} for row in out]
-    assert all(m > 0 for row in out for m in row.values()), "Kac-Walton output must be nonnegative"
-    return out
+        out[a].add(tuple(label), sign * mults[i])
+    assert all(m > 0 for row in out for m in row.terms.values()), "negative Kac-Walton output"
+    return [row.terms for row in out]
 
 
 def fuse_elements(

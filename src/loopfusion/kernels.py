@@ -1,19 +1,21 @@
-"""Batched numpy kernels: finite-Weyl reduction, extended Dynkin labels,
-alcove lengths and reduction, S-sums.
+"""Batched numpy kernels: orthant sweeps, extended Dynkin labels, alcove
+lengths and reduction, S-sums.
 
-Both reductions run in cyclic sweeps, branch-free over all rows, each
-reflection acting by how far a row violates it, which is zero where it does
-not.  The dominant kernel applies s_1..s_r in turn and counts the
-reflections.  The alcove kernel works on the rows of
-:func:`extended_batch`, the batch twin of ``rootdata.extended``, where the
-closed alcove is the orthant y >= 0 and its walls the rows with a zero
-label.  It applies the affine generators s_0..s_r one colour class of
-pairwise orthogonal nodes at a time, one matrix step per class, and counts
-nothing: :func:`alcove_length_batch` gives each row's length, and its
-translate's, in closed form from one product over the positive roots.  A
-violated reflection crosses exactly one wall separating the row from its
-chamber or alcove, so each row takes the same number of reflections as in
-any other order, and a sweep may apply several of them.
+Both reductions sweep rows into an orthant y >= 0, branch-free over all
+rows: Dynkin labels into the dominant chamber, or the rows of
+:func:`extended_batch`, the batch twin of ``rootdata.extended``, into the
+closed alcove, whose walls are the rows with a zero label.  A sweep applies
+the generators one colour class of pairwise orthogonal nodes at a time, one
+matrix step per class, each reflection acting by how far a row violates it,
+which is zero where it does not.  :func:`dominant_reduce_batch` counts each
+row's reflections, which is all the Klimyk and Kac-Walton rows need besides
+the reduced point.  :func:`alcove_reduce_batch` counts nothing:
+:func:`alcove_length_batch` gives each row's length, and its translate's,
+in closed form from one product over the positive roots, for callers that
+need the length itself.  A violated reflection crosses exactly one wall
+separating the row from its chamber or alcove, so each row takes the same
+number of reflections as in any other order, and a sweep may apply several
+of them.
 
 The reductions take integer rows of either dtype and keep it: int64, or an
 object array of Python ints, which have no magnitude limit.  Callers get
@@ -49,34 +51,34 @@ def int_rows(rows: np.ndarray, *scalars) -> np.ndarray:
     return rows.astype(object)
 
 
-def dominant_reduce_batch(simple: np.ndarray, xs: np.ndarray, max_sweeps: int):
-    """Reduce each row of xs into the dominant chamber by simple reflections.
+def dominant_reduce_batch(classes, xs: np.ndarray, max_steps: int):
+    """Reflect each row of xs into the orthant y >= 0 by cyclic sweeps and
+    count its reflections: the batch twin of ``rootdata.sweep_reduce``.
 
-    Returns (reduced, signs, steps), steps counting the reflections each row
-    applies and signs being (-1)^steps; a reduced row with a zero coordinate
-    sits on a chamber wall, in which case its sign carries no meaning.  Each
-    reflection lowers #{a > 0 : (x, a^vee) < 0} by exactly one, so a row
-    takes at most |positive roots| of them; a row that would pass
-    ``max_sweeps`` reflections raises.  The rows keep the dtype of xs.
+    ``classes`` holds (nodes, rows of a) per colour class of pairwise
+    orthogonal nodes, s_i acting as y -= min(y_i, 0) * a_i.  The reflections
+    of one class commute and leave each other's coordinates alone, so a
+    sweep is one matrix step per class.  With ``RootSystem.np_finite_classes``
+    on Dynkin labels the orthant is the dominant chamber; with
+    ``RootSystem.np_colour_classes`` on :func:`extended_batch` rows it is the
+    closed alcove.  Returns (reduced, signs, steps), steps counting the
+    reflections each row applies and signs being (-1)^steps; a reduced row
+    with a zero label sits on a wall, in which case its sign carries no
+    meaning.  A violated reflection crosses exactly one wall separating the
+    row from the orthant, so a row takes one reflection per such wall, in
+    any order; a row that would pass ``max_steps`` of them raises.  The rows
+    keep the dtype of xs.
     """
     ys = np.array(xs)
-    simple = np.ascontiguousarray(simple, dtype=np.int64)
-    steps = np.zeros(ys.shape[0], dtype=np.int64)
-    cs = np.empty((len(simple), ys.shape[0]), dtype=ys.dtype)
+    steps = np.zeros(len(ys), dtype=np.int64)
     while ys.size and ys.min() < 0:
-        _finite_sweep(simple, ys, cs)
-        steps += (cs != 0).sum(axis=0)
-        if steps.max() > max_sweeps:
-            raise AssertionError("dominant reduction failed to terminate")
+        for nodes, roots in classes:
+            c = np.minimum(ys[:, nodes], 0)
+            ys -= c @ roots
+            steps += np.count_nonzero(c, axis=1)
+        if steps.max() > max_steps:
+            raise AssertionError("reduction failed to terminate")
     return ys, 1 - 2 * (steps & 1), steps
-
-
-def _finite_sweep(simple, ys, cs) -> None:
-    """s_1..s_r in turn on every row, in place, s_i by c = min(y_i, 0); row
-    i - 1 of cs receives that c, so its nonzero entries mark the reflections."""
-    for i, alpha in enumerate(simple):
-        c = np.minimum(ys[:, i], 0, out=cs[i])
-        ys -= np.multiply.outer(c, alpha)
 
 
 def extended_batch(comarks, kappa: int, xs):

@@ -16,8 +16,9 @@ Conventions used throughout the package:
 The construction is integer-only: positive roots grow along alpha_i-strings
 in simple-root coordinates, lengths come from an integer symmetrizer, and the
 form from a fraction-free adjugate of the Cartan matrix.  `fractions.Fraction`
-appears only in the public rational fields (``symmetrizer``, ``form``,
-``simple_coroots``) and in :func:`pairing`; nothing here uses floats.
+appears only in the public rational fields ``symmetrizer``, ``form`` and
+``simple_coroots`` (the last two built on first read) and in
+:func:`pairing`; nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -333,17 +334,11 @@ class RootSystem:
         self.form_int: tuple[tuple[int, ...], ...] = tuple(
             tuple(v // g for v in row) for row in num
         )
-        self.form: tuple[RationalVector, ...] = tuple(
-            tuple(Fraction(v, self.form_den) for v in row) for row in self.form_int
-        )
 
         # simple coroots alpha_i / d_i as integer weight vectors: a basis of Q^vee
         self.simple_coroot_weights: tuple[Weight, ...] = tuple(
             _exact_quotients([a * long for a in alpha], ei, "simple coroots must be integer weights")
             for alpha, ei in zip(self.simple_roots, e)
-        )
-        self.simple_coroots: tuple[RationalVector, ...] = tuple(
-            tuple(Fraction(v) for v in c) for c in self.simple_coroot_weights
         )
         # simple-coroot coordinates of alpha^vee = 2 alpha/(alpha, alpha): 2 k_j e_j / norm,
         # so (x, alpha^vee) = sum_j c_j x_j
@@ -375,7 +370,6 @@ class RootSystem:
         )
 
         # integer views used by the numeric kernels
-        self.np_simple = np.array(self.simple_roots, dtype=np.int64)
         self.np_form_int = np.array(self.form_int, dtype=np.int64)
         self.np_root_pairs = np.array(self.root_pairs, dtype=np.int64)
         self.np_positive_roots = np.array(self.positive_roots, dtype=np.int64)
@@ -395,6 +389,25 @@ class RootSystem:
 
         self._weyl_lock = threading.Lock()
         self._weyl_cache: tuple[np.ndarray, np.ndarray] | None = None
+
+    # views built on first read: the rational ones only describe() and tests
+    # use, the finite classes only the Klimyk rule
+
+    @cached_property
+    def np_finite_classes(self) -> tuple:
+        """The colour classes without node 0, on Dynkin labels: per class its
+        simple-root indexes and their ``simple_roots`` rows."""
+        return tuple((n[n > 0] - 1, a[n > 0, 1:]) for n, a in self.np_colour_classes if n.any())
+
+    @cached_property
+    def form(self) -> tuple[RationalVector, ...]:
+        """The invariant form on fundamental weights, as Fractions."""
+        return tuple(tuple(Fraction(v, self.form_den) for v in row) for row in self.form_int)
+
+    @cached_property
+    def simple_coroots(self) -> tuple[RationalVector, ...]:
+        """The simple coroots as weight vectors of Fractions."""
+        return tuple(tuple(Fraction(v) for v in c) for c in self.simple_coroot_weights)
 
     # -- Weyl-group material --------------------------------------------------
 

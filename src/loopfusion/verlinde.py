@@ -14,7 +14,10 @@ Every other label is peeled off a product of built matrices, by
 N_f N_b = sum_c N_{fb}^c N_c with f fundamental, once every other label of
 that row is built.  Only a fundamental that no such product reaches takes
 Kac-Walton rows, one batched reduction with one row per current orbit of
-labels (:func:`fusion.kac_walton_rows`: finite stage, then affine stage).
+labels (:func:`fusion.kac_walton_rows`: one sweep of extended Dynkin labels
+into the alcove, counting reflections).  A product forms only the rows of
+labels not yet built: by commutativity, N_{td} = N_{dt}, every other row
+of N_t is a row of a built matrix.
 Reports first reduce arbitrary dominant insertions into the alcove,
 recording the vanishing verdict and the single cohomological degree.  The
 floating-point S-matrix sum survives only as the cross-check
@@ -102,17 +105,6 @@ def _times(v: list[int], m: Sparse) -> list[int]:
         if vb:
             for c, x in row.items():
                 out[c] += vb * x
-    return out
-
-
-def _product(x: Sparse, y: Sparse) -> Sparse:
-    out = []
-    for row in x:
-        acc: dict[int, int] = {}
-        for d, xd in row.items():
-            for c, yc in y[d].items():
-                acc[c] = acc.get(c, 0) + xd * yc
-        out.append(acc)
     return out
 
 
@@ -217,13 +209,14 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
     N_f N_b = sum_c N_fb^c N_c, once f is a built fundamental, b a built
     label whose row of N_f holds t, and every other label of that row is
     built: N_t = (N_f N_b - sum_{c != t} N_fb^c N_c) / N_fb^t, an exact
-    division.  Sweeps over the unbuilt labels in (lam, rho) order try
-    b = lam - omega_i first; only a fundamental label searches the rows of
-    the built N_f.  When a sweep builds nothing, the unbuilt fundamental of
-    least dimension takes a Kac-Walton batch, and the sweeps go on.  So only
-    the fundamentals that no product reaches are batched (E6 k=2: omega_1
-    alone; E8 k=4: neither omega_3 nor omega_6, whose orbits pass the
-    default Weyl cap).  An algebra without currents or conjugation (E8, F4,
+    division, formed only in the rows of unbuilt labels; row d of N_t is
+    row t of N_d for every built d.  Sweeps over the unbuilt labels in
+    (lam, rho) order try b = lam - omega_i first; only a fundamental label
+    searches the rows of the built N_f.  When a sweep builds nothing, the
+    unbuilt fundamental of least dimension takes a Kac-Walton batch, and the
+    sweeps go on.  So only the fundamentals that no product reaches are
+    batched (E6 k=2: omega_1 alone; E8 k=4: neither omega_3 nor omega_6,
+    whose orbits pass the default Weyl cap).  An algebra without currents or conjugation (E8, F4,
     G2) runs the same steps with nothing to copy.  Raises ResourceError as
     soon as the stored coefficients, copies included, pass FUSION_ENTRY_CAP.
     """
@@ -264,23 +257,30 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
 
     def peel(t: int, f: int, b: int) -> bool:
         """Store N_t = (N_f N_b - sum_{c != t} N_fb^c N_c) / N_fb^t when N_b
-        is built, row b of N_f holds t and every other label of it is built."""
+        is built, row b of N_f holds t and every other label of it is built.
+        Row d of N_t is row t of N_d wherever N_d is built (N_td = N_dt), so
+        the product and its corrections are formed only for unbuilt d."""
         if fusion[b] is None:
             return False
         terms = fusion[f][b]
         if t not in terms or any(fusion[c] is None for c in terms if c != t):
             return False
-        prod = _product(fusion[f], fusion[b])
-        for c, coeff in terms.items():
-            if c != t:
-                for acc, row in zip(prod, fusion[c]):
-                    for d, x in row.items():
-                        acc[d] -= coeff * x
-        matrix = [{d: x for d, x in acc.items() if x} for acc in prod]
         coeff = terms[t]
-        if coeff != 1:
-            assert all(x % coeff == 0 for row in matrix for x in row.values())
-            matrix = [{d: x // coeff for d, x in row.items()} for row in matrix]
+        matrix: Sparse = []
+        for d, built in enumerate(fusion):
+            if built is not None:
+                matrix.append(built[t])  # stored rows are never changed, so they are shared
+                continue
+            acc: dict[int, int] = {}
+            for e, x in fusion[f][d].items():
+                for c, y in fusion[b][e].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            for c, m in terms.items():
+                if c != t:
+                    for e, x in fusion[c][d].items():
+                        acc[e] -= m * x
+            assert coeff == 1 or all(x % coeff == 0 for x in acc.values()), "inexact peel"
+            matrix.append({e: x // coeff for e, x in acc.items() if x})
         store(t, matrix)
         return True
 

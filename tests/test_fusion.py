@@ -15,6 +15,7 @@ from loopfusion.fusion import (
     fuse_elements,
     fuse_kw,
     fuse_s,
+    kac_walton_rows,
     s_matrix,
 )
 from loopfusion.rootdata import build_root_system
@@ -217,6 +218,45 @@ def test_fuse_validates_labels():
         fuse_kw(rs, 1, (2, 0), (0, 0))
     with pytest.raises(ValidationError):
         fuse_s(rs, 1, (0, 0), (-1, 0))
+
+
+def test_kac_walton_rows_refuse_labels_outside_the_alcove():
+    # the reflection bound of the batch holds for alcove labels only, and a
+    # label outside the alcove has no product to give
+    rs = build_root_system("A2")
+    for lam, mus in [((1, 0), [(4, 0)]), ((4, 0), [(0, 0)]), ((1, 0), [(0, 0), (0, -1)])]:
+        with pytest.raises(ValidationError):
+            kac_walton_rows(rs, 3, lam, mus)
+    with pytest.raises(ValidationError):
+        kac_walton_rows(rs, 3.0, (1, 0), [(0, 0)])
+    assert kac_walton_rows(rs, 3, (1, 0), [(3, 0), (0, 0)]) == [{(2, 1): 1}, {(1, 0): 1}]
+
+
+def test_a_kac_walton_batch_is_one_sweep_of_extended_labels(monkeypatch):
+    from loopfusion import affine_weyl, finite_reps, kernels
+
+    calls = []
+    sweep = kernels.dominant_reduce_batch
+
+    def spy(classes, xs, max_steps):
+        calls.append((classes, xs.shape, max_steps))
+        return sweep(classes, xs, max_steps)
+
+    def refuse(*args):
+        raise AssertionError("a Kac-Walton batch must not reach the alcove kernel")
+
+    monkeypatch.setattr(kernels, "dominant_reduce_batch", spy)
+    monkeypatch.setattr(kernels, "alcove_reduce_batch", refuse)
+    monkeypatch.setattr(affine_weyl, "alcove_reduce_batch", refuse)
+    for label, k, lam in [("B3", 2, (1, 0, 0)), ("G2", 3, (0, 1)), ("A3", 2, (1, 0, 1))]:
+        rs = build_root_system(label)
+        mus = weights_of(rs, k)
+        calls.clear()
+        rows = kac_walton_rows(rs, k, lam, mus)
+        weights = len(finite_reps.weight_multiplicities(rs, lam).by_weight)
+        shape = (len(mus) * weights, rs.rank + 1)
+        assert calls == [(rs.np_colour_classes, shape, len(rs.positive_roots))]
+        assert rows == [fuse_s(rs, k, lam, mu).terms for mu in mus]
 
 
 def test_fuse_elements_bilinear_and_validates():

@@ -20,6 +20,7 @@ from loopfusion.affine_weyl import (
     _translate,
     alcove_reduce,
     alcove_reduce_batch,
+    apply_affine_word,
 )
 from loopfusion.rootdata import build_root_system, dominant_reduce, extended, sweep_reduce
 
@@ -35,6 +36,9 @@ def test_fits_int64_boundary():
     assert kernels.fits_int64(np.array([1 - kernels.INT64_SAFE_LIMIT]))
     # np.abs of int64's minimum wraps to a negative number
     assert not kernels.fits_int64(np.array([[-(2**63)]], dtype=np.int64))
+
+
+ALL_TYPES = ["A1", "A2", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
 
 
 def random_rows(rng, rank, n, lo=-40, hi=40):
@@ -55,9 +59,11 @@ def test_dominant_reduce_backends_agree(label):
     rs = build_root_system(label)
     rng = random.Random(4)
     xs = random_rows(rng, rs.rank, 200)
-    via_int64 = kernels.dominant_reduce_batch(rs.np_simple, xs.copy(), len(rs.positive_roots))
+    via_int64 = kernels.dominant_reduce_batch(
+        rs.np_finite_classes, xs.copy(), len(rs.positive_roots)
+    )
     via_object = kernels.dominant_reduce_batch(
-        rs.np_simple, xs.astype(object), len(rs.positive_roots)
+        rs.np_finite_classes, xs.astype(object), len(rs.positive_roots)
     )
     assert via_object[0].dtype == object
     assert all(type(v) is int for v in via_object[0].ravel())
@@ -201,24 +207,26 @@ def test_batch_refuses_non_integer_or_misshapen_input():
             alcove_reduce_batch(ctx, bad)
 
 
-@pytest.mark.parametrize("label", ["E8", "G2"])
+@pytest.mark.parametrize("label", ALL_TYPES)
 def test_dominant_batch_needs_exactly_the_positive_root_count_of_sweeps(label):
     # -rho goes to rho through w0, one reflection per positive root
     rs = build_root_system(label)
     bound = len(rs.positive_roots)
     xs = np.array([[-1] * rs.rank, [2] * rs.rank], dtype=np.int64)
-    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, bound)
+    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_finite_classes, xs, bound)
     assert reduced.tolist() == [[1] * rs.rank, [2] * rs.rank]
     assert steps.tolist() == [bound, 0]
     assert signs.tolist() == [(-1) ** bound, 1]
     with pytest.raises(AssertionError, match="terminate"):
-        kernels.dominant_reduce_batch(rs.np_simple, xs, bound - 1)
+        kernels.dominant_reduce_batch(rs.np_finite_classes, xs, bound - 1)
 
 
 def test_empty_batches():
     rs = build_root_system("A2")
     xs = np.empty((0, 2), dtype=np.int64)
-    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
+    reduced, signs, steps = kernels.dominant_reduce_batch(
+        rs.np_finite_classes, xs, len(rs.positive_roots)
+    )
     assert reduced.shape == (0, 2)
     reduced, steps, status = kernels.alcove_reduce_batch(
         rs.np_colour_classes, rs.comarks, 3, np.empty(0, dtype=np.int64), xs
@@ -237,7 +245,9 @@ def test_dominant_reduce_is_orbit_preserving(label, seed):
     rs = build_root_system(label)
     rng = random.Random(seed)
     xs = random_rows(rng, rs.rank, 4, lo=-8, hi=8)
-    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
+    reduced, signs, steps = kernels.dominant_reduce_batch(
+        rs.np_finite_classes, xs, len(rs.positive_roots)
+    )
     for x, y in zip(xs, reduced):
         assert tuple(int(v) for v in y) in weyl_orbit(rs, tuple(int(v) for v in x))
 
@@ -291,7 +301,9 @@ def test_kernels_on_rows_straddling_the_int64_limit(label, h, seed):
     rows[0][0] = limit  # at least one entry past the limit
     xs = kernels.int_rows(np.array(rows, dtype=object))
     assert xs.dtype == object
-    reduced, signs, _ = kernels.dominant_reduce_batch(rs.np_simple, xs, len(rs.positive_roots))
+    reduced, signs, _ = kernels.dominant_reduce_batch(
+        rs.np_finite_classes, xs, len(rs.positive_roots)
+    )
     batch = alcove_reduce_batch(ctx, xs)
     for a, x in enumerate(rows):
         point, sign = dominant_reduce(rs, tuple(x))
@@ -379,3 +391,92 @@ def test_the_kernel_sweeps_only_rows_off_the_alcove_from_their_shorter_start(lab
                 assert (list(batch[0][a]), batch[1][a], bool(batch[2][a])) == (
                     list(r.reduced), r.length, r.status == WALL
                 )
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_dominant_kernel_counts_the_length_in_both_chambers(label):
+    # off the walls each row takes exactly its length in reflections: the
+    # closed-form alcove length on extended labels under the affine colour
+    # classes, the scalar sweep count on Dynkin labels under the finite ones
+    rs = build_root_system(label)
+    rng = random.Random(f"{label} lengths")
+    for h in (0, 2):
+        ctx = AffineContext(rs, h)
+        kappa = ctx.kappa
+        # rho moved by random words of generators is off every wall
+        words = [[rng.randint(0, rs.rank) for _ in range(rng.randint(0, 60))] for _ in range(15)]
+        xs = np.concatenate((
+            [apply_affine_word(ctx, word, rs.rho) for word in words],
+            random_rows(rng, rs.rank, 15, lo=-3 * kappa, hi=3 * kappa),
+        ))
+        walls = [_length_and_wall(ctx, tuple(x)) for x in xs.tolist()]
+        bound = max(length for length, _ in walls)
+        reduced, signs, steps = kernels.dominant_reduce_batch(
+            rs.np_colour_classes, kernels.extended_batch(rs.comarks, kappa, xs), bound
+        )
+        assert any(wall for _, wall in walls) and not all(wall for _, wall in walls)
+        for x, y, sign, count, (length, wall) in zip(xs.tolist(), reduced, signs, steps, walls):
+            r = alcove_reduce(ctx, tuple(x))
+            assert y.tolist() == list(extended(rs, kappa, r.reduced))
+            assert (0 in y.tolist()) == wall
+            if not wall:
+                assert (int(count), int(sign)) == (length, r.sign)
+    xs = random_rows(rng, rs.rank, 60, lo=-12, hi=12)
+    bound = len(rs.positive_roots)
+    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_finite_classes, xs, bound)
+    off = 0
+    for x, y, sign, count in zip(xs.tolist(), reduced.tolist(), signs, steps):
+        z = list(x)
+        length = sweep_reduce(rs.simple_supports, z, bound)
+        assert y == z
+        if all(y):
+            off += 1
+            assert (int(count), int(sign)) == (length, (-1) ** length)
+    assert off > 0
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_dominant_kernel_rows_past_two_to_the_forty_agree_with_int64(label):
+    # the same rows in both dtypes: Dynkin labels past 2^40, and extended
+    # labels at a level past 2^40, as Kac-Walton rows at a huge level have
+    rs = build_root_system(label)
+    rng = random.Random(f"{label} dtypes")
+    big = 2 * kernels.INT64_SAFE_LIMIT
+    kappa = big + 7
+    xs = random_rows(rng, rs.rank, 12, lo=-3 * kappa, hi=3 * kappa)
+    finite = random_rows(rng, rs.rank, 12, lo=-big, hi=big)
+    cases = [
+        (rs.np_colour_classes, kernels.extended_batch(rs.comarks, kappa, xs), 10**4),
+        (rs.np_finite_classes, finite, len(rs.positive_roots)),
+    ]
+    for classes, rows, bound in cases:
+        assert not kernels.fits_int64(rows)
+        via_int64 = kernels.dominant_reduce_batch(classes, rows.copy(), bound)
+        via_object = kernels.dominant_reduce_batch(classes, rows.astype(object), bound)
+        assert via_object[0].dtype == object
+        for a in range(3):
+            assert via_int64[a].tolist() == via_object[a].tolist()
+        supports = rs.affine_supports if classes is rs.np_colour_classes else rs.simple_supports
+        for row, y, count in zip(rows.tolist(), via_object[0].tolist(), via_object[2]):
+            assert sweep_reduce(supports, row, bound) == count and row == y
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_dominant_kernel_on_extended_labels_raises_one_reflection_short_of_the_length(label):
+    # the alcove chamber's twin of the -rho test above: a row off the walls
+    # takes exactly its closed-form length in reflections
+    rs = build_root_system(label)
+    ctx = AffineContext(rs, 1)
+    kappa = ctx.kappa
+    rng = random.Random(f"{label} short")
+    while True:
+        x = [rng.randint(-10 * kappa, 10 * kappa) for _ in range(rs.rank)]
+        length, wall = _length_and_wall(ctx, tuple(x))
+        if not wall and length > 1:
+            break
+    rows = kernels.extended_batch(rs.comarks, kappa, np.array([x, [1] * rs.rank]))
+    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_colour_classes, rows, length)
+    assert steps.tolist() == [length, 0]
+    assert reduced[0].tolist() == list(extended(rs, kappa, alcove_reduce(ctx, tuple(x)).reduced))
+    with pytest.raises(AssertionError, match="terminate"):
+        kernels.dominant_reduce_batch(rs.np_colour_classes, rows, length - 1)

@@ -621,3 +621,18 @@ def test_report_euler_characteristic_equals_the_index_formula(label, k):
                 assert abs(index.real - report.euler_characteristic) < 1e-6
                 verdicts.add(report.vanishes)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "label,k",
+    [("A1", 7), ("A2", 4), ("B3", 2), ("G2", 3), ("D4", 2), ("E6", 2), ("F4", 3)],
+)
+def test_every_built_fusion_ring_commutes(label, k):
+    # the build reads row d of a new N_t off row t of a built N_d, and forms
+    # only the other rows from products; A1, A2, B3, D4 and E6 have simple
+    # currents, A2 and E6 a charge conjugation, G2 and F4 neither
+    from loopfusion.verlinde import _build_fusion_matrices
+
+    fm = _build_fusion_matrices(build_root_system(label), k)
+    n = len(fm.labels)
+    assert all(fm.fusion[a][b] == fm.fusion[b][a] for a in range(n) for b in range(a))
