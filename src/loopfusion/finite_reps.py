@@ -6,13 +6,15 @@ recursion in exact scaled-integer arithmetic over the dominant weights only
 is known.  The recursion reads each root string once: it keeps, for this
 recursion only, the tail sums of m(w) (w, alpha) up each alpha-string,
 filled from the top, so its cost grows with the number of weights, not
-with their size.  Then tensor decomposition by the Klimyk reflection rule, and
-Weyl-character evaluation at the torus points whose ratios reproduce
-S-matrix columns.  The Klimyk rows offset + nu, over the weights nu and
-for many offsets at once, have one home, :func:`klimyk_rows`.
-:func:`tensor_decompose` sweeps its one-offset rows into the dominant
-chamber; the Kac-Walton fusion rows sweep the extended labels of theirs
-into the alcove.
+with their size.  Then the Klimyk reflection rule, and Weyl-character
+evaluation at the torus points whose ratios reproduce S-matrix columns.
+
+The Klimyk rule has one home, :func:`klimyk_reduce`: the rows offset + nu
+over the weights nu of V_lam, for many offsets at once, swept as extended
+Dynkin labels at a level kappa into the alcove in one kernel call.  At
+kappa = k + c these are the Kac-Walton fusion rows; at a level no row
+reaches, the alcove is the dominant chamber near every row, and
+:func:`tensor_decompose` reads the tensor product off them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from operator import add, mul, sub
 import numpy as np
 
 from . import kernels
+from .affine_weyl import check_alcove
 from .errors import ResourceError
 from .rootdata import (
     RootSystem,
@@ -33,6 +36,7 @@ from .rootdata import (
     check_dominant,
     check_orbit_size,
     pairing_int,
+    theta_pairing,
     weyl_cap,
     weyl_orbit,
 )
@@ -193,44 +197,66 @@ def weight_multiplicities(
 def tensor_decompose(rs: RootSystem, lam: tuple, mu: tuple) -> VirtualCharacter:
     """Klimyk rule: reflect lam + rho + (each weight of mu) back to dominance.
 
-    The rows are swept into the dominant chamber in one kernel call, which
-    counts each row's reflections for its sign; rows landing on a chamber
-    wall cancel.  The result is the honest decomposition of the tensor
-    product, so every coefficient is nonnegative and the dimension identity
-    holds.
+    This is :func:`klimyk_product` at kappa = level(lam) + level(mu) + c,
+    a level no row reaches: the dominant point of a row has level at most
+    level(lam + rho) + level(mu) = kappa - 1, and (w y, theta) <= (y, theta)
+    for dominant y, so s_0 never fires and no row meets an affine wall.
+    Rows landing on a chamber wall cancel.  The result is the honest
+    decomposition of the tensor product, so every coefficient is
+    nonnegative and the dimension identity holds.
     """
     lam = check_dominant(rs, lam)
     mu = check_dominant(rs, mu)
-    if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
+    kappa = theta_pairing(rs, lam) + theta_pairing(rs, mu) + rs.dual_coxeter
+    return VirtualCharacter(klimyk_product(rs, kappa, mu, lam))
+
+
+def klimyk_product(rs: RootSystem, kappa: int, lam: Weight, mu: Weight) -> dict[Weight, int]:
+    """V_lam (x) V_mu reduced at level kappa, as {weight: coefficient} in
+    sorted order: one offset of :func:`klimyk_reduce`, over the weights of
+    whichever factor has the smaller dimension (lam on a tie)."""
+    if weyl_dimension(rs, mu) < weyl_dimension(rs, lam):
         lam, mu = mu, lam  # iterate over the smaller weight system
-    rows, mults = klimyk_rows(rs, mu, [tuple(v + 1 for v in lam)])
-    reduced, signs, _ = kernels.dominant_reduce_batch(
-        rs.np_finite_classes, rows, len(rs.positive_roots)
-    )
-    kept = np.flatnonzero(reduced.all(axis=1))  # rows on a chamber wall cancel
-    out = VirtualCharacter()
-    for point, sign, i in zip((reduced[kept] - 1).tolist(), signs[kept].tolist(), kept.tolist()):
-        out.add(tuple(point), sign * mults[i])
-    assert all(v > 0 for v in out.terms.values())
-    return VirtualCharacter(dict(sorted(out.terms.items())))
+    [terms] = klimyk_reduce(rs, kappa, lam, [tuple(v + 1 for v in mu)])
+    return dict(sorted(terms.items()))
 
 
-def klimyk_rows(rs: RootSystem, lam: Weight, offsets: list, *scalars) -> tuple:
-    """The Klimyk rows offset + nu over the weights nu of V_lam, for many offsets.
+def klimyk_reduce(rs: RootSystem, kappa: int, lam: Weight, offsets: list) -> list[dict[Weight, int]]:
+    """The Klimyk rows offset + nu over the weights nu of V_lam, for many
+    offsets at once, reduced at level kappa in one kernel call.
 
-    Returns (rows, mults): the rows offset by offset, each offset's rows in
-    the order of ``mults``, the multiplicities of the nu.  The rows come
-    from :func:`kernels.int_rows`: int64 when every entry and every one of
-    ``scalars`` fits the int64 kernel range, otherwise Python ints.  With
-    the offset lam' + rho, the rows reduced to the dominant chamber carry
-    V_lam' (x) V_lam, and reduced into the level-k alcove its fusion
-    product.
+    The rows come from :func:`kernels.int_rows`, int64 when every entry and
+    kappa fit the int64 kernel range, otherwise Python ints.  Their
+    :func:`kernels.extended_batch` labels at level kappa are swept into the
+    orthant, the closed alcove, counting each row's reflections.  A row on
+    a wall, a zero label, cancels; the others count with their
+    multiplicity times (-1)^reflections.  The callers pick kappa so that a
+    row crosses at most one wall per positive root, which bounds its
+    reflections: with the offset mu + rho of an alcove label mu and lam
+    one too, at kappa = k + c, the rows carry the level-k fusion product
+    V_lam (x) V_mu (Walton 1990; Kac, *Infinite Dimensional Lie Algebras*,
+    Exercise 13.35); at a level no row reaches, the tensor product.
+    Returns one {weight: coefficient} per offset.
     """
     system = weight_multiplicities(rs, lam)
     offsets = kernels.int_rows(np.array(offsets, dtype=object).reshape(-1, rs.rank))
     weights = np.fromiter(chain.from_iterable(system.by_weight), np.int64).reshape(-1, rs.rank)
-    rows = offsets[:, None, :] + weights
-    return kernels.int_rows(rows.reshape(-1, rs.rank), *scalars), list(system.by_weight.values())
+    rows = kernels.int_rows((offsets[:, None, :] + weights).reshape(-1, rs.rank), kappa)
+    reduced, signs, _ = kernels.dominant_reduce_batch(
+        rs.np_colour_classes,
+        kernels.extended_batch(rs.comarks, kappa, rows),
+        len(rs.positive_roots),
+    )
+    kept = np.flatnonzero(reduced.all(axis=1))  # rows on a wall cancel
+    mults = list(system.by_weight.values())
+    which, at = np.divmod(kept, len(mults))
+    out = [VirtualCharacter() for _ in offsets]
+    for a, i, sign, point in zip(
+        which.tolist(), at.tolist(), signs[kept].tolist(), (reduced[kept, 1:] - 1).tolist()
+    ):
+        out[a].add(tuple(point), sign * mults[i])
+    assert all(m > 0 for row in out for m in row.terms.values()), "negative Klimyk coefficient"
+    return [row.terms for row in out]
 
 
 def tensor_dimension_identity(rs: RootSystem, lam: tuple, mu: tuple) -> bool:
@@ -241,11 +267,16 @@ def tensor_dimension_identity(rs: RootSystem, lam: tuple, mu: tuple) -> bool:
 
 
 def character_numerator(rs: RootSystem, kappa: int, lam: tuple, mu: tuple) -> complex:
-    """Signed Weyl sum sum_w eps(w) exp(-2 pi i (w(lam+rho), mu+rho)/kappa)."""
+    """Signed Weyl sum sum_w eps(w) exp(-2 pi i (w(lam+rho), mu+rho)/kappa).
+
+    The phase is linear in lam + rho and read mod form_den * kappa, so
+    lam + rho is reduced mod form_den * kappa first: exact for every lam,
+    and inside int64 for the kernel.
+    """
     mats, signs = rs.weyl_matrices()
-    row = np.array([[v + 1 for v in lam]], dtype=np.int64)
-    col = np.array([[v + 1 for v in mu]], dtype=np.int64)
     denom = rs.form_den * kappa
+    row = np.array([[(v + 1) % denom for v in lam]], dtype=np.int64)
+    col = np.array([[v + 1 for v in mu]], dtype=np.int64)
     return complex(
         kernels.signed_weyl_sum(mats, signs, rs.np_form_int, row, col, denom)[0, 0]
     )
@@ -257,8 +288,6 @@ def character_ratio(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> complex:
     Equals the S-matrix ratio S_{lam,mu}/S_{0,mu} when lam is an alcove
     weight; defined for every dominant lam.
     """
-    from .affine_weyl import check_alcove  # local import to avoid a cycle
-
     lam = check_dominant(rs, lam)
     mu = check_alcove(rs, k, mu)
     kappa = k + rs.dual_coxeter

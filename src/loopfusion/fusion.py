@@ -4,14 +4,14 @@ The numeric route diagonalizes fusion through the Kac-Peterson S-matrix and
 rounds with a hard residual gate; the exact route is the Kac-Walton
 algorithm, one signed affine-Weyl reduction of mu + rho + nu over the
 weights nu of V_lam at kappa = k + c (Walton 1990; Kac, *Infinite
-Dimensional Lie Algebras*, Exercise 13.35).  Its one home,
-:func:`kac_walton_rows`, takes a whole block of products V_lam (x) V_mu in
-one pass: one kernel call sweeps every row's extended Dynkin labels into
-the alcove, counting reflections for the sign, and the rows on a wall
-drop.  The finite Weyl group lies inside the affine one, so no finite
-stage comes first.  :func:`fuse_kw` is its one-row case.  The exact route
-is authoritative; the test suite holds the two equal on every desk-scale
-instance.
+Dimensional Lie Algebras*, Exercise 13.35).  That is the Klimyk rule of
+:func:`finite_reps.klimyk_reduce` at level kappa, which sweeps every row's
+extended Dynkin labels into the alcove in one kernel call, counting
+reflections for the sign, and drops the rows on a wall; the tensor product
+is the same rule at a level no row reaches.  :func:`kac_walton_rows` takes
+a whole block of products V_lam (x) V_mu in one such call, and
+:func:`fuse_kw` one product.  The exact route is authoritative; the test
+suite holds the two equal on every desk-scale instance.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .affine_weyl import check_alcove
 from .errors import NumericalError, ResourceError, ValidationError
-from .finite_reps import WeightCombination, klimyk_rows, weyl_dimension
+from .finite_reps import WeightCombination, klimyk_product, klimyk_reduce
 from .rootdata import (
     RootSystem,
     Weight,
@@ -219,22 +219,20 @@ def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
 
 
 def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
-    """Kac-Walton fusion, exact: one row of :func:`kac_walton_rows`, which
-    checks both labels."""
+    """Kac-Walton fusion, exact: :func:`finite_reps.klimyk_product` at
+    kappa = k + c, the one-offset case of :func:`kac_walton_rows`."""
     k = as_nonnegative(k, "level")
-    if weyl_dimension(rs, mu) < weyl_dimension(rs, lam):
-        lam, mu = mu, lam  # iterate over the smaller weight system
-    return FusionElement(k=k, terms=dict(sorted(kac_walton_rows(rs, k, lam, [mu])[0].items())))
+    lam = check_alcove(rs, k, lam)
+    mu = check_alcove(rs, k, mu)
+    return FusionElement(k=k, terms=klimyk_product(rs, k + rs.dual_coxeter, lam, mu))
 
 
 def kac_walton_rows(rs: RootSystem, k: int, lam: Weight, mus: list) -> list[dict[Weight, int]]:
     """The level-k products V_lam (x) V_mu for every alcove label mu in ``mus``, in one pass.
 
-    The rows mu + rho + nu over the weights nu of V_lam
-    (:func:`finite_reps.klimyk_rows`) go into the level-kappa alcove in one
-    kernel call on their extended Dynkin labels, which counts each row's
-    reflections.  A row on a wall, a zero label, cancels; the others count
-    with their multiplicity times (-1)^reflections.  lam and every mu are
+    The rows mu + rho + nu over the weights nu of V_lam go into the
+    level-kappa alcove in one :func:`finite_reps.klimyk_reduce` call on
+    their extended Dynkin labels, kappa = k + c.  lam and every mu are
     alcove labels, so |(nu, alpha)| <= level(lam) < kappa and
     0 < (mu + rho, alpha) < kappa for every positive root alpha: a row
     crosses at most one wall per positive root, which bounds its
@@ -244,21 +242,7 @@ def kac_walton_rows(rs: RootSystem, k: int, lam: Weight, mus: list) -> list[dict
     k = as_nonnegative(k, "level")
     lam = check_alcove(rs, k, lam)
     shifted = [tuple(v + 1 for v in check_alcove(rs, k, mu)) for mu in mus]
-    kappa = k + rs.dual_coxeter
-    rows, mults = klimyk_rows(rs, lam, shifted, kappa)
-    ys = kernels.extended_batch(rs.comarks, kappa, rows)
-    reduced, signs, _ = kernels.dominant_reduce_batch(
-        rs.np_colour_classes, ys, len(rs.positive_roots)
-    )
-    kept = np.flatnonzero(reduced.all(axis=1))  # rows on a wall cancel
-    which, at = np.divmod(kept, len(mults))
-    out = [FusionElement(k=k) for _ in mus]
-    for a, i, sign, label in zip(
-        which.tolist(), at.tolist(), signs[kept].tolist(), (reduced[kept, 1:] - 1).tolist()
-    ):
-        out[a].add(tuple(label), sign * mults[i])
-    assert all(m > 0 for row in out for m in row.terms.values()), "negative Kac-Walton output"
-    return [row.terms for row in out]
+    return klimyk_reduce(rs, k + rs.dual_coxeter, lam, shifted)
 
 
 def fuse_elements(

@@ -1,21 +1,22 @@
 """Batched numpy kernels: orthant sweeps, extended Dynkin labels, alcove
 lengths and reduction, S-sums.
 
-Both reductions sweep rows into an orthant y >= 0, branch-free over all
-rows: Dynkin labels into the dominant chamber, or the rows of
-:func:`extended_batch`, the batch twin of ``rootdata.extended``, into the
-closed alcove, whose walls are the rows with a zero label.  A sweep applies
-the generators one colour class of pairwise orthogonal nodes at a time, one
-matrix step per class, each reflection acting by how far a row violates it,
-which is zero where it does not.  :func:`dominant_reduce_batch` counts each
-row's reflections, which is all the Klimyk and Kac-Walton rows need besides
-the reduced point.  :func:`alcove_reduce_batch` counts nothing:
-:func:`alcove_length_batch` gives each row's length, and its translate's,
-in closed form from one product over the positive roots, for callers that
-need the length itself.  A violated reflection crosses exactly one wall
-separating the row from its chamber or alcove, so each row takes the same
-number of reflections as in any other order, and a sweep may apply several
-of them.
+Both reductions sweep the rows of :func:`extended_batch`, the batch twin of
+``rootdata.extended``, into the orthant y >= 0, the closed alcove, whose
+walls are the rows with a zero label, branch-free over all rows.  A sweep
+applies the generators one colour class of pairwise orthogonal nodes at a
+time, one matrix step per class, each reflection acting by how far a row
+violates it, which is zero where it does not.
+:func:`dominant_reduce_batch` counts each row's reflections, which is all
+the Klimyk rows need besides the reduced point: at kappa = k + c they are
+the Kac-Walton fusion rows, and at a level no row reaches, where s_0 never
+fires, the tensor-product rows.  :func:`alcove_reduce_batch` counts
+nothing: :func:`alcove_length_batch` gives each row's length, and its
+translate's, in closed form from one product over the positive roots, for
+callers that need the length itself.  A violated reflection crosses
+exactly one wall separating the row from the alcove, so each row takes
+the same number of reflections as in any other order, and a sweep may
+apply several of them.
 
 The reductions take integer rows of either dtype and keep it: int64, or an
 object array of Python ints, which have no magnitude limit.  Callers get
@@ -58,16 +59,14 @@ def dominant_reduce_batch(classes, xs: np.ndarray, max_steps: int):
     ``classes`` holds (nodes, rows of a) per colour class of pairwise
     orthogonal nodes, s_i acting as y -= min(y_i, 0) * a_i.  The reflections
     of one class commute and leave each other's coordinates alone, so a
-    sweep is one matrix step per class.  With ``RootSystem.np_finite_classes``
-    on Dynkin labels the orthant is the dominant chamber; with
-    ``RootSystem.np_colour_classes`` on :func:`extended_batch` rows it is the
-    closed alcove.  Returns (reduced, signs, steps), steps counting the
-    reflections each row applies and signs being (-1)^steps; a reduced row
-    with a zero label sits on a wall, in which case its sign carries no
-    meaning.  A violated reflection crosses exactly one wall separating the
-    row from the orthant, so a row takes one reflection per such wall, in
-    any order; a row that would pass ``max_steps`` of them raises.  The rows
-    keep the dtype of xs.
+    sweep is one matrix step per class.  With ``RootSystem.np_colour_classes``
+    on :func:`extended_batch` rows the orthant is the closed alcove.
+    Returns (reduced, signs, steps), steps counting the reflections each
+    row applies and signs being (-1)^steps; a reduced row with a zero label
+    sits on a wall, in which case its sign carries no meaning.  A violated
+    reflection crosses exactly one wall separating the row from the orthant,
+    so a row takes one reflection per such wall, in any order; a row that
+    would pass ``max_steps`` of them raises.  The rows keep the dtype of xs.
     """
     ys = np.array(xs)
     steps = np.zeros(len(ys), dtype=np.int64)

@@ -390,14 +390,7 @@ class RootSystem:
         self._weyl_lock = threading.Lock()
         self._weyl_cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    # views built on first read: the rational ones only describe() and tests
-    # use, the finite classes only the Klimyk rule
-
-    @cached_property
-    def np_finite_classes(self) -> tuple:
-        """The colour classes without node 0, on Dynkin labels: per class its
-        simple-root indexes and their ``simple_roots`` rows."""
-        return tuple((n[n > 0] - 1, a[n > 0, 1:]) for n, a in self.np_colour_classes if n.any())
+    # rational views built on first read: only describe() and tests use them
 
     @cached_property
     def form(self) -> tuple[RationalVector, ...]:
@@ -681,10 +674,11 @@ def dominant_reduce(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
     """(dominant point in the finite Weyl orbit of the integer weight x,
     (-1)^steps), exact.
 
-    Cyclic sweeps of s_1..s_r (:func:`sweep_reduce` over ``simple_supports``),
-    the order :func:`kernels.dominant_reduce_batch` uses; on a wall the sign
-    carries no meaning.  Each reflection lowers #{a > 0 : (y, a^vee) < 0} by
-    exactly one, so at most |positive roots| of them happen.
+    Cyclic sweeps of s_1..s_r (:func:`sweep_reduce` over ``simple_supports``);
+    on a wall the sign carries no meaning.  Each reflection lowers
+    #{a > 0 : (y, a^vee) < 0} by exactly one, so at most |positive roots| of
+    them happen, in any order, which :func:`kernels.dominant_reduce_batch`
+    counts on extended labels at a level no row reaches.
     """
     y = list(check_weight(rs, x))
     steps = sweep_reduce(rs.simple_supports, y, len(rs.positive_roots))

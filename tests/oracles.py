@@ -220,3 +220,22 @@ def index_euler_characteristic(sm, character, genus: int, insertions) -> complex
             term *= character(lam, lw.weight)
         total += term
     return total
+
+
+def klimyk_sum(reduce, weights: dict, lam: tuple) -> dict:
+    """V_lam (x) V_mu by the finite Klimyk sum, one scalar reduction per row.
+
+    ``weights`` maps each weight nu of V_mu to its multiplicity, and
+    ``reduce(x)`` returns the dominant point of the finite Weyl orbit of x
+    with (-1)^reflections, as ``rootdata.dominant_reduce`` does.  The row
+    lam + rho + nu counts at its dominant point less rho, with that sign
+    times its multiplicity; a row whose dominant point has a zero Dynkin
+    label lies on a wall and drops (Klimyk 1968).
+    """
+    out: dict = {}
+    for nu, mult in weights.items():
+        point, sign = reduce(tuple(a + 1 + b for a, b in zip(lam, nu)))
+        if all(point):
+            key = tuple(v - 1 for v in point)
+            out[key] = out.get(key, 0) + sign * mult
+    return {w: c for w, c in sorted(out.items()) if c}

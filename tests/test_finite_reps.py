@@ -1,5 +1,6 @@
 """Dimensions, weight multiplicities, tensor products, character values."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from loopfusion.finite_reps import (
     weyl_dimension,
 )
 from loopfusion.fusion import FusionElement, s_matrix
-from loopfusion.rootdata import _orbit_size, build_root_system, weyl_cap, weyl_orbit
+from loopfusion.rootdata import _orbit_size, build_root_system, dominant_reduce, weyl_cap, weyl_orbit
 
 import oracles
 
@@ -253,6 +254,29 @@ def test_tensor_associativity_spot_checks():
         assert left.terms == right.terms
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"])
+def test_tensor_matches_the_scalar_finite_klimyk_sum(label):
+    # every row lam + rho + nu reduced on its own by rootdata.dominant_reduce,
+    # in Dynkin labels, with no kernel and no extended labels
+    rs = build_root_system(label)
+    rng = random.Random(f"{label} klimyk")
+
+    def small(most):
+        while weyl_dimension(rs, w := tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(rs.rank))) > most:
+            pass
+        return w
+
+    pairs = [(small(10**5), small(4000)) for _ in range(4)]
+    if label in ("A2", "G2"):
+        # past 2^40 the rows and kappa run as Python ints
+        pairs.append(((2**41 + 3, 5), (1, 1)))
+    for lam, mu in pairs:
+        want = oracles.klimyk_sum(
+            functools.partial(dominant_reduce, rs), weight_multiplicities(rs, mu).by_weight, lam
+        )
+        assert want and tensor_decompose(rs, lam, mu).terms == want
+
+
 def test_virtual_character_algebra():
     a = VirtualCharacter({(1, 0): 2, (0, 0): 1, (3, 3): 0})
     assert a.terms == {(1, 0): 2, (0, 0): 1}
@@ -298,6 +322,27 @@ def test_character_numerator_antisymmetry():
     assert abs(val - swapped.conjugate()) < 1e-9 * (1 + abs(val))
 
 
+@pytest.mark.parametrize("label,k", [("A1", 1), ("G2", 2), ("B3", 1), ("F4", 1), ("E6", 1)])
+def test_character_ratio_is_periodic_past_int64(label, k):
+    # the phase is linear in lam + rho and read mod form_den * kappa, so
+    # adding form_den * kappa * m to every coordinate keeps the value exactly,
+    # however far past int64 the weight lies
+    from loopfusion.fusion import alcove_weights
+
+    rs = build_root_system(label)
+    period = rs.form_den * (k + rs.dual_coxeter)
+    rng = random.Random(f"{label} period")
+    labels = [lw.weight for lw in alcove_weights(rs, k)]
+    for e in (0, 40, 50, 54, 58, 60, 62, 63, 64, 70):
+        lam = tuple(rng.randint(0, 3) for _ in range(rs.rank))
+        mu = rng.choice(labels)
+        far = tuple(v + period * 2**e for v in lam)
+        assert character_ratio(rs, k, far, mu) == character_ratio(rs, k, lam, mu)
+    if label == "A1":
+        # sin(2 pi (2^62 + 1) / 3) / sin(2 pi / 3), with 2^62 + 1 = 2 mod 3
+        assert abs(character_ratio(rs, 1, (2**62,), (1,)) + 1) < 1e-12
+
+
 def test_character_ratio_validation():
     rs = build_root_system("A1")
     with pytest.raises(ValidationError):
@@ -319,10 +364,11 @@ def test_freudenthal_total_is_weyl_dimension(label, data):
     assert m.total() == weyl_dimension(rs, lam)
 
 
-@pytest.mark.parametrize("top,exact", [(1 << 40, True), ((1 << 40) - 1, False)])
+@pytest.mark.parametrize("top,exact", [((1 << 40) - 1, True), ((1 << 40) - 2, False)])
 def test_tensor_int64_guard_boundary(monkeypatch, top, exact):
-    # (top - 2) x (1): the largest rho-shifted coordinate is exactly top, and
-    # from 2^40 on the kernel receives Python-int rows instead of int64 ones
+    # (top - 2) x (1) reduces at kappa = level(top - 2) + level(1) + 2 = top + 1,
+    # node 0's label and the largest entry the kernel receives, and from
+    # kappa = 2^40 on the kernel receives Python-int rows instead of int64 ones
     from loopfusion import kernels
 
     dtypes = []

@@ -1,5 +1,6 @@
 """Fusion rings: S-matrix route against the exact combinatorial route."""
 
+import functools
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from loopfusion.errors import NumericalError, ResourceError, ValidationError
+from loopfusion.finite_reps import weight_multiplicities
 from loopfusion.fusion import (
     FusionElement,
     LevelWeight,
@@ -18,13 +20,19 @@ from loopfusion.fusion import (
     kac_walton_rows,
     s_matrix,
 )
-from loopfusion.rootdata import build_root_system
+from loopfusion.rootdata import build_root_system, dominant_reduce
 
 import oracles
 
 
 def weights_of(rs, k):
     return [lw.weight for lw in alcove_weights(rs, k)]
+
+
+def klimyk_sum(rs, lam, mu):
+    """V_lam (x) V_mu by the scalar finite Klimyk sum over the weights of V_mu."""
+    weights = weight_multiplicities(rs, mu).by_weight
+    return oracles.klimyk_sum(functools.partial(dominant_reduce, rs), weights, lam)
 
 
 def test_alcove_weights_worked_examples():
@@ -155,6 +163,7 @@ def test_fusion_truncation_versus_tensor():
 
     a2 = build_root_system("A2")
     tensor = tensor_decompose(a2, (1, 1), (1, 1)).terms
+    assert tensor == klimyk_sum(a2, (1, 1), (1, 1))
     assert tensor[(1, 1)] == 2
     big_k = 8
     assert fuse_kw(a2, big_k, (1, 1), (1, 1)).terms == tensor
@@ -257,6 +266,14 @@ def test_a_kac_walton_batch_is_one_sweep_of_extended_labels(monkeypatch):
         shape = (len(mus) * weights, rs.rank + 1)
         assert calls == [(rs.np_colour_classes, shape, len(rs.positive_roots))]
         assert rows == [fuse_s(rs, k, lam, mu).terms for mu in mus]
+    # a tensor product is the same one sweep, at a level no row reaches
+    for label, lam, mu in [("B3", (0, 1, 1), (1, 0, 0)), ("G2", (4, 1), (3, 2)), ("A3", (2, 1, 0), (1, 0, 1))]:
+        rs = build_root_system(label)
+        calls.clear()
+        got = finite_reps.tensor_decompose(rs, lam, mu)
+        weights = len(finite_reps.weight_multiplicities(rs, mu).by_weight)
+        assert calls == [(rs.np_colour_classes, (weights, rs.rank + 1), len(rs.positive_roots))]
+        assert got.terms == klimyk_sum(rs, lam, mu)
 
 
 def test_fuse_elements_bilinear_and_validates():
@@ -292,6 +309,7 @@ def test_kac_walton_is_exact_past_int64():
     # far from the affine wall, fusion is the plain tensor product
     a2 = build_root_system("A2")
     want = tensor_decompose(a2, (1, 1), (big, 0)).terms
+    assert want == klimyk_sum(a2, (big, 0), (1, 1))
     assert len(want) == 4
     assert fuse_kw(a2, k, (1, 1), (big, 0)).terms == want
 

@@ -47,6 +47,13 @@ def random_rows(rng, rank, n, lo=-40, hi=40):
     )
 
 
+def finite_classes(rs):
+    """The affine colour classes without node 0, on Dynkin labels: per class
+    its simple-root indexes and their ``simple_roots`` rows, under which the
+    dominant kernel sweeps into the dominant chamber."""
+    return tuple((n[n > 0] - 1, a[n > 0, 1:]) for n, a in rs.np_colour_classes if n.any())
+
+
 def closed_form_lengths(rs, kappa, xs):
     """The closed-form lengths of the rows of xs and of their kappa*Q^vee translates."""
     den = rs.form_den * kappa
@@ -60,10 +67,10 @@ def test_dominant_reduce_backends_agree(label):
     rng = random.Random(4)
     xs = random_rows(rng, rs.rank, 200)
     via_int64 = kernels.dominant_reduce_batch(
-        rs.np_finite_classes, xs.copy(), len(rs.positive_roots)
+        finite_classes(rs), xs.copy(), len(rs.positive_roots)
     )
     via_object = kernels.dominant_reduce_batch(
-        rs.np_finite_classes, xs.astype(object), len(rs.positive_roots)
+        finite_classes(rs), xs.astype(object), len(rs.positive_roots)
     )
     assert via_object[0].dtype == object
     assert all(type(v) is int for v in via_object[0].ravel())
@@ -213,19 +220,19 @@ def test_dominant_batch_needs_exactly_the_positive_root_count_of_sweeps(label):
     rs = build_root_system(label)
     bound = len(rs.positive_roots)
     xs = np.array([[-1] * rs.rank, [2] * rs.rank], dtype=np.int64)
-    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_finite_classes, xs, bound)
+    reduced, signs, steps = kernels.dominant_reduce_batch(finite_classes(rs), xs, bound)
     assert reduced.tolist() == [[1] * rs.rank, [2] * rs.rank]
     assert steps.tolist() == [bound, 0]
     assert signs.tolist() == [(-1) ** bound, 1]
     with pytest.raises(AssertionError, match="terminate"):
-        kernels.dominant_reduce_batch(rs.np_finite_classes, xs, bound - 1)
+        kernels.dominant_reduce_batch(finite_classes(rs), xs, bound - 1)
 
 
 def test_empty_batches():
     rs = build_root_system("A2")
     xs = np.empty((0, 2), dtype=np.int64)
     reduced, signs, steps = kernels.dominant_reduce_batch(
-        rs.np_finite_classes, xs, len(rs.positive_roots)
+        finite_classes(rs), xs, len(rs.positive_roots)
     )
     assert reduced.shape == (0, 2)
     reduced, steps, status = kernels.alcove_reduce_batch(
@@ -246,7 +253,7 @@ def test_dominant_reduce_is_orbit_preserving(label, seed):
     rng = random.Random(seed)
     xs = random_rows(rng, rs.rank, 4, lo=-8, hi=8)
     reduced, signs, steps = kernels.dominant_reduce_batch(
-        rs.np_finite_classes, xs, len(rs.positive_roots)
+        finite_classes(rs), xs, len(rs.positive_roots)
     )
     for x, y in zip(xs, reduced):
         assert tuple(int(v) for v in y) in weyl_orbit(rs, tuple(int(v) for v in x))
@@ -302,7 +309,7 @@ def test_kernels_on_rows_straddling_the_int64_limit(label, h, seed):
     xs = kernels.int_rows(np.array(rows, dtype=object))
     assert xs.dtype == object
     reduced, signs, _ = kernels.dominant_reduce_batch(
-        rs.np_finite_classes, xs, len(rs.positive_roots)
+        finite_classes(rs), xs, len(rs.positive_roots)
     )
     batch = alcove_reduce_batch(ctx, xs)
     for a, x in enumerate(rows):
@@ -423,7 +430,7 @@ def test_dominant_kernel_counts_the_length_in_both_chambers(label):
                 assert (int(count), int(sign)) == (length, r.sign)
     xs = random_rows(rng, rs.rank, 60, lo=-12, hi=12)
     bound = len(rs.positive_roots)
-    reduced, signs, steps = kernels.dominant_reduce_batch(rs.np_finite_classes, xs, bound)
+    reduced, signs, steps = kernels.dominant_reduce_batch(finite_classes(rs), xs, bound)
     off = 0
     for x, y, sign, count in zip(xs.tolist(), reduced.tolist(), signs, steps):
         z = list(x)
@@ -433,6 +440,25 @@ def test_dominant_kernel_counts_the_length_in_both_chambers(label):
             off += 1
             assert (int(count), int(sign)) == (length, (-1) ** length)
     assert off > 0
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_extended_labels_at_a_level_no_row_reaches_sweep_as_dynkin_labels(label):
+    # above the level of every row's dominant point s_0 never fires: the
+    # affine sweep of the extended labels is the finite sweep of the Dynkin
+    # labels, with the same reflection counts, and node 0 keeps kappa - level
+    rs = build_root_system(label)
+    xs = random_rows(random.Random(f"{label} finite"), rs.rank, 60, lo=-12, hi=12)
+    bound = len(rs.positive_roots)
+    finite = kernels.dominant_reduce_batch(finite_classes(rs), xs, bound)
+    kappa = int((finite[0] @ np.array(rs.comarks)).max()) + 1
+    reduced, signs, steps = kernels.dominant_reduce_batch(
+        rs.np_colour_classes, kernels.extended_batch(rs.comarks, kappa, xs), bound
+    )
+    assert reduced[:, 1:].tolist() == finite[0].tolist()
+    assert (reduced[:, 0] == kappa - finite[0] @ np.array(rs.comarks)).all()
+    assert reduced[:, 0].min() == 1
+    assert steps.tolist() == finite[2].tolist() and signs.tolist() == finite[1].tolist()
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
@@ -447,7 +473,7 @@ def test_dominant_kernel_rows_past_two_to_the_forty_agree_with_int64(label):
     finite = random_rows(rng, rs.rank, 12, lo=-big, hi=big)
     cases = [
         (rs.np_colour_classes, kernels.extended_batch(rs.comarks, kappa, xs), 10**4),
-        (rs.np_finite_classes, finite, len(rs.positive_roots)),
+        (finite_classes(rs), finite, len(rs.positive_roots)),
     ]
     for classes, rows, bound in cases:
         assert not kernels.fits_int64(rows)
