@@ -11,9 +11,10 @@ evaluation at the torus points whose ratios reproduce S-matrix columns.
 
 The Klimyk rule has one home, :func:`klimyk_reduce`: the rows offset + nu
 over the weights nu of V_lam, for many offsets at once, swept as extended
-Dynkin labels at a level kappa into the alcove in one kernel call.  At
-kappa = k + c these are the Kac-Walton fusion rows; at a level no row
-reaches, the alcove is the dominant chamber near every row, and
+Dynkin labels at a level kappa into the alcove in one kernel call, which
+the rows that start on a wall skip.  At kappa = k + c these are the
+Kac-Walton fusion rows; at a level no row reaches, the alcove is the
+dominant chamber near every row, and
 :func:`tensor_decompose` reads the tensor product off them.
 """
 
@@ -226,11 +227,14 @@ def klimyk_reduce(rs: RootSystem, kappa: int, lam: Weight, offsets: list) -> lis
     offsets at once, reduced at level kappa in one kernel call.
 
     The rows come from :func:`kernels.int_rows`, int64 when every entry and
-    kappa fit the int64 kernel range, otherwise Python ints.  Their
-    :func:`kernels.extended_batch` labels at level kappa are swept into the
-    orthant, the closed alcove, counting each row's reflections.  A row on
-    a wall, a zero label, cancels; the others count with their
-    multiplicity times (-1)^reflections.  The callers pick kappa so that a
+    kappa fit the int64 kernel range, otherwise Python ints.  A row with a
+    zero :func:`kernels.extended_batch` label at level kappa lies on a wall
+    of the alcove; the affine Weyl group maps walls to walls, so its
+    reduction stays on one and it cancels without reaching the kernel.  The
+    rows with no zero label are swept into the orthant, the closed alcove,
+    counting each row's reflections.  A swept row that lands on a wall
+    cancels too; the others count with their multiplicity times
+    (-1)^reflections.  The callers pick kappa so that a
     row crosses at most one wall per positive root, which bounds its
     reflections: with the offset mu + rho of an alcove label mu and lam
     one too, at kappa = k + c, the rows carry the level-k fusion product
@@ -242,14 +246,14 @@ def klimyk_reduce(rs: RootSystem, kappa: int, lam: Weight, offsets: list) -> lis
     offsets = kernels.int_rows(np.array(offsets, dtype=object).reshape(-1, rs.rank))
     weights = np.fromiter(chain.from_iterable(system.by_weight), np.int64).reshape(-1, rs.rank)
     rows = kernels.int_rows((offsets[:, None, :] + weights).reshape(-1, rs.rank), kappa)
+    labels = kernels.extended_batch(rs.comarks, kappa, rows)
+    live = np.flatnonzero(labels.all(axis=1))  # a row on a wall stays on one
     reduced, signs, _ = kernels.dominant_reduce_batch(
-        rs.np_colour_classes,
-        kernels.extended_batch(rs.comarks, kappa, rows),
-        len(rs.positive_roots),
+        rs.np_colour_classes, labels[live], len(rs.positive_roots)
     )
-    kept = np.flatnonzero(reduced.all(axis=1))  # rows on a wall cancel
+    kept = reduced.all(axis=1)  # rows reflected onto a wall cancel too
     mults = list(system.by_weight.values())
-    which, at = np.divmod(kept, len(mults))
+    which, at = np.divmod(live[kept], len(mults))
     out = [VirtualCharacter() for _ in offsets]
     for a, i, sign, point in zip(
         which.tolist(), at.tolist(), signs[kept].tolist(), (reduced[kept, 1:] - 1).tolist()

@@ -5,9 +5,10 @@ rounds with a hard residual gate; the exact route is the Kac-Walton
 algorithm, one signed affine-Weyl reduction of mu + rho + nu over the
 weights nu of V_lam at kappa = k + c (Walton 1990; Kac, *Infinite
 Dimensional Lie Algebras*, Exercise 13.35).  That is the Klimyk rule of
-:func:`finite_reps.klimyk_reduce` at level kappa, which sweeps every row's
-extended Dynkin labels into the alcove in one kernel call, counting
-reflections for the sign, and drops the rows on a wall; the tensor product
+:func:`finite_reps.klimyk_reduce` at level kappa, which drops the rows
+that start on a wall, sweeps the other rows' extended Dynkin labels into
+the alcove in one kernel call, counting reflections for the sign, and
+drops the rows that land on a wall; the tensor product
 is the same rule at a level no row reaches.  :func:`kac_walton_rows` takes
 a whole block of products V_lam (x) V_mu in one such call, and
 :func:`fuse_kw` one product.  The exact route is authoritative; the test

@@ -462,8 +462,21 @@ def _build_cached(series: str, rank: int) -> RootSystem:
     return RootSystem(AlgebraSpec(series, rank))
 
 
+@lru_cache(maxsize=64)
+def _build_from_text(text: str) -> RootSystem:
+    spec = AlgebraSpec.parse(text)
+    return _build_cached(spec.series, spec.rank)
+
+
 def build_root_system(spec: "str | AlgebraSpec") -> RootSystem:
-    """Construct (or fetch from cache) the root system for an algebra label."""
+    """Construct (or fetch from cache) the root system for an algebra label.
+
+    A text label is parsed once: a small cache keyed on the text keeps its
+    root system.  Errors are not cached, so an invalid label raises
+    ValidationError on every call.
+    """
+    if isinstance(spec, str):
+        return _build_from_text(spec)
     spec = AlgebraSpec.parse(spec)
     return _build_cached(spec.series, spec.rank)
 

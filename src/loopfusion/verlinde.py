@@ -28,6 +28,7 @@ estimated float error could reach the integer.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,6 +40,7 @@ from .errors import NumericalError, ResourceError, ValidationError
 from .finite_reps import weyl_dimension
 from .fusion import (
     ROUND_TOLERANCE,
+    LevelWeight,
     alcove_weights,
     conjugate_weight,
     kac_walton_rows,
@@ -49,9 +51,24 @@ from .rootdata import RootSystem, Weight, as_nonnegative, check_dominant, pairin
 from .rootdata import extended, theta_pairing
 
 
+def _surface_label(w) -> Weight:
+    """A Surface entry, a LevelWeight or a sequence of integers, as a tuple
+    of Python ints, or ValidationError."""
+    if isinstance(w, LevelWeight):
+        w = w.weight
+    try:
+        return tuple(map(operator.index, w))
+    except TypeError:
+        raise ValidationError(f"surface label {w!r} is not a sequence of integers") from None
+
+
 @dataclass(frozen=True)
 class Surface:
-    """Genus plus labeled points: interior insertions and boundary labels."""
+    """Genus plus labeled points: interior insertions and boundary labels.
+
+    Both fields take LevelWeight records or sequences of integers and hold
+    each label as a tuple of Python ints, so a label is hashable and exact.
+    """
 
     genus: int
     insertions: tuple[Weight, ...] = ()
@@ -59,15 +76,8 @@ class Surface:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "genus", as_nonnegative(self.genus, "genus"))
-        object.__setattr__(
-            self, "insertions", tuple(tuple(w) for w in self.insertions)
-        )
-        # boundary entries may arrive as LevelWeight records or raw tuples
-        object.__setattr__(
-            self,
-            "boundary",
-            tuple(tuple(getattr(w, "weight", w)) for w in self.boundary),
-        )
+        object.__setattr__(self, "insertions", tuple(map(_surface_label, self.insertions)))
+        object.__setattr__(self, "boundary", tuple(map(_surface_label, self.boundary)))
 
 
 @dataclass(frozen=True)
@@ -340,44 +350,66 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
     return FusionMatrices(labels=labels, index=index, fusion=fusion, dual=dual, handle=handle)
 
 
+def _cached_matrices(rs: RootSystem, k: int) -> "FusionMatrices | None":
+    with _fusion_lock:
+        return _fusion_cache.get((rs.spec.series, rs.spec.rank, k))
+
+
 def fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
     """The exact level-k fusion matrices and handle operator, cached."""
     k = as_nonnegative(k, "level")
-    key = (rs.spec.series, rs.spec.rank, k)
-    with _fusion_lock:
-        got = _fusion_cache.get(key)
+    got = _cached_matrices(rs, k)
     if got is not None:
         return got
     built = _build_fusion_matrices(rs, k)
     with _fusion_lock:
-        return _fusion_cache.setdefault(key, built)
+        return _fusion_cache.setdefault((rs.spec.series, rs.spec.rank, k), built)
 
 
-def _surface_labels(rs: RootSystem, k: int, surface: Surface) -> list[Weight]:
-    labels = list(surface.insertions) + list(surface.boundary)
+def _check_labels(rs: RootSystem, k: int, labels: tuple) -> "FusionMatrices | None":
+    """Raise ValidationError unless every label, a tuple of Python ints as a
+    Surface holds, is a level-k alcove label; return the cached level-k
+    matrices, or None before their build.
+
+    Once the matrices are cached, a key of their index is a label by
+    construction, so only a miss goes through check_alcove, which raises;
+    before the build every label does, so a bad label costs no build.
+    """
+    fm = _cached_matrices(rs, k)
+    index = {} if fm is None else fm.index
     for w in labels:
-        check_alcove(rs, k, w)
-    return labels
+        if w not in index:
+            check_alcove(rs, k, w)
+    return fm
 
 
-def _insert(fm: FusionMatrices, v: list[int], labels: list[Weight]) -> list[int]:
+def _checked_matrices(rs: RootSystem, k: int, labels: tuple) -> FusionMatrices:
+    """The level-k fusion matrices, built only once every label is checked."""
+    k = as_nonnegative(k, "level")
+    fm = _check_labels(rs, k, labels)
+    return fm if fm is not None else fusion_matrices(rs, k)
+
+
+def _insert(fm: FusionMatrices, v: list[int], labels: tuple) -> list[int]:
     for w in labels:
         v = _times(v, fm.fusion[fm.index[w]])
     return v
 
 
-def verlinde_dimension(rs: RootSystem, k: int, surface: Surface) -> int:
-    """Dimension of the genus-g space with labeled points, exactly.
-
-    (e_0 H^g N_1 ... N_m)_0; the last label costs a lookup, since
-    (v N_lambda)_0 = v_{lambda*}.
-    """
-    labels = _surface_labels(rs, k, surface)
-    fm = fusion_matrices(rs, k)
+def _dimension(fm: FusionMatrices, genus: int, labels: tuple) -> int:
+    """(e_0 H^g N_1 ... N_m)_0 for checked labels; the last label costs a
+    lookup, since (v N_lambda)_0 = v_{lambda*}."""
     if not labels:
-        return fm.row(surface.genus)[0]
-    v = _insert(fm, fm.row(surface.genus), labels[:-1])
+        return fm.row(genus)[0]
+    v = _insert(fm, fm.row(genus), labels[:-1])
     return v[fm.dual[fm.index[labels[-1]]]]
+
+
+def verlinde_dimension(rs: RootSystem, k: int, surface: Surface) -> int:
+    """Dimension of the genus-g space with labeled points, exactly:
+    (e_0 H^g N_1 ... N_m)_0."""
+    labels = surface.insertions + surface.boundary
+    return _dimension(_checked_matrices(rs, k, labels), surface.genus, labels)
 
 
 def verlinde_dimension_s(rs: RootSystem, k: int, surface: Surface) -> int:
@@ -390,7 +422,7 @@ def verlinde_dimension_s(rs: RootSystem, k: int, surface: Surface) -> int:
     an entry error that keeps S unitary escapes those residuals, so this is
     an estimate, not a proof.
     """
-    labels = _surface_labels(rs, k, surface)
+    labels = [check_alcove(rs, k, w) for w in surface.insertions + surface.boundary]
     sm = s_matrix(rs, k)
     s = sm.entries
     s0 = np.real(s[0])
@@ -428,8 +460,7 @@ def cohomology_report(rs: RootSystem, h: int, surface: Surface) -> CohomologyRep
     is exposed as a property of the returned report.
     """
     ctx = AffineContext(rs, h)
-    for w in surface.boundary:
-        check_alcove(rs, h, w)
+    _check_labels(rs, ctx.h, surface.boundary)
     reduced_insertions = []
     degree = 0
     for lam in surface.insertions:
@@ -441,15 +472,9 @@ def cohomology_report(rs: RootSystem, h: int, surface: Surface) -> CohomologyRep
             )
         reduced_insertions.append(tuple(v - 1 for v in red.reduced))
         degree += red.length
-    dim = verlinde_dimension(
-        rs,
-        h,
-        Surface(
-            genus=surface.genus,
-            insertions=tuple(reduced_insertions),
-            boundary=surface.boundary,
-        ),
-    )
+    # the reduced insertions are alcove labels by construction
+    labels = tuple(reduced_insertions) + surface.boundary
+    dim = _dimension(fusion_matrices(rs, ctx.h), surface.genus, labels)
     return CohomologyReport(
         vanishes=False, degree=degree, dimension=dim, h=h, surface=surface
     )
@@ -463,9 +488,10 @@ def factorization_check(rs: RootSystem, k: int, surface: Surface) -> dict:
     """
     if surface.genus < 1:
         raise ValidationError("factorization needs genus >= 1")
-    lhs = verlinde_dimension(rs, k, surface)
-    fm = fusion_matrices(rs, k)
-    u = _insert(fm, fm.row(surface.genus - 1), _surface_labels(rs, k, surface))
+    labels = surface.insertions + surface.boundary
+    fm = _checked_matrices(rs, k, labels)
+    lhs = _dimension(fm, surface.genus, labels)
+    u = _insert(fm, fm.row(surface.genus - 1), labels)
     rhs = sum(
         ub * row.get(mu, 0)
         for mu, n_mu in enumerate(fm.fusion)

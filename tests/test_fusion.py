@@ -20,7 +20,7 @@ from loopfusion.fusion import (
     kac_walton_rows,
     s_matrix,
 )
-from loopfusion.rootdata import build_root_system, dominant_reduce
+from loopfusion.rootdata import build_root_system, dominant_reduce, extended, theta_pairing
 
 import oracles
 
@@ -248,8 +248,18 @@ def test_a_kac_walton_batch_is_one_sweep_of_extended_labels(monkeypatch):
     sweep = kernels.dominant_reduce_batch
 
     def spy(classes, xs, max_steps):
-        calls.append((classes, xs.shape, max_steps))
+        calls.append((classes, xs.tolist(), max_steps))
         return sweep(classes, xs, max_steps)
+
+    def live_rows(rs, kappa, offsets, lam):
+        """The extended labels of the rows offset + nu with no zero label:
+        a row with one starts on a wall and never reaches the kernel."""
+        rows = (
+            extended(rs, kappa, tuple(a + v for a, v in zip(offset, nu)))
+            for offset in offsets
+            for nu in finite_reps.weight_multiplicities(rs, lam).by_weight
+        )
+        return [list(row) for row in rows if all(row)]
 
     def refuse(*args):
         raise AssertionError("a Kac-Walton batch must not reach the alcove kernel")
@@ -262,17 +272,19 @@ def test_a_kac_walton_batch_is_one_sweep_of_extended_labels(monkeypatch):
         mus = weights_of(rs, k)
         calls.clear()
         rows = kac_walton_rows(rs, k, lam, mus)
-        weights = len(finite_reps.weight_multiplicities(rs, lam).by_weight)
-        shape = (len(mus) * weights, rs.rank + 1)
-        assert calls == [(rs.np_colour_classes, shape, len(rs.positive_roots))]
+        shifted = [tuple(v + 1 for v in mu) for mu in mus]
+        live = live_rows(rs, k + rs.dual_coxeter, shifted, lam)
+        assert 0 < len(live) < len(mus) * len(finite_reps.weight_multiplicities(rs, lam).by_weight)
+        assert calls == [(rs.np_colour_classes, live, len(rs.positive_roots))]
         assert rows == [fuse_s(rs, k, lam, mu).terms for mu in mus]
     # a tensor product is the same one sweep, at a level no row reaches
     for label, lam, mu in [("B3", (0, 1, 1), (1, 0, 0)), ("G2", (4, 1), (3, 2)), ("A3", (2, 1, 0), (1, 0, 1))]:
         rs = build_root_system(label)
         calls.clear()
         got = finite_reps.tensor_decompose(rs, lam, mu)
-        weights = len(finite_reps.weight_multiplicities(rs, mu).by_weight)
-        assert calls == [(rs.np_colour_classes, (weights, rs.rank + 1), len(rs.positive_roots))]
+        kappa = theta_pairing(rs, lam) + theta_pairing(rs, mu) + rs.dual_coxeter
+        live = live_rows(rs, kappa, [tuple(v + 1 for v in lam)], mu)
+        assert calls == [(rs.np_colour_classes, live, len(rs.positive_roots))]
         assert got.terms == klimyk_sum(rs, lam, mu)
 
 

@@ -50,6 +50,20 @@ def test_spec_parsing_rejects_invalid_labels(bad):
         AlgebraSpec.parse(bad)
 
 
+def test_a_text_label_resolves_to_the_one_cached_root_system():
+    rs = build_root_system("A2")
+    assert build_root_system(" a2 ") is rs
+    assert build_root_system(AlgebraSpec("A", 2)) is rs
+    assert build_root_system("A2") is rs
+
+
+@pytest.mark.parametrize("bad", ["A0", "E9", ""])
+def test_an_invalid_text_label_raises_on_every_call(bad):
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            build_root_system(bad)
+
+
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_frozen_tables(label):
     rs = build_root_system(label)

@@ -10,6 +10,7 @@ import pytest
 from loopfusion.affine_weyl import INTERIOR, AffineContext, alcove_reduce
 from loopfusion.errors import NumericalError, ResourceError, ValidationError
 from loopfusion.finite_reps import character_ratio
+from loopfusion import verlinde
 from loopfusion.fusion import alcove_weights, conjugate_weight, fuse_kw, fuse_s, s_matrix
 from loopfusion.rootdata import RootSystem, build_root_system
 from loopfusion.verlinde import (
@@ -125,6 +126,61 @@ def test_surface_validation():
         verlinde_dimension(
             rs, 1, Surface(genus=0, boundary=[LevelWeight(weight=(2,), k=1)])
         )
+
+
+def test_surface_takes_level_weights_and_sequences_in_both_fields():
+    from loopfusion.fusion import LevelWeight
+
+    rs = build_root_system("A2")
+    lw = LevelWeight(weight=(1, 0), k=1)
+    for field in ("insertions", "boundary"):
+        for entry in (lw, (1, 0), [np.int64(1), np.int64(0)], (True, False), np.array([1, 0])):
+            surface = Surface(genus=1, **{field: (entry,)})
+            [label] = getattr(surface, field)
+            assert label == (1, 0) and all(type(v) is int for v in label)
+            assert verlinde_dimension(rs, 1, surface) == 0
+        # an entry that is not a sequence of integers is a validation error, not a TypeError
+        for entry in (5, None, "10", (1.0, 0), (1.5, 0), ("1", 0), LevelWeight(weight=(0.5, 0), k=1)):
+            with pytest.raises(ValidationError):
+                Surface(genus=1, **{field: (entry,)})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, k, w: verlinde_dimension(rs, k, Surface(genus=1, insertions=(w,))),
+        lambda rs, k, w: verlinde_dimension(rs, k, Surface(genus=1, boundary=(w,))),
+        lambda rs, k, w: factorization_check(rs, k, Surface(genus=1, insertions=(w,))),
+        lambda rs, k, w: cohomology_report(rs, k, Surface(genus=1, boundary=(w,))),
+    ],
+    ids=["verlinde_insertion", "verlinde_boundary", "factorization_check", "report_boundary"],
+)
+def test_labels_are_checked_against_the_built_index(call):
+    a2 = build_root_system("A2")
+    verlinde.fusion_matrices(a2, 2)  # warm: the index answers for good labels
+    want = call(a2, 2, (1, 0))
+    assert call(a2, 2, (np.int64(1), np.int64(0))) == want
+    assert call(a2, 2, (True, False)) == want
+    # (1.0, 0) hashes equal to the key (1, 0) but is not an integer label
+    for bad in [(1.0, 0), (1.5, 0), (3, 0), (-1, 1), (1,), (1, 0, 0)]:
+        with pytest.raises(ValidationError):
+            call(a2, 2, bad)
+
+
+def test_a_bad_label_is_refused_before_any_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a bad label must not start a build")
+
+    monkeypatch.setattr(verlinde, "_fusion_cache", {})
+    monkeypatch.setattr(verlinde, "_build_fusion_matrices", refuse)
+    a2 = build_root_system("A2")
+    for surface in [Surface(genus=2, insertions=[(31, 0)]), Surface(genus=2, boundary=[(0, 31)])]:
+        with pytest.raises(ValidationError, match="alcove"):
+            verlinde_dimension(a2, 30, surface)
+        with pytest.raises(ValidationError, match="alcove"):
+            factorization_check(a2, 30, surface)
+    with pytest.raises(ValidationError, match="alcove"):
+        cohomology_report(a2, 30, Surface(genus=2, insertions=[(1, 0)], boundary=[(31, 0)]))
 
 
 def test_cohomology_report_worked_examples():
