@@ -23,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from math import prod
+from math import pi, prod
 from operator import add, mul, sub
 
 import numpy as np
 
 from . import kernels
 from .affine_weyl import check_alcove
-from .errors import ResourceError
+from .errors import NumericalError, ResourceError
 from .rootdata import (
     RootSystem,
     Weight,
@@ -43,6 +43,7 @@ from .rootdata import (
 )
 
 WEIGHT_CAP_DEFAULT = 10**6
+CHARACTER_TOLERANCE = 1e-9
 
 
 class WeightCombination:
@@ -270,31 +271,31 @@ def tensor_dimension_identity(rs: RootSystem, lam: tuple, mu: tuple) -> bool:
     return lhs == weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
 
 
-def character_numerator(rs: RootSystem, kappa: int, lam: tuple, mu: tuple) -> complex:
-    """Signed Weyl sum sum_w eps(w) exp(-2 pi i (w(lam+rho), mu+rho)/kappa).
-
-    The phase is linear in lam + rho and read mod form_den * kappa, so
-    lam + rho is reduced mod form_den * kappa first: exact for every lam,
-    and inside int64 for the kernel.
-    """
-    mats, signs = rs.weyl_matrices()
-    denom = rs.form_den * kappa
-    row = np.array([[(v + 1) % denom for v in lam]], dtype=np.int64)
-    col = np.array([[v + 1 for v in mu]], dtype=np.int64)
-    return complex(
-        kernels.signed_weyl_sum(mats, signs, rs.np_form_int, row, col, denom)[0, 0]
-    )
-
-
 def character_ratio(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> complex:
     """Weyl character of lam evaluated at exp(-2 pi i (mu+rho)/kappa), kappa=k+c.
 
     Equals the S-matrix ratio S_{lam,mu}/S_{0,mu} when lam is an alcove
-    weight; defined for every dominant lam.
+    weight; defined for every dominant lam.  The two Weyl sums A_{lam+rho}(mu)
+    and A_rho(mu) are one :func:`kernels.signed_weyl_sum` call, whose phases
+    are exact mod form_den * kappa for weights and levels of any size.
+    Each of the |W| terms of either sum carries a float error of at most
+    about (2 pi + 1) eps, so the ratio chi is off by at most about
+    |W| (2 pi + 1) eps (1 + |chi|) / |A_rho(mu)| to first order; raises
+    NumericalError when that reaches CHARACTER_TOLERANCE, as it does near a
+    wall of the level-k alcove at a large level, where both sums are small.
     """
     lam = check_dominant(rs, lam)
     mu = check_alcove(rs, k, mu)
-    kappa = k + rs.dual_coxeter
-    num = character_numerator(rs, kappa, lam, mu)
-    den = character_numerator(rs, kappa, (0,) * rs.rank, mu)
-    return num / den
+    mats, signs = rs.weyl_matrices()
+    rows = np.array([[v + 1 for v in lam], rs.rho], dtype=object)
+    col = np.array([[v + 1 for v in mu]], dtype=object)
+    denom = rs.form_den * (k + rs.dual_coxeter)
+    num, den = kernels.signed_weyl_sum(mats, signs, rs.np_form_int, rows, col, denom)[:, 0]
+    # the error estimate times |A_rho(mu)|^2, so that a vanishing sum is refused too
+    error = len(signs) * (2 * pi + 1) * np.finfo(float).eps * (abs(den) + abs(num))
+    if not error < CHARACTER_TOLERANCE * abs(den) ** 2:
+        raise NumericalError(
+            f"character ratio of {lam} at {mu} has a float error estimate past "
+            f"{CHARACTER_TOLERANCE}: |A_rho(mu)| = {abs(den):.3e}"
+        )
+    return complex(num / den)

@@ -139,13 +139,21 @@ def alcove_reduce_batch(classes, comarks, kappa: int, lengths, xs):
 def signed_weyl_sum(mats, signs, form_int, rows, cols, denom: int):
     """U[a,b] = sum over Weyl elements w of sign(w)*exp(-2*pi*i*phase/denom)
     with phase = (w . rows[a])^T form_int cols[b], reduced mod denom exactly.
+
+    The phase is bilinear in the integer rows and cols, so both are reduced
+    mod denom first, which is exact however large they are.  The products
+    then run in int64 when their largest intermediate, at most
+    r^3 max|mats| max|form_int| (denom - 1)^2, provably fits, and on
+    Python-int object arrays otherwise.
     """
     mats = np.asarray(mats, dtype=np.int64)
     form_int = np.asarray(form_int, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    images = np.einsum("wij,aj->wai", mats, rows)
-    half = np.einsum("wai,ij->waj", images, form_int)
+    r = len(form_int)
+    largest = r**3 * int(np.abs(mats).max()) * int(np.abs(form_int).max()) * (denom - 1) ** 2
+    dtype = np.int64 if largest < 1 << 63 else object
+    rows, cols = (np.array(np.array(x, dtype=object) % denom, dtype=dtype) for x in (rows, cols))
+    images = np.einsum("wij,aj->wai", mats.astype(dtype), rows)
+    half = np.einsum("wai,ij->waj", images, form_int.astype(dtype))
     phase = np.einsum("waj,bj->wab", half, cols) % denom
-    terms = np.exp((-2j * np.pi / denom) * phase)
+    terms = np.exp(-2j * np.pi * (phase / denom).astype(np.float64))
     return np.einsum("w,wab->ab", np.asarray(signs, dtype=np.complex128), terms)

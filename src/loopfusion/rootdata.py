@@ -334,6 +334,11 @@ class RootSystem:
         self.form_int: tuple[tuple[int, ...], ...] = tuple(
             tuple(v // g for v in row) for row in num
         )
+        # |P/Q^vee|, the index of the coroot lattice in the weight lattice:
+        # det of the coroots alpha_i / d_i in fundamental-weight coordinates,
+        # det(cartan) / prod(d_i) with d_i = e_i / long
+        self.coroot_index: int = _exact_quotients(
+            [det * long**r], math.prod(e), "|P/Q^vee| must be an integer")[0]
 
         # simple coroots alpha_i / d_i as integer weight vectors: a basis of Q^vee
         self.simple_coroot_weights: tuple[Weight, ...] = tuple(

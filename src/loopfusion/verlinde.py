@@ -418,19 +418,21 @@ def verlinde_dimension_s(rs: RootSystem, k: int, surface: Surface) -> int:
     Raises NumericalError unless the distance to the nearest integer plus a
     first-order error estimate stays below ROUND_TOLERANCE.  The estimate
     takes each S entry as off by the largest residual measured when the
-    S-matrix was built, plus float64 rounding in every factor and the sum;
-    an entry error that keeps S unitary escapes those residuals, so this is
-    an estimate, not a proof.
+    S-matrix was built, plus float64 rounding in every factor and the sum.
+    The S-matrix build fits no constant, so a Weyl sum off by a scale or a
+    phase is refused there; an entry error that keeps S unitary, symmetric
+    and S^2 = C still escapes those residuals, so this is an estimate, not
+    a proof.
     """
     labels = [check_alcove(rs, k, w) for w in surface.insertions + surface.boundary]
     sm = s_matrix(rs, k)
     s = sm.entries
     s0 = np.real(s[0])
     exponent = 2 - 2 * surface.genus - len(labels)
-    factors = [np.abs(s[sm.index(w)]) for w in labels]
+    factors = [np.abs(s[sm.index[w]]) for w in labels]
     terms = s0.astype(np.complex128) ** exponent
     for w in labels:
-        terms = terms * s[sm.index(w)]
+        terms = terms * s[sm.index[w]]
     value = terms.sum()
     rounded = int(np.rint(np.real(value)))
     # d(s0^e) = e s0^(e-1) ds0, and a label factor's error multiplies the others

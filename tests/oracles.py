@@ -212,12 +212,12 @@ def index_euler_characteristic(sm, character, genus: int, insertions) -> complex
     S-matrix ``entries``, and ``character(lam, mu)`` is the Weyl character of
     lam at exp(-2 pi i (mu+rho)/kappa), for any dominant lam.
     """
-    vacuum = next(i for i, lw in enumerate(sm.labels) if not any(lw.weight))
+    vacuum = sm.index[(0,) * len(sm.labels[0])]
     total = 0j
-    for m, lw in enumerate(sm.labels):
+    for m, mu in enumerate(sm.labels):
         term = complex(sm.entries[vacuum, m]) ** (2 - 2 * genus)
         for lam in insertions:
-            term *= character(lam, lw.weight)
+            term *= character(lam, mu)
         total += term
     return total
 

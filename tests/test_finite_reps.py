@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopfusion.errors import ResourceError, ValidationError
+from loopfusion.errors import NumericalError, ResourceError, ValidationError
 from loopfusion.finite_reps import (
     VirtualCharacter,
-    character_numerator,
     character_ratio,
     tensor_decompose,
     tensor_dimension_identity,
@@ -313,15 +313,6 @@ def test_character_ratio_matches_s_matrix_columns():
                 assert abs(got - want) < 1e-9
 
 
-def test_character_numerator_antisymmetry():
-    rs = build_root_system("A2")
-    kappa = 3 + 2
-    # swapping the two arguments of the bilinear phase conjugates the sum
-    val = character_numerator(rs, kappa, (2, 1), (1, 1))
-    swapped = character_numerator(rs, kappa, (1, 1), (2, 1))
-    assert abs(val - swapped.conjugate()) < 1e-9 * (1 + abs(val))
-
-
 @pytest.mark.parametrize("label,k", [("A1", 1), ("G2", 2), ("B3", 1), ("F4", 1), ("E6", 1)])
 def test_character_ratio_is_periodic_past_int64(label, k):
     # the phase is linear in lam + rho and read mod form_den * kappa, so
@@ -341,6 +332,37 @@ def test_character_ratio_is_periodic_past_int64(label, k):
     if label == "A1":
         # sin(2 pi (2^62 + 1) / 3) / sin(2 pi / 3), with 2^62 + 1 = 2 mod 3
         assert abs(character_ratio(rs, 1, (2**62,), (1,)) + 1) < 1e-12
+
+
+def _sin_pi(t, n):
+    """sin(pi t / n) for integers t and n > 0, from an angle reduced into [0, pi/2]."""
+    t %= 2 * n
+    sign = 1
+    if t >= n:
+        t, sign = t - n, -1
+    return sign * math.sin(math.pi * (min(t, n - t) / n))
+
+
+def test_character_ratio_is_the_a1_closed_form_or_refuses():
+    # chi_lam(mu) = sin(pi t / kappa) / sin(pi (mu + 1) / kappa) with
+    # t = (lam + 1)(mu + 1) mod 2 kappa.  Phases past int64 must stay exact,
+    # and next to a wall, where both Weyl sums are O(1 / kappa) and cancel,
+    # the call must answer to 1e-9 or raise
+    rs = build_root_system("A1")
+    rng = random.Random("A1 closed form")
+    for e in (16, 20, 25, 30, 31, 32, 34, 40, 50, 62, 63, 64, 70):
+        k = 2**e
+        kappa = k + 2
+        mids = [(rng.randint(k // 4, 3 * k // 4), rng.randint(k // 4, 3 * k // 4)) for _ in range(5)]
+        anywhere = [(rng.randint(0, 2**80), rng.randint(0, k)) for _ in range(5)]
+        for lam, mu in mids + anywhere + [(1, k - 5), (2**70 + 3, 4)]:
+            want = _sin_pi((lam + 1) * (mu + 1), kappa) / _sin_pi(mu + 1, kappa)
+            try:
+                got = character_ratio(rs, k, (lam,), (mu,))
+            except NumericalError:
+                assert (lam, mu) not in mids, (k, lam, mu)
+                continue
+            assert abs(got - want) < 1e-9, (k, lam, mu, got, want)
 
 
 def test_character_ratio_validation():

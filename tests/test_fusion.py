@@ -20,7 +20,7 @@ from loopfusion.fusion import (
     kac_walton_rows,
     s_matrix,
 )
-from loopfusion.rootdata import build_root_system, dominant_reduce, extended, theta_pairing
+from loopfusion.rootdata import build_root_system, dominant_reduce, extended, pairing, theta_pairing
 
 import oracles
 
@@ -111,6 +111,42 @@ def test_s_matrix_structure(label, k):
     for i, j in enumerate(perm):
         want[i, j] = 1
     assert np.abs(sq - want).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "label,kmax",
+    [("A1", 3), ("A2", 3), ("A3", 3), ("B2", 3), ("B3", 3), ("C2", 3), ("C3", 3), ("D4", 3),
+     ("G2", 3), ("F4", 2), ("E6", 2)],
+)
+def test_s_matrix_first_row_is_the_weyl_denominator_product(label, kmax):
+    # S_{0 mu} = |P/kappa Q^vee|^(-1/2) prod_{alpha > 0} 2 sin(pi (mu + rho, alpha) / kappa)
+    # by the Weyl denominator identity, which shares no code with the Weyl sum;
+    # |P/kappa Q^vee| = kappa^r det(simple coroots in fundamental weights)
+    rs = build_root_system(label)
+    index = round(np.linalg.det(np.array(rs.simple_coroot_weights, dtype=float)))
+    for k in range(1, kmax + 1):
+        kappa = k + rs.dual_coxeter
+        sm = s_matrix(rs, k)
+        for j, mu in enumerate(sm.labels):
+            shifted = tuple(v + 1 for v in mu)
+            want = math.prod(
+                2 * math.sin(math.pi * float(pairing(rs, shifted, alpha)) / kappa)
+                for alpha in rs.positive_roots
+            ) / math.sqrt(kappa**rs.rank * index)
+            assert abs(sm.entries[0, j] - want) < 1e-12, (k, mu)
+
+
+@pytest.mark.parametrize("factor", [2, 1j, -1])
+def test_a_corrupted_weyl_sum_is_refused(monkeypatch, factor):
+    # the normalization is closed-form and the conjugation exact, so a Weyl
+    # sum off by a scale or a phase meets the gates instead of being fitted
+    from loopfusion import fusion, kernels
+
+    weyl_sum = kernels.signed_weyl_sum
+    monkeypatch.setattr(kernels, "signed_weyl_sum", lambda *args: factor * weyl_sum(*args))
+    monkeypatch.setattr(fusion, "_smatrix_cache", {})
+    with pytest.raises(NumericalError):
+        s_matrix(build_root_system("B3"), 2)
 
 
 def test_conjugation_matches_weight_involution():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from loopfusion.errors import ResourceError, ValidationError
 from loopfusion.rootdata import (
     AlgebraSpec,
+    _adjugate,
     apply_word,
     build_root_system,
     canonical_key,
@@ -174,6 +175,21 @@ def test_simple_coroot_pairings_are_coordinates(label):
     for i, cr in enumerate(rs.simple_coroots):
         for j, fw in enumerate(rs.fundamental_weights):
             assert pairing(rs, fw, cr) == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)] + [f"C{r}" for r in range(2, 9)]
+    + [f"D{r}" for r in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"],
+)
+def test_coroot_index_is_the_determinant_of_the_simple_coroots(label):
+    # |P/Q^vee| is read off det(cartan) when built; here it is the determinant
+    # of the coroot basis in fundamental-weight coordinates, and its table value
+    rs = build_root_system(label)
+    r = rs.rank
+    want = {"A": r + 1, "B": 4, "C": 2**r, "D": 4, "E": 9 - r, "F": 4, "G": 3}[label[0]]
+    assert _adjugate([list(c) for c in rs.simple_coroot_weights])[1] == want
+    assert rs.coroot_index == want
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "A6"] + ALL_LABELS[3:])
