@@ -4,8 +4,11 @@ The numeric route diagonalizes fusion through the Kac-Peterson S-matrix:
 the signed Weyl sum times its closed-form constant
 i^|Delta+| / sqrt(kappa^r |P/Q^vee|), with the charge conjugation C read
 exactly off the weights.  Nothing is fitted to the sum, so the build gates
-symmetry, unitarity, a real positive first column and S^2 = C, and
-:func:`fuse_s` rounds with a hard residual gate.  The exact route is the
+symmetry, unitarity, a real positive first column and S^2 = C.
+:func:`fuse_s` is the genus-0 case of the one Verlinde S-sum, which
+:func:`verlinde.verlinde_dimension_s` shares: one rounding gate counts the
+residual to the nearest integer plus a first-order error estimate from the
+S-matrix's measured residual and float64 rounding.  The exact route is the
 Kac-Walton algorithm, one signed affine-Weyl reduction of mu + rho + nu
 over the weights nu of V_lam at kappa = k + c (Walton 1990; Kac, *Infinite
 Dimensional Lie Algebras*, Exercise 13.35).  That is the Klimyk rule of
@@ -121,7 +124,7 @@ _smatrix_lock = threading.Lock()
 
 
 def _build_s_matrix(rs: RootSystem, k: int) -> SMatrix:
-    # the signed Weyl sum holds int64 and complex128 arrays of shape (|W|, n, n)
+    # counted at 24 bytes per (w, a, b) term; the signed Weyl sum peaks near 16
     if more_labels_than(rs, k, math.isqrt(S_BYTE_CAP // (24 * weyl_group_size(rs)))):
         raise ResourceError(
             f"level-{k} S-matrix of {rs.spec} exceeds the cap of {S_BYTE_CAP} bytes "
@@ -172,30 +175,67 @@ def conjugate_weight(rs: RootSystem, weight: tuple) -> Weight:
     return dominant_representative(rs, tuple(-v for v in weight))
 
 
+def _verlinde_sum_s(sm: SMatrix, genus: int, labels, lasts=None) -> list[int]:
+    """The genus-g S-matrix sum with label rows ``labels``, rounded, once for
+    each row l of ``lasts``: sum_sigma S_0sigma^(2-2g-m) prod_i S_{i sigma}
+    S_{l sigma}, m counting l; with ``lasts`` None, the one sum with no last
+    factor.
+
+    Raises NumericalError unless each value's distance to the nearest
+    integer plus a first-order error estimate stays below ROUND_TOLERANCE,
+    or when a value rounds negative.  The estimate takes each S entry as off
+    by the largest residual measured when the S-matrix was built, plus
+    float64 rounding in every factor and the sum.  The build fits no
+    constant, so a Weyl sum off by a scale or a phase is refused there; an
+    entry error that keeps S unitary, symmetric and S^2 = C still escapes
+    those residuals, so this is an estimate, not a proof.
+    """
+    s = sm.entries
+    s0 = np.real(s[0])
+    m = len(labels) + (lasts is not None)
+    exponent = 2 - 2 * genus - m
+    factors = [np.abs(s[i]) for i in labels]
+    base = s0.astype(np.complex128) ** exponent
+    for i in labels:
+        base = base * s[i]
+    # d(s0^e) = e s0^(e-1) ds0, and a label factor's error multiplies the others
+    others = np.zeros_like(s0)
+    for j in range(len(factors)):
+        others += np.prod(factors[:j] + factors[j + 1:], axis=0)
+    eps = np.finfo(float).eps
+    relative = abs(exponent) * sm.residual / s0 + (abs(exponent) + m + 1) * eps
+    per_sigma = np.abs(base) * relative + sm.residual * s0**exponent * others
+    if lasts is None:
+        rows, spread = np.ones((1, len(s0))), 0.0
+    else:
+        # the last factor's own error multiplies every fixed factor
+        rows = s[lasts]
+        spread = sm.residual * float((s0**exponent * np.prod(factors, axis=0)).sum())
+    values = rows @ base
+    bound = np.abs(rows) @ per_sigma + spread
+    rounded = np.rint(np.real(values))
+    worst = int(np.argmax(np.abs(values - rounded) + bound))
+    residual = abs(values[worst] - rounded[worst])
+    if residual + bound[worst] >= ROUND_TOLERANCE:
+        raise NumericalError(
+            f"Verlinde sum residual {residual:.3e} plus error estimate {bound[worst]:.3e} "
+            f">= {ROUND_TOLERANCE}"
+        )
+    if (rounded < 0).any():
+        raise NumericalError("negative Verlinde sum after rounding")
+    return [int(v) for v in rounded]
+
+
 def fuse_s(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:
-    """Fusion coefficients through the Verlinde sum over S-matrix columns."""
+    """Fusion coefficients through the genus-0 Verlinde sum over S-matrix
+    columns, N_lam,mu^nu = sum_sigma S_lam,sigma S_mu,sigma S_nu*,sigma / S_0,sigma
+    (S_nu*,sigma is the conjugate of S_nu,sigma), gated as every S-matrix sum."""
     k = as_nonnegative(k, "level")
     lam = check_alcove(rs, k, lam)
     mu = check_alcove(rs, k, mu)
     sm = s_matrix(rs, k)
-    s = sm.entries
-    a = sm.index[lam]
-    b = sm.index[mu]
-    vec = s[a] * s[b] / s[0]
-    values = s.conj() @ vec
-    rounded = np.rint(np.real(values)).astype(np.int64)
-    residual = np.abs(values - rounded).max()
-    if residual >= ROUND_TOLERANCE:
-        raise NumericalError(
-            f"fusion rounding residual {residual:.3e} >= {ROUND_TOLERANCE}"
-        )
-    if (rounded < 0).any():
-        raise NumericalError("negative fusion coefficient after rounding")
-    out = FusionElement(k=k)
-    for w, coeff in zip(sm.labels, rounded):
-        if coeff:
-            out.add(w, int(coeff))
-    return out
+    counts = _verlinde_sum_s(sm, 0, (sm.index[lam], sm.index[mu]), sm.conjugation)
+    return FusionElement(k=k, terms=dict(zip(sm.labels, counts)))
 
 
 def fuse_kw(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> FusionElement:

@@ -119,6 +119,8 @@ class AlgebraSpec:
     def parse(cls, text: "str | AlgebraSpec") -> "AlgebraSpec":
         if isinstance(text, AlgebraSpec):
             return text
+        if not isinstance(text, str):
+            raise ValidationError(f"algebra label {text!r} is neither text nor an AlgebraSpec")
         m = _SPEC_RE.match(text)
         if not m:
             raise ValidationError(f"cannot parse algebra label {text!r}")

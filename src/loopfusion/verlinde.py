@@ -21,8 +21,9 @@ of N_t is a row of a built matrix.
 Reports first reduce arbitrary dominant insertions into the alcove,
 recording the vanishing verdict and the single cohomological degree.  The
 floating-point S-matrix sum survives only as the cross-check
-:func:`verlinde_dimension_s`, which raises instead of rounding once its
-estimated float error could reach the integer.
+:func:`verlinde_dimension_s`, the same sum and gate as
+:func:`fusion.fuse_s`: it raises instead of rounding once its estimated
+float error could reach the integer.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .affine_weyl import WALL, AffineContext, alcove_reduce, check_alcove
-from .errors import NumericalError, ResourceError, ValidationError
+from .errors import ResourceError, ValidationError
 from .finite_reps import weyl_dimension
 from .fusion import (
-    ROUND_TOLERANCE,
     LevelWeight,
+    _verlinde_sum_s,
     alcove_weights,
     conjugate_weight,
     kac_walton_rows,
@@ -415,42 +414,16 @@ def verlinde_dimension(rs: RootSystem, k: int, surface: Surface) -> int:
 def verlinde_dimension_s(rs: RootSystem, k: int, surface: Surface) -> int:
     """The S-matrix sum for the same number; a floating-point cross-check.
 
-    Raises NumericalError unless the distance to the nearest integer plus a
-    first-order error estimate stays below ROUND_TOLERANCE.  The estimate
-    takes each S entry as off by the largest residual measured when the
-    S-matrix was built, plus float64 rounding in every factor and the sum.
-    The S-matrix build fits no constant, so a Weyl sum off by a scale or a
-    phase is refused there; an entry error that keeps S unitary, symmetric
-    and S^2 = C still escapes those residuals, so this is an estimate, not
-    a proof.
+    The sum and its one rounding gate are :func:`fusion._verlinde_sum_s`,
+    which :func:`fusion.fuse_s` shares: it raises NumericalError unless the
+    distance to the nearest integer plus a first-order error estimate stays
+    below ROUND_TOLERANCE.  The estimate is not a proof.
     """
     labels = [check_alcove(rs, k, w) for w in surface.insertions + surface.boundary]
     sm = s_matrix(rs, k)
-    s = sm.entries
-    s0 = np.real(s[0])
-    exponent = 2 - 2 * surface.genus - len(labels)
-    factors = [np.abs(s[sm.index[w]]) for w in labels]
-    terms = s0.astype(np.complex128) ** exponent
-    for w in labels:
-        terms = terms * s[sm.index[w]]
-    value = terms.sum()
-    rounded = int(np.rint(np.real(value)))
-    # d(s0^e) = e s0^(e-1) ds0, and a label factor's error multiplies the others
-    others = np.zeros_like(s0)
-    for j in range(len(factors)):
-        others += np.prod(factors[:j] + factors[j + 1:], axis=0)
-    eps = np.finfo(float).eps
-    relative = abs(exponent) * sm.residual / s0 + (abs(exponent) + len(labels) + 1) * eps
-    bound = float((np.abs(terms) * relative + sm.residual * s0**exponent * others).sum())
-    residual = abs(value - rounded)
-    if residual + bound >= ROUND_TOLERANCE:
-        raise NumericalError(
-            f"Verlinde sum residual {residual:.3e} plus error estimate {bound:.3e} "
-            f">= {ROUND_TOLERANCE}"
-        )
-    if rounded < 0:
-        raise NumericalError("negative Verlinde dimension after rounding")
-    return rounded
+    rows = [sm.index[w] for w in labels]
+    # the last label, if any, is the sum's last factor
+    return _verlinde_sum_s(sm, surface.genus, rows[:-1], rows[-1:] or None)[0]
 
 
 def cohomology_report(rs: RootSystem, h: int, surface: Surface) -> CohomologyReport:

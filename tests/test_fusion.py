@@ -408,6 +408,45 @@ def test_s_matrix_refuses_past_its_byte_cap_before_any_walk_or_label_list(monkey
         s_matrix(build_root_system("E7"), 3)
 
 
+@pytest.mark.parametrize("label,k", [("F4", 4), ("A2", 30), ("E6", 2)])
+def test_s_matrix_build_peaks_under_its_byte_cap_count(label, k):
+    # the cap admits a level while 24 |W| n^2 bytes fit under it, so the
+    # build, Weyl sum included, must peak under that count
+    import tracemalloc
+
+    from loopfusion.fusion import _build_s_matrix
+    from loopfusion.rootdata import weyl_group_size
+
+    rs = build_root_system(label)
+    rs.weyl_matrices()  # built once per algebra and cached, not per level
+    tracemalloc.start()
+    try:
+        sm = _build_s_matrix(rs, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * weyl_group_size(rs) * len(sm.labels) ** 2
+
+
+def test_fuse_s_gates_its_rounding_with_the_error_estimate(monkeypatch):
+    # an S-matrix whose recorded residual is 1e-4 still rounds every A2 k=3
+    # coefficient within 1e-6 of an integer, but the first-order error
+    # estimate of the sum reaches the tolerance, so fuse_s refuses
+    from dataclasses import replace
+
+    from loopfusion import fusion
+
+    a2 = build_root_system("A2")
+    sm = s_matrix(a2, 3)
+    lam = mu = (1, 1)
+    assert fuse_s(a2, 3, lam, mu) == fuse_kw(a2, 3, lam, mu)
+    monkeypatch.setattr(fusion, "s_matrix", lambda rs, k: replace(sm, residual=1e-12))
+    assert fuse_s(a2, 3, lam, mu) == fuse_kw(a2, 3, lam, mu)
+    monkeypatch.setattr(fusion, "s_matrix", lambda rs, k: replace(sm, residual=1e-4))
+    with pytest.raises(NumericalError, match="error estimate"):
+        fuse_s(a2, 3, lam, mu)
+
+
 def test_routes_agree_on_every_e6_level_2_pair():
     # includes the self-products of 27, 27bar, 78, 650 and the 351s, whose
     # weight systems once hit the candidate cap

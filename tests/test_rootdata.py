@@ -45,7 +45,10 @@ def test_spec_parsing_accepts_valid_labels():
     assert str(AlgebraSpec.parse("b3")) == "B3"
 
 
-@pytest.mark.parametrize("bad", ["B1", "C1", "D2", "E5", "E9", "F3", "F5", "G3", "G1", "H4", "A0", "", "A", "2A"])
+@pytest.mark.parametrize(
+    "bad",
+    ["B1", "C1", "D2", "E5", "E9", "F3", "F5", "G3", "G1", "H4", "A0", "", "A", "2A", None, 5, b"A2"],
+)
 def test_spec_parsing_rejects_invalid_labels(bad):
     with pytest.raises(ValidationError):
         AlgebraSpec.parse(bad)
@@ -58,7 +61,8 @@ def test_a_text_label_resolves_to_the_one_cached_root_system():
     assert build_root_system("A2") is rs
 
 
-@pytest.mark.parametrize("bad", ["A0", "E9", ""])
+# a label that is not text (None, 5, b"A2") is a ValidationError too
+@pytest.mark.parametrize("bad", ["A0", "E9", "", None, 5, b"A2"])
 def test_an_invalid_text_label_raises_on_every_call(bad):
     for _ in range(3):
         with pytest.raises(ValidationError):
