@@ -18,9 +18,11 @@ the affine orbit in the closed alcove (Walton, "Fusion rules in WZW models",
 sweeps finish in integers, each reflection where violated: s_0..s_rank in
 turn for one point, one colour class of the affine diagram at a time for a
 batch.  The sweeps start from x or from its translate, whichever has
-the shorter closed-form length; a batch gets both lengths from one product
-over the positive roots, the translate having x's quotients less n*C, with
-n the kappa*Q^vee shift and C the Cartan integers <alpha, alpha_i^vee>.
+the shorter closed-form length.  Both lengths take one pass over the
+positive roots, the translate having x's quotients less n*C, with n the
+kappa*Q^vee shift and C the Cartan integers <alpha, alpha_i^vee>: a batch
+gets them from one product, a single point grows its pairings root by root,
+each root being an earlier one plus a simple root.
 Every violated reflection crosses exactly one separating wall, so any order
 reaches the same point in exactly that many reflections, and an affine Weyl
 element maps walls to walls, so x is on one exactly when its reduced point
@@ -154,25 +156,41 @@ def apply_affine_word(ctx: AffineContext, word: tuple[int, ...], x: tuple) -> tu
     return tuple(_normalize(v) for v in y[1:])
 
 
-def _length_and_wall(ctx: AffineContext, x: tuple) -> tuple[int, bool]:
-    """Closed-form reduction length of x and whether x is on a wall.
+def _lengths(ctx: AffineContext, x: tuple) -> tuple[int, bool, int]:
+    """Closed-form reduction length of x, whether x is on a wall, and the
+    length of its kappa*Q^vee translate (:func:`_translate`), exact for any
+    scalars, in one pass over the positive roots.
 
-    One pass over the positive roots, exact for any scalars: with
-    form_den*(x, alpha) = q*den + r and den = form_den*kappa, a root counts
-    |q| walls strictly between x and the alcove, or q - 1 (q > 0) and -q
-    (q <= 0) when r = 0 puts x on one of its walls.
+    With form_den*(x, alpha) = q*den + r and den = form_den*kappa, a root
+    counts |q| walls strictly between x and the alcove, one fewer when q > 0
+    and r = 0 puts x on one of its walls.  The translate by n has the
+    quotients q - n.alpha and the same remainders.  Each root is
+    beta + alpha_i for an earlier root or zero beta (``RootSystem.root_steps``),
+    so both x.pair and n.alpha grow by one term a root: the scalar twin of
+    :func:`kernels.alcove_length_batch`.
     """
-    den = ctx.rs.form_den * ctx.kappa
-    length = 0
+    rs = ctx.rs
+    den = rs.form_den * ctx.kappa
+    n = [sum(map(operator.mul, row, x)) // den for row in rs.form_int]
+    dx = list(map(operator.mul, x, rs.scaled_d))  # x.pair of alpha_i
+    dn = [sum(map(operator.mul, n, alpha)) for alpha in rs.simple_roots]  # n.alpha_i
+    pairs, moves = [0], [0]
+    length = moved = 0
     wall = False
-    for pair in ctx.rs.root_pairs:
-        q, r = divmod(sum(map(operator.mul, x, pair)), den)
+    for b, i in rs.root_steps:
+        p = pairs[b] + dx[i]
+        m = moves[b] + dn[i]
+        pairs.append(p)
+        moves.append(m)
+        q, r = divmod(p, den)
         if r:
             length += abs(q)
+            moved += abs(q - m)
         else:
             wall = True
-            length += q - 1 if q > 0 else -q
-    return length, wall
+            length += abs(q) - (q > 0)
+            moved += abs(q - m) - (q > m)
+    return length, wall, moved
 
 
 def _translate(ctx: AffineContext, x: tuple) -> tuple:
@@ -199,7 +217,7 @@ def on_wall(ctx: AffineContext, x: tuple) -> bool:
     (x, alpha) = n*kappa over roots alpha, with the form normalized so long
     roots have (alpha, alpha) = 2.
     """
-    return _length_and_wall(ctx, _check_point(ctx.rs, x))[1]
+    return _lengths(ctx, _check_point(ctx.rs, x))[1]
 
 
 def _walk(ctx: AffineContext, x: tuple, affine_first: bool) -> tuple[int, ...]:
@@ -246,11 +264,9 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
     labels = extended(ctx.rs, ctx.kappa, y)
     if min(labels) >= 0:
         return AlcoveReduction(WALL if 0 in labels else INTERIOR, y, 0, 1, ctx, y, order)
-    length, wall = _length_and_wall(ctx, y)
-    moved = _translate(ctx, y)
-    moved_length = _length_and_wall(ctx, moved)[0]
+    length, wall, moved_length = _lengths(ctx, y)
     if moved_length < length:
-        labels = extended(ctx.rs, ctx.kappa, moved)
+        labels = extended(ctx.rs, ctx.kappa, _translate(ctx, y))
     return AlcoveReduction(
         status=WALL if wall else INTERIOR,
         reduced=_sweep_to_alcove(ctx, labels, min(moved_length, length)),
@@ -323,7 +339,7 @@ def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":
     total = 0
     for lam in lambdas:
         lam = check_dominant(ctx.rs, lam)
-        length, wall = _length_and_wall(ctx, tuple(v + 1 for v in lam))
+        length, wall, _ = _lengths(ctx, tuple(v + 1 for v in lam))
         if wall:
             return None
         total += length

@@ -235,8 +235,10 @@ def _symmetrizer(cartan: list[list[int]]) -> list[int]:
     return [v // g for v in e]
 
 
-def _positive_roots(cartan: list[list[int]]) -> list[tuple[Weight, tuple[int, ...]]]:
-    """(weight coordinates, simple-root coefficients) of every positive root.
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[Weight, tuple[int, ...], tuple]]:
+    """(weight coordinates, simple-root coefficients, (coefficients of beta,
+    i)) of every positive root beta + alpha_i, beta being the zero vector for
+    a simple root.
 
     Grown height by height along alpha_i-strings: with p the number of roots
     beta - alpha_i, beta - 2 alpha_i, ... (all of lower height, so already
@@ -246,12 +248,12 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[Weight, tuple[int, ..
     """
     r = len(cartan)
     columns = [tuple(cartan[i][j] for i in range(r)) for j in range(r)]
-    layer = [(columns[i], tuple(int(i == j) for j in range(r))) for i in range(r)]
-    found = {k for _, k in layer}
+    layer = [(columns[i], tuple(int(i == j) for j in range(r)), ((0,) * r, i)) for i in range(r)]
+    found = {k for _, k, _ in layer}
     out = list(layer)
     while layer:
         nxt = []
-        for weight, k in layer:
+        for weight, k, _ in layer:
             for i in range(r):
                 down = list(k)
                 p = 0
@@ -264,7 +266,7 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[Weight, tuple[int, ..
                     up = k[:i] + (k[i] + 1,) + k[i + 1:]
                     if up not in found:
                         found.add(up)
-                        nxt.append((tuple(w + c for w, c in zip(weight, columns[i])), up))
+                        nxt.append((tuple(w + c for w, c in zip(weight, columns[i])), up, (k, i)))
         out += nxt
         layer = nxt
     out.sort(key=lambda t: (sum(t[1]), t[0]))
@@ -311,11 +313,17 @@ class RootSystem:
 
         e = _symmetrizer(cartan)
         roots = _positive_roots(cartan)
-        self.positive_roots: tuple[Weight, ...] = tuple(w for w, _ in roots)
-        self.root_coeffs: tuple[tuple[int, ...], ...] = tuple(k for _, k in roots)
+        self.positive_roots: tuple[Weight, ...] = tuple(w for w, _, _ in roots)
+        self.root_coeffs: tuple[tuple[int, ...], ...] = tuple(k for _, k, _ in roots)
+        # root a is beta + alpha_i with beta the root in slot b (root b - 1, or
+        # zero when b = 0): root_steps[a] = (b, i), so one pass over the roots
+        # grows any linear function of them by one term a root
+        slot = {k: a + 1 for a, k in enumerate(self.root_coeffs)}
+        self.root_steps: tuple[tuple[int, int], ...] = tuple(
+            (slot.get(beta, 0), i) for _, _, (beta, i) in roots)
         self.root_heights: tuple[int, ...] = tuple(sum(k) for k in self.root_coeffs)
         # e-scaled squared lengths k^T diag(e) cartan k = sum_i k_i e_i <beta, alpha_i^vee>
-        norms = [sum(ki * ei * wi for ki, ei, wi in zip(k, e, w)) for w, k in roots]
+        norms = [sum(ki * ei * wi for ki, ei, wi in zip(k, e, w)) for w, k, _ in roots]
 
         # normalize so (theta, theta) = 2: d_i = e_i / long, long = (theta, theta)_e / 2
         theta_idx = max(range(len(roots)), key=lambda i: self.root_heights[i])
@@ -356,10 +364,10 @@ class RootSystem:
         )
         # form_den * (x, alpha) = x . root_pairs[a] for the a-th positive root;
         # form_den * (omega_i, alpha) = k_i * form_den * d_i
-        scaled_d = _exact_quotients([self.form_den * ei for ei in e], long,
-                                    "form_den * d_i must be integers")
+        self.scaled_d: tuple[int, ...] = _exact_quotients(
+            [self.form_den * ei for ei in e], long, "form_den * d_i must be integers")
         self.root_pairs: tuple[tuple[int, ...], ...] = tuple(
-            tuple(ki * s for ki, s in zip(k, scaled_d)) for k in self.root_coeffs
+            tuple(ki * s for ki, s in zip(k, self.scaled_d)) for k in self.root_coeffs
         )
         self.weyl_order: int = weyl_order_from_heights(self.root_heights)
 

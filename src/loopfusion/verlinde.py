@@ -4,12 +4,15 @@ Verlinde numbers are exact: with the Kac-Walton fusion matrices
 (N_a)_{bc} = N_{ab}^c and the handle operator H = sum_mu N_mu N_{mu*}, the
 genus-g surface with labels lambda_1..lambda_m has dimension
 (e_0 H^g N_{lambda_1} ... N_{lambda_m})_0 (Beauville 1996, section 5), all in
-Python integers.  The matrices are kept sparse, and the build uses the
-fusion ring's symmetries: a simple current J gives N_{J lam, mu}^{J nu} =
-N_{lam mu}^nu (Schellekens and Yankielowicz 1990) and charge conjugation
-gives N_{lam* mu*}^{nu*} = N_{lam mu}^nu, so a label whose orbit already
-holds a matrix gets a relabelled copy.  Both permute the affine Dynkin nodes
-at every level, so they are read once per algebra, as node permutations.
+Python integers.  They are built once per algebra and level and cached: a
+cache hit, like a read of an already kept row e_0 H^g, takes no lock, and
+only a build or a new row does.  The matrices are kept sparse, and the
+build uses the fusion ring's symmetries: a simple current J gives
+N_{J lam, mu}^{J nu} = N_{lam mu}^nu (Schellekens and Yankielowicz 1990)
+and charge conjugation gives N_{lam* mu*}^{nu*} = N_{lam mu}^nu, so a
+label whose orbit already holds a matrix gets a relabelled copy.  Both
+permute the affine Dynkin nodes at every level, so they are read once per
+algebra, as node permutations.
 Every other label is peeled off a product of built matrices, by
 N_f N_b = sum_c N_{fb}^c N_c with f fundamental, once every other label of
 that row is built.  Only a fundamental that no such product reaches takes
@@ -33,6 +36,7 @@ import operator
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .affine_weyl import WALL, AffineContext, alcove_reduce, check_alcove
 from .errors import ResourceError, ValidationError
@@ -61,22 +65,34 @@ def _surface_label(w) -> Weight:
         raise ValidationError(f"surface label {w!r} is not a sequence of integers") from None
 
 
-@dataclass(frozen=True)
-class Surface:
-    """Genus plus labeled points: interior insertions and boundary labels.
-
-    Both fields take LevelWeight records or sequences of integers and hold
-    each label as a tuple of Python ints, so a label is hashable and exact.
-    """
-
+class _SurfaceFields(NamedTuple):
     genus: int
     insertions: tuple[Weight, ...] = ()
     boundary: tuple[Weight, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "genus", as_nonnegative(self.genus, "genus"))
-        object.__setattr__(self, "insertions", tuple(map(_surface_label, self.insertions)))
-        object.__setattr__(self, "boundary", tuple(map(_surface_label, self.boundary)))
+
+class Surface(_SurfaceFields):
+    """Genus plus labeled points: interior insertions and boundary labels.
+
+    An immutable tuple-backed record.  The genus is a nonnegative integer;
+    both label fields take LevelWeight records or sequences of integers and
+    hold each label as a tuple of Python ints, so a label is hashable and
+    exact.  Every field is coerced once, on construction (``_replace``
+    included).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, genus: int, insertions=(), boundary=()) -> "Surface":
+        return tuple.__new__(cls, (
+            as_nonnegative(genus, "genus"),
+            tuple(map(_surface_label, insertions)),
+            tuple(map(_surface_label, boundary)),
+        ))
+
+    @classmethod
+    def _make(cls, fields) -> "Surface":
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -141,8 +157,12 @@ class FusionMatrices:
     def row(self, genus: int) -> list[int]:
         """e_0 H^genus, grown on demand and kept.
 
-        Raises ResourceError once the kept rows would pass ROW_BYTE_CAP.
+        A kept row is read without the lock, since rows are only appended;
+        growing them takes it.  Raises ResourceError once the kept rows
+        would pass ROW_BYTE_CAP.
         """
+        if genus < len(self._rows):
+            return self._rows[genus]
         with self._lock:
             while len(self._rows) <= genus:
                 nxt = _times(self._rows[-1], self.handle)
@@ -349,20 +369,20 @@ def _build_fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
     return FusionMatrices(labels=labels, index=index, fusion=fusion, dual=dual, handle=handle)
 
 
-def _cached_matrices(rs: RootSystem, k: int) -> "FusionMatrices | None":
-    with _fusion_lock:
-        return _fusion_cache.get((rs.spec.series, rs.spec.rank, k))
-
-
 def fusion_matrices(rs: RootSystem, k: int) -> FusionMatrices:
-    """The exact level-k fusion matrices and handle operator, cached."""
+    """The exact level-k fusion matrices and handle operator, cached.
+
+    A cache hit takes no lock: an entry is only ever published whole, by
+    ``setdefault`` under ``_fusion_lock``, so racing builds keep the first.
+    """
     k = as_nonnegative(k, "level")
-    got = _cached_matrices(rs, k)
-    if got is not None:
-        return got
-    built = _build_fusion_matrices(rs, k)
-    with _fusion_lock:
-        return _fusion_cache.setdefault((rs.spec.series, rs.spec.rank, k), built)
+    key = (rs.spec.series, rs.spec.rank, k)
+    got = _fusion_cache.get(key)
+    if got is None:
+        built = _build_fusion_matrices(rs, k)
+        with _fusion_lock:
+            got = _fusion_cache.setdefault(key, built)
+    return got
 
 
 def _check_labels(rs: RootSystem, k: int, labels: tuple) -> "FusionMatrices | None":
@@ -372,9 +392,11 @@ def _check_labels(rs: RootSystem, k: int, labels: tuple) -> "FusionMatrices | No
 
     Once the matrices are cached, a key of their index is a label by
     construction, so only a miss goes through check_alcove, which raises;
-    before the build every label does, so a bad label costs no build.
+    before the build every label does, so a bad label costs no build.  The
+    cache is read as :func:`fusion_matrices` reads it, without the lock, so
+    k must be a validated int: a float level hashes like its int.
     """
-    fm = _cached_matrices(rs, k)
+    fm = _fusion_cache.get((rs.spec.series, rs.spec.rank, k))
     index = {} if fm is None else fm.index
     for w in labels:
         if w not in index:

@@ -4,7 +4,9 @@ Everything here is computed from first principles with no imports from the
 package under test: closed-form su(2) rules, frozen Lie-theory tables, a
 brute-force affine orbit search, and a standalone coroot generator working
 straight from frozen Cartan matrices.  The index formula takes its S-matrix
-and characters as arguments, so that it sums them with no alcove reduction.
+and characters as arguments, so that it sums them with no alcove reduction,
+and the two-pass closed-form alcove lengths take the root data they read as
+an argument, pairing x with every positive root by a full dot product.
 """
 
 from __future__ import annotations
@@ -239,3 +241,48 @@ def klimyk_sum(reduce, weights: dict, lam: tuple) -> dict:
             key = tuple(v - 1 for v in point)
             out[key] = out.get(key, 0) + sign * mult
     return {w: c for w, c in sorted(out.items()) if c}
+
+
+def length_and_wall(ctx, x) -> tuple[int, bool]:
+    """Closed-form alcove reduction length of x and whether x is on a wall,
+    with every pairing a full dot product over the positive roots.
+
+    ``ctx`` has the level ``kappa`` and the root data ``rs``, whose
+    ``root_pairs`` row of alpha is form_den * alpha under the form.  With
+    x . pair = q*den + r and den = form_den*kappa, a root counts |q| walls
+    strictly between x and the alcove, or q - 1 (q > 0) and -q (q <= 0) when
+    r = 0 puts x on one of its walls (Humphreys, *Reflection Groups and
+    Coxeter Groups*, 4.5).
+    """
+    den = ctx.rs.form_den * ctx.kappa
+    length = 0
+    wall = False
+    for pair in ctx.rs.root_pairs:
+        q, r = divmod(sum(a * b for a, b in zip(x, pair)), den)
+        if r:
+            length += abs(q)
+        else:
+            wall = True
+            length += q - 1 if q > 0 else -q
+    return length, wall
+
+
+def translate(ctx, x) -> tuple:
+    """x moved by kappa*Q^vee so that its coordinates (x, omega_i) on the
+    simple coroots lie in [0, kappa), from the integer form ``form_int``
+    and the simple coroots as integer weights ``simple_coroot_weights``."""
+    rs = ctx.rs
+    den = rs.form_den * ctx.kappa
+    y = list(x)
+    for row, coroot in zip(rs.form_int, rs.simple_coroot_weights):
+        n = sum(a * b for a, b in zip(row, x)) // den
+        for j, c in enumerate(coroot):
+            y[j] -= n * ctx.kappa * c
+    return tuple(y)
+
+
+def two_pass_lengths(ctx, x) -> tuple[int, bool, int]:
+    """(length, wall, translate's length): :func:`length_and_wall` run on x
+    and again on its :func:`translate`."""
+    length, wall = length_and_wall(ctx, x)
+    return length, wall, length_and_wall(ctx, translate(ctx, x))[0]

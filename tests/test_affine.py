@@ -293,6 +293,42 @@ def test_batch_matches_single_far_from_the_alcove(label):
             )
 
 
+@pytest.mark.parametrize(
+    "label", ["A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_one_pass_lengths_match_the_two_pass_oracle(label):
+    # the root-by-root pairings against full dot products on every root, for
+    # x and for its kappa*Q^vee translate
+    from fractions import Fraction
+
+    from loopfusion.affine_weyl import _lengths
+
+    rs = build_root_system(label)
+    rng = random.Random(f"{label} one pass")
+    walls = set()
+    for h in (0, 1, 3, 7):
+        ctx = AffineContext(rs, h)
+        kappa = ctx.kappa
+        points = [tuple(rng.randint(-60 * kappa, 60 * kappa) for _ in range(rs.rank)) for _ in range(12)]
+        points += [
+            tuple(Fraction(rng.randint(-20 * kappa, 20 * kappa), rng.randint(1, 6)) for _ in range(rs.rank))
+            for _ in range(6)
+        ]
+        points += [tuple(rng.randint(-(2**70), 2**70) for _ in range(rs.rank)) for _ in range(4)]
+        # a zero coordinate is a wall, and the affine Weyl group maps walls to walls
+        for scale in (3 * kappa, 2**66):
+            for _ in range(4):
+                x = [rng.randint(-scale, scale) for _ in range(rs.rank)]
+                x[rng.randrange(rs.rank)] = 0
+                word = [rng.randint(0, rs.rank) for _ in range(rng.randint(0, 20))]
+                points.append(apply_affine_word(ctx, word, tuple(x)))
+        for x in points:
+            got = _lengths(ctx, x)
+            assert got == oracles.two_pass_lengths(ctx, x), (h, x)
+            walls.add(got[1])
+    assert walls == {True, False}
+
+
 def test_words_past_the_step_budget_are_refused_without_walking():
     from loopfusion.errors import ResourceError
 

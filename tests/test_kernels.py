@@ -16,13 +16,13 @@ from loopfusion import kernels
 from loopfusion.affine_weyl import (
     WALL,
     AffineContext,
-    _length_and_wall,
-    _translate,
     alcove_reduce,
     alcove_reduce_batch,
     apply_affine_word,
 )
 from loopfusion.rootdata import build_root_system, dominant_reduce, extended, sweep_reduce
+
+import oracles
 
 
 def test_fits_int64_boundary():
@@ -111,7 +111,7 @@ def test_alcove_reduce_backends_agree(label, h):
         exact = alcove_reduce(ctx, x)
         assert tuple(int(v) for v in red) == exact.reduced
         assert int(ell) == exact.length
-        assert int(ell_moved) == _length_and_wall(ctx, _translate(ctx, x))[0]
+        assert int(ell_moved) == oracles.two_pass_lengths(ctx, x)[2]
         assert int(wall) == (exact.status == WALL)
 
 
@@ -387,9 +387,8 @@ def test_the_kernel_sweeps_only_rows_off_the_alcove_from_their_shorter_start(lab
             [(counts, starts)] = calls
             assert len(starts) == len(off)
             for x, count, start in zip(off, counts, starts):
-                length = _length_and_wall(ctx, x)[0]
-                moved = _translate(ctx, x)
-                moved_length = _length_and_wall(ctx, moved)[0]
+                length, _, moved_length = oracles.two_pass_lengths(ctx, x)
+                moved = oracles.translate(ctx, x)
                 assert count == min(length, moved_length)
                 assert tuple(start) == (moved if moved_length < length else x)
                 assert (min(extended(rs, kappa, tuple(start))) < 0) == (count > 0)
@@ -416,7 +415,7 @@ def test_dominant_kernel_counts_the_length_in_both_chambers(label):
             [apply_affine_word(ctx, word, rs.rho) for word in words],
             random_rows(rng, rs.rank, 15, lo=-3 * kappa, hi=3 * kappa),
         ))
-        walls = [_length_and_wall(ctx, tuple(x)) for x in xs.tolist()]
+        walls = [oracles.length_and_wall(ctx, tuple(x)) for x in xs.tolist()]
         bound = max(length for length, _ in walls)
         reduced, signs, steps = kernels.dominant_reduce_batch(
             rs.np_colour_classes, kernels.extended_batch(rs.comarks, kappa, xs), bound
@@ -497,7 +496,7 @@ def test_dominant_kernel_on_extended_labels_raises_one_reflection_short_of_the_l
     rng = random.Random(f"{label} short")
     while True:
         x = [rng.randint(-10 * kappa, 10 * kappa) for _ in range(rs.rank)]
-        length, wall = _length_and_wall(ctx, tuple(x))
+        length, wall = oracles.length_and_wall(ctx, tuple(x))
         if not wall and length > 1:
             break
     rows = kernels.extended_batch(rs.comarks, kappa, np.array([x, [1] * rs.rank]))

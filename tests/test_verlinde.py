@@ -145,6 +145,51 @@ def test_surface_takes_level_weights_and_sequences_in_both_fields():
                 Surface(genus=1, **{field: (entry,)})
 
 
+def test_surface_is_an_immutable_value_record():
+    a1 = build_root_system("A1")
+    by_position = Surface(1, ((1,),), ((1,),))
+    by_keyword = Surface(genus=1, boundary=[np.array([1])], insertions=[[np.int64(1)]])
+    assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+    assert (by_position.genus, by_position.insertions, by_position.boundary) == (1, ((1,),), ((1,),))
+    assert Surface(2) == Surface(genus=2, insertions=(), boundary=())
+    assert repr(Surface(1, insertions=((1,),))) == "Surface(genus=1, insertions=((1,),), boundary=())"
+    for name in ("genus", "insertions", "boundary"):
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, getattr(by_position, name))
+    report = cohomology_report(a1, 1, by_position)
+    assert report.surface == by_position and report.surface.insertions == ((1,),)
+
+
+def test_a_replaced_surface_field_is_coerced_too():
+    surface = Surface(genus=1, insertions=((1,),))
+    with pytest.raises(ValidationError, match="genus"):
+        surface._replace(genus=-1)
+    assert surface._replace(insertions=[(np.int64(3),)]) == Surface(1, ((3,),))
+
+
+def test_a_warm_verlinde_call_makes_few_python_calls():
+    # a deterministic count of the Python frames one warm query enters,
+    # building its Surface included; it times nothing
+    import sys
+
+    a3 = build_root_system("A3")
+    lam = (1, 0, 1)
+    want = verlinde_dimension(a3, 2, Surface(genus=3, insertions=(lam,)))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        got = verlinde_dimension(a3, 2, Surface(genus=3, insertions=(lam,)))
+    finally:
+        sys.setprofile(None)
+    assert got == want > 0
+    assert len(calls) <= 12, calls
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -466,10 +511,15 @@ def test_symmetries_are_automorphisms_of_the_affine_diagram(label):
         lambda rs, k: verlinde_dimension_s(rs, k, Surface(genus=1)),
         lambda rs, k: fuse_kw(rs, k, (1,), (1,)),
         lambda rs, k: fuse_s(rs, k, (1,), (1,)),
+        lambda rs, k: cohomology_report(rs, k, Surface(genus=1)),
     ],
-    ids=["verlinde_dimension", "factorization_check", "verlinde_dimension_s", "fuse_kw", "fuse_s"],
+    ids=[
+        "verlinde_dimension", "factorization_check", "verlinde_dimension_s", "fuse_kw", "fuse_s",
+        "cohomology_report",
+    ],
 )
 def test_a_float_level_is_refused_after_the_integer_level_is_cached(call):
+    # the fusion-matrix cache is read without a lock, and 2.0 hashes like 2
     a1 = build_root_system("A1")
     want = call(a1, 2)
     with pytest.raises(ValidationError, match="level"):
