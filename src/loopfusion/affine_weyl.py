@@ -30,6 +30,13 @@ is.
 Only ``AlcoveReduction.word`` walks from x itself, greedily, because its
 letters are output: the first violated generator in the order 0..rank
 ("affine_first") or 1..rank, 0 ("finite_first") fires.
+
+Induction of a dominant weight lambda (:func:`_induced`, behind
+``induction.induce`` and ``verlinde.cohomology_report``) and
+:func:`total_degree` need only the wall verdict on lambda + rho before
+anything else: a wall point induces nothing, so it is never translated or
+swept.  The translate of a point that is swept reuses the shift n that its
+closed-form lengths computed.
 """
 
 from __future__ import annotations
@@ -156,10 +163,10 @@ def apply_affine_word(ctx: AffineContext, word: tuple[int, ...], x: tuple) -> tu
     return tuple(_normalize(v) for v in y[1:])
 
 
-def _lengths(ctx: AffineContext, x: tuple) -> tuple[int, bool, int]:
-    """Closed-form reduction length of x, whether x is on a wall, and the
-    length of its kappa*Q^vee translate (:func:`_translate`), exact for any
-    scalars, in one pass over the positive roots.
+def _lengths(ctx: AffineContext, x: tuple) -> tuple[int, bool, int, list]:
+    """Closed-form reduction length of x, whether x is on a wall, the length
+    of its kappa*Q^vee translate and the shift n that :func:`_translate` moves
+    it by, exact for any scalars, in one pass over the positive roots.
 
     With form_den*(x, alpha) = q*den + r and den = form_den*kappa, a root
     counts |q| walls strictly between x and the alcove, one fewer when q > 0
@@ -190,23 +197,19 @@ def _lengths(ctx: AffineContext, x: tuple) -> tuple[int, bool, int]:
             wall = True
             length += abs(q) - (q > 0)
             moved += abs(q - m) - (q > m)
-    return length, wall, moved
+    return length, wall, moved, n
 
 
-def _translate(ctx: AffineContext, x: tuple) -> tuple:
-    """x moved by kappa*Q^vee so its simple-coroot coordinates lie in [0, kappa).
-
-    The i-th coordinate of x on the simple coroots is (x, omega_i).
-    """
-    rs = ctx.rs
-    den = rs.form_den * ctx.kappa
+def _translate(ctx: AffineContext, x: tuple, shift: list) -> tuple:
+    """x less kappa*n_i times the i-th simple coroot, for the shift n of
+    :func:`_lengths`, which puts the coordinates (x, omega_i) of x on the
+    simple coroots in [0, kappa)."""
     y = list(x)
-    for row, coroot in zip(rs.form_int, rs.simple_coroot_weights):
-        n = sum(map(operator.mul, row, x)) // den
+    for n, coroot in zip(shift, ctx.rs.simple_coroot_weights):
         if n:
-            shift = n * ctx.kappa
+            step = n * ctx.kappa
             for j, c in enumerate(coroot):
-                y[j] -= shift * c
+                y[j] -= step * c
     return tuple(y)
 
 
@@ -236,11 +239,16 @@ def _walk(ctx: AffineContext, x: tuple, affine_first: bool) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _sweep_to_alcove(ctx: AffineContext, labels: tuple, length: int) -> tuple:
-    """The closed-alcove point of the orbit of the point with extended labels
-    ``labels``, reached by ``length`` reflections of cyclic sweeps.  Rational
-    labels are scaled by their common denominator d first, which scales the
-    alcove to level d*kappa, so the sweeps run in integers."""
+def _sweep_to_alcove(ctx: AffineContext, x: tuple, labels: tuple, closed: tuple) -> tuple:
+    """The closed-alcove point of the orbit of x, whose extended labels are
+    ``labels`` and whose :func:`_lengths` are ``closed``.  Cyclic sweeps
+    reach it from x or from its translate, whichever has the shorter length,
+    in exactly that many reflections.  Rational labels are scaled by their
+    common denominator d first, which scales the alcove to level d*kappa, so
+    the sweeps run in integers."""
+    length, _, moved, shift = closed
+    if moved < length:
+        labels, length = extended(ctx.rs, ctx.kappa, _translate(ctx, x, shift)), moved
     d = math.lcm(*(v.denominator for v in labels))
     y = [int(v * d) for v in labels] if d > 1 else list(labels)
     sweep_reduce(ctx.rs.affine_supports, y, length)
@@ -264,12 +272,10 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
     labels = extended(ctx.rs, ctx.kappa, y)
     if min(labels) >= 0:
         return AlcoveReduction(WALL if 0 in labels else INTERIOR, y, 0, 1, ctx, y, order)
-    length, wall, moved_length = _lengths(ctx, y)
-    if moved_length < length:
-        labels = extended(ctx.rs, ctx.kappa, _translate(ctx, y))
+    closed = length, wall, _, _ = _lengths(ctx, y)
     return AlcoveReduction(
         status=WALL if wall else INTERIOR,
-        reduced=_sweep_to_alcove(ctx, labels, min(moved_length, length)),
+        reduced=_sweep_to_alcove(ctx, y, labels, closed),
         length=length,
         sign=-1 if length % 2 else 1,
         ctx=ctx,
@@ -339,11 +345,29 @@ def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":
     total = 0
     for lam in lambdas:
         lam = check_dominant(ctx.rs, lam)
-        length, wall, _ = _lengths(ctx, tuple(v + 1 for v in lam))
+        length, wall, _, _ = _lengths(ctx, tuple(v + 1 for v in lam))
         if wall:
             return None
         total += length
     return total
+
+
+def _induced(ctx: AffineContext, lam: tuple) -> "tuple[tuple, int] | None":
+    """The alcove label and reduction length that the dominant weight lam
+    induces at level ctx.h, or None when lam + rho is on an affine wall.
+
+    The wall verdict comes first, in closed form, so a wall point is neither
+    translated nor swept; the label of any other is its reduced point less
+    rho, the point reduced as :func:`alcove_reduce` reduces it.
+    """
+    y = tuple(v + 1 for v in check_dominant(ctx.rs, lam))
+    labels = extended(ctx.rs, ctx.kappa, y)
+    if min(labels) >= 0:
+        return None if 0 in labels else (tuple(v - 1 for v in y), 0)
+    closed = length, wall, _, _ = _lengths(ctx, y)
+    if wall:
+        return None
+    return tuple(v - 1 for v in _sweep_to_alcove(ctx, y, labels, closed)), length
 
 
 def check_alcove(rs: RootSystem, k: int, weight: tuple) -> tuple:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .affine_weyl import WALL, AffineContext, alcove_reduce
+from .affine_weyl import AffineContext, _induced
 from .finite_reps import VirtualCharacter, tensor_decompose
 from .fusion import FusionElement, fuse_elements
-from .rootdata import RootSystem, Weight, check_dominant
+from .rootdata import RootSystem, Weight, as_nonnegative, check_dominant
 
 
 @dataclass
@@ -26,22 +26,27 @@ class InductionResult:
 
 
 def induce(rs: RootSystem, h: int, lam: tuple) -> InductionResult:
-    """Induce a single irreducible: empty on a wall, else one signed label."""
+    """Induce a single irreducible: empty on a wall, else one signed label.
+
+    The wall verdict on lam + rho comes in closed form before any reduced
+    point is computed (``affine_weyl._induced``), so a wall weight is never
+    swept.  The result's level is the validated h, a Python int.
+    """
     lam = check_dominant(rs, lam)
     ctx = AffineContext(rs, h)
-    red = alcove_reduce(ctx, tuple(v + 1 for v in lam))
-    if red.status == WALL:
-        return InductionResult(value=FusionElement(k=h), source_degrees={})
-    target = tuple(v - 1 for v in red.reduced)
+    induced = _induced(ctx, lam)
+    if induced is None:
+        return InductionResult(value=FusionElement(k=ctx.h))
+    target, length = induced
     return InductionResult(
-        value=FusionElement(k=h, terms={target: red.sign}),
-        source_degrees={lam: red.length},
+        value=FusionElement(k=ctx.h, terms={target: -1 if length % 2 else 1}),
+        source_degrees={lam: length},
     )
 
 
 def induce_virtual(rs: RootSystem, h: int, vc: VirtualCharacter) -> FusionElement:
     """Linear extension of induce; signed contributions may cancel."""
-    out = FusionElement(k=h)
+    out = FusionElement(k=as_nonnegative(h, "level"))
     for lam, mult in vc.terms.items():
         single = induce(rs, h, lam)
         for w, c in single.value.terms.items():

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .affine_weyl import WALL, AffineContext, alcove_reduce, check_alcove
+from .affine_weyl import AffineContext, _induced, alcove_reduce, check_alcove
 from .errors import ResourceError, ValidationError
 from .finite_reps import weyl_dimension
 from .fusion import (
@@ -50,7 +50,7 @@ from .fusion import (
     more_labels_than,
     s_matrix,
 )
-from .rootdata import RootSystem, Weight, as_nonnegative, check_dominant, pairing_int
+from .rootdata import RootSystem, Weight, as_nonnegative, pairing_int
 from .rootdata import extended, theta_pairing
 
 
@@ -453,27 +453,29 @@ def cohomology_report(rs: RootSystem, h: int, surface: Surface) -> CohomologyRep
 
     Vanishes when any rho-shifted insertion meets an affine wall; otherwise
     the degree is the summed reduction length and the dimension is the
-    Verlinde number of the reduced surface.  The signed Euler characteristic
-    is exposed as a property of the returned report.
+    Verlinde number of the reduced surface.  Each insertion's wall verdict
+    comes in closed form before it is reduced, so a wall insertion is never
+    swept.  The report holds the validated level as a Python int.  The
+    signed Euler characteristic is exposed as a property of the returned
+    report.
     """
     ctx = AffineContext(rs, h)
     _check_labels(rs, ctx.h, surface.boundary)
     reduced_insertions = []
     degree = 0
     for lam in surface.insertions:
-        lam = check_dominant(rs, lam)
-        red = alcove_reduce(ctx, tuple(v + 1 for v in lam))
-        if red.status == WALL:
+        induced = _induced(ctx, lam)
+        if induced is None:
             return CohomologyReport(
-                vanishes=True, degree=None, dimension=0, h=h, surface=surface
+                vanishes=True, degree=None, dimension=0, h=ctx.h, surface=surface
             )
-        reduced_insertions.append(tuple(v - 1 for v in red.reduced))
-        degree += red.length
+        reduced_insertions.append(induced[0])
+        degree += induced[1]
     # the reduced insertions are alcove labels by construction
     labels = tuple(reduced_insertions) + surface.boundary
     dim = _dimension(fusion_matrices(rs, ctx.h), surface.genus, labels)
     return CohomologyReport(
-        vanishes=False, degree=degree, dimension=dim, h=h, surface=surface
+        vanishes=False, degree=degree, dimension=dim, h=ctx.h, surface=surface
     )
 
 

@@ -298,10 +298,10 @@ def test_batch_matches_single_far_from_the_alcove(label):
 )
 def test_one_pass_lengths_match_the_two_pass_oracle(label):
     # the root-by-root pairings against full dot products on every root, for
-    # x and for its kappa*Q^vee translate
+    # x and for its kappa*Q^vee translate, whose shift comes back too
     from fractions import Fraction
 
-    from loopfusion.affine_weyl import _lengths
+    from loopfusion.affine_weyl import _lengths, _translate
 
     rs = build_root_system(label)
     rng = random.Random(f"{label} one pass")
@@ -324,7 +324,9 @@ def test_one_pass_lengths_match_the_two_pass_oracle(label):
                 points.append(apply_affine_word(ctx, word, tuple(x)))
         for x in points:
             got = _lengths(ctx, x)
-            assert got == oracles.two_pass_lengths(ctx, x), (h, x)
+            assert got[:3] == oracles.two_pass_lengths(ctx, x), (h, x)
+            # the returned kappa*Q^vee shift moves x to the oracle's translate
+            assert _translate(ctx, x, got[3]) == oracles.translate(ctx, x), (h, x)
             walls.add(got[1])
     assert walls == {True, False}
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from loopfusion.errors import ValidationError
@@ -186,3 +187,95 @@ def test_induction_result_record():
     out = induce(rs, 1, (3,))
     assert isinstance(out, InductionResult)
     assert out.value.k == 1
+
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_induction_equals_the_alcove_reduce_route(label):
+    # the closed-form wall verdict first, then the sweep: the same label
+    # (reduced point less rho), length and sign as alcove_reduce, and None
+    # exactly on its walls
+    from loopfusion.affine_weyl import INTERIOR, WALL, AffineContext, _induced, alcove_reduce, apply_affine_word
+    from loopfusion.rootdata import dominant_reduce
+
+    rs = build_root_system(label)
+    rng = random.Random(f"{label} induced")
+    verdicts, vanishing = set(), set()
+    for h in (0, 1, 3):
+        ctx = AffineContext(rs, h)
+        kappa = ctx.kappa
+        weights = [tuple(rng.randint(0, 60 * kappa) for _ in range(rs.rank)) for _ in range(10)]
+        weights += [tuple(rng.randint(0, kappa) for _ in range(rs.rank)) for _ in range(4)]
+        weights += [tuple(rng.randint(0, 2**70) for _ in range(rs.rank)) for _ in range(3)]
+        # off every wall: rho moved by an affine word and a kappa*Q^vee
+        # translation, then made dominant (walls map to walls)
+        for scale in (60, 2**66):
+            for _ in range(4):
+                word = [rng.randint(0, rs.rank) for _ in range(rng.randint(0, 12))]
+                x = list(apply_affine_word(ctx, word, (1,) * rs.rank))
+                for coroot in rs.simple_coroot_weights:
+                    m = kappa * rng.randint(-scale, scale)
+                    x = [v + m * c for v, c in zip(x, coroot)]
+                weights.append(tuple(v - 1 for v in dominant_reduce(rs, x)[0]))
+        for lam in weights:
+            red = alcove_reduce(ctx, tuple(v + 1 for v in lam))
+            got = _induced(ctx, lam)
+            one = induce(rs, h, lam)
+            verdicts.add(red.status)
+            if red.status == WALL:
+                assert got is None and one.value.terms == {} and one.source_degrees == {}, (h, lam)
+                continue
+            target = tuple(v - 1 for v in red.reduced)
+            assert got == (target, red.length), (h, lam)
+            assert one.value.terms == {target: red.sign} and one.source_degrees == {lam: red.length}
+        # reports at the cheap levels: their degree sums the same lengths
+        if h <= 1:
+            for lam, mu in zip(weights[::2], weights[1::2]):
+                report = cohomology_report(rs, h, Surface(genus=0, insertions=[lam, mu]))
+                vanishing.add(report.vanishes)
+                reds = [alcove_reduce(ctx, tuple(v + 1 for v in w)) for w in (lam, mu)]
+                if any(r.status == WALL for r in reds):
+                    assert report.vanishes and report.degree is None and report.dimension == 0
+                else:
+                    assert not report.vanishes and report.degree == sum(r.length for r in reds)
+    assert verdicts == {WALL, INTERIOR} and vanishing == {True, False}
+
+
+def test_a_wall_insertion_is_never_swept(monkeypatch):
+    # lam + rho = (6,) lies on the A1 wall 3Z at h = 1 but outside the
+    # closed alcove: its verdict needs no reduced point
+    from loopfusion import affine_weyl
+
+    swept = []
+    original = affine_weyl._sweep_to_alcove
+
+    def spy(*args):
+        swept.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(affine_weyl, "_sweep_to_alcove", spy)
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    assert induce(a1, 1, (5,)).value.terms == {}
+    assert cohomology_report(a1, 1, Surface(genus=1, insertions=[(5,)])).vanishes
+    # A2 at h = 1 (kappa 4): (x, alpha_1 + alpha_2) = 8 for lam + rho = (4, 4)
+    assert induce(a2, 1, (3, 3)).value.terms == {}
+    assert cohomology_report(a2, 1, Surface(genus=0, insertions=[(0, 0), (3, 3)])).vanishes
+    assert swept == []
+    # the spy sees the sweep of a point that does induce a label
+    assert induce(a1, 1, (3,)).value.terms == {(1,): -1} and len(swept) == 1
+
+
+@pytest.mark.parametrize("h", [np.int64(1), True])
+def test_induced_levels_are_python_ints(h):
+    # the validated level is kept, not the argument it came from
+    rs = build_root_system("A2")
+    for lam in [(1, 0), (4, 0), (2, 0)]:
+        k = induce(rs, h, lam).value.k
+        assert type(k) is int and k == 1
+    virt = induce_virtual(rs, h, VirtualCharacter({(1, 0): 1, (4, 0): 2}))
+    assert type(virt.k) is int and virt.k == 1
+    assert type(induce_virtual(rs, h, VirtualCharacter({})).k) is int
+    for insertions in ([], [(1, 0)], [(2, 0)]):
+        report = cohomology_report(rs, h, Surface(1, insertions))
+        assert type(report.h) is int and "h=1," in repr(report)
