@@ -27,7 +27,7 @@ from .fusion import (
     s_matrix,
 )
 from .induction import InductionResult, homomorphism_check, induce, induce_virtual
-from .rootdata import AlgebraSpec, RootSystem, build_root_system, enumerate_weyl, pairing, weyl_orbit
+from .rootdata import AlgebraSpec, RootSystem, build_root_system, pairing, weyl_orbit
 from .verlinde import (
     CohomologyReport,
     Surface,
@@ -62,7 +62,6 @@ __all__ = [
     "character_ratio",
     "cohomology_report",
     "conjugate_weight",
-    "enumerate_weyl",
     "factorization_check",
     "fuse_kw",
     "fuse_s",

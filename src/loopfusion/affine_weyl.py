@@ -32,7 +32,8 @@ letters are output: the first violated generator in the order 0..rank
 ("affine_first") or 1..rank, 0 ("finite_first") fires.
 
 Induction of a dominant weight lambda (:func:`_induced`, behind
-``induction.induce`` and ``verlinde.cohomology_report``) and
+``induction.induce``, ``induction.induce_virtual`` and
+``verlinde.cohomology_report``) and
 :func:`total_degree` need only the wall verdict on lambda + rho before
 anything else: a wall point induces nothing, so it is never translated or
 swept.  The translate of a point that is swept reuses the shift n that its
@@ -143,17 +144,13 @@ def _reflect(supports: tuple, y: list, idx: int) -> None:
         y[j] -= c * a
 
 
-def reflect_generator(ctx: AffineContext, x: tuple, idx: int) -> tuple:
-    """Apply generator idx: 0 is the affine wall reflection, i>=1 is s_i.
-    Extended label idx of x becomes its negative."""
-    return apply_affine_word(ctx, (idx,), x)
-
-
 def apply_affine_word(ctx: AffineContext, word: tuple[int, ...], x: tuple) -> tuple:
     """Apply a generator word to x, the last entry acting first.
 
-    x is checked as :func:`alcove_reduce` checks it, and the word acts on its
-    extended labels."""
+    Generator 0 is the affine wall reflection and i >= 1 is s_i; generator
+    idx turns extended label idx into its negative.  x is checked as
+    :func:`alcove_reduce` checks it, and the word acts on its extended
+    labels."""
     rs = ctx.rs
     y = list(extended(rs, ctx.kappa, _check_point(rs, x)))
     for idx in reversed(word):

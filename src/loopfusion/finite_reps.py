@@ -34,6 +34,7 @@ from .errors import NumericalError, ResourceError
 from .rootdata import (
     RootSystem,
     Weight,
+    as_nonnegative,
     check_dominant,
     check_orbit_size,
     pairing_int,
@@ -113,9 +114,9 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int, orbit_cap: int) -> Wei
     # weight of each orbit found, in closed form, so it refuses before any
     # recursion runs; the alpha_i-string through lam alone refuses lam_i >=
     # cap at once.  The same count holds each orbit to the Weyl cap that its
-    # expansion below will meet in weyl_orbit.  That cap is orbit_cap, an
-    # argument so that it is part of the cache key: lowering the cap refuses
-    # a cached system too.
+    # expansion below will meet in weyl_orbit.  That cap is orbit_cap; both
+    # caps are arguments so that they are part of the cache key: lowering
+    # either refuses a cached system too.
     too_many = ResourceError(f"weight system of {lam} exceeds the cap {cap}")
     if max(lam) >= cap:
         raise too_many
@@ -185,15 +186,15 @@ def _weight_system(rs: RootSystem, lam: Weight, cap: int, orbit_cap: int) -> Wei
     return out
 
 
-def weight_multiplicities(
-    rs: RootSystem, lam: tuple, cap: int = WEIGHT_CAP_DEFAULT
-) -> WeightMultiplicities:
+def weight_multiplicities(rs: RootSystem, lam: tuple) -> WeightMultiplicities:
     """All weights of the irrep with highest weight lam, with multiplicities.
 
-    Raises ResourceError when the irrep has more than ``cap`` distinct weights.
+    Raises ResourceError when the irrep has more than ``WEIGHT_CAP_DEFAULT``
+    distinct weights.  The cap is that module constant, not an argument; it
+    is read at each call and, like the Weyl cap, is part of the cache key.
     """
     lam = check_dominant(rs, lam)
-    return _weight_system(rs, lam, cap, weyl_cap())
+    return _weight_system(rs, lam, WEIGHT_CAP_DEFAULT, weyl_cap())
 
 
 def tensor_decompose(rs: RootSystem, lam: tuple, mu: tuple) -> VirtualCharacter:
@@ -264,13 +265,6 @@ def klimyk_reduce(rs: RootSystem, kappa: int, lam: Weight, offsets: list) -> lis
     return [row.terms for row in out]
 
 
-def tensor_dimension_identity(rs: RootSystem, lam: tuple, mu: tuple) -> bool:
-    """Check sum of c^nu * dim(nu) = dim(lam) * dim(mu) exactly."""
-    decomp = tensor_decompose(rs, lam, mu)
-    lhs = sum(c * weyl_dimension(rs, nu) for nu, c in decomp.terms.items())
-    return lhs == weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
-
-
 def character_ratio(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> complex:
     """Weyl character of lam evaluated at exp(-2 pi i (mu+rho)/kappa), kappa=k+c.
 
@@ -284,6 +278,7 @@ def character_ratio(rs: RootSystem, k: int, lam: tuple, mu: tuple) -> complex:
     NumericalError when that reaches CHARACTER_TOLERANCE, as it does near a
     wall of the level-k alcove at a large level, where both sums are small.
     """
+    k = as_nonnegative(k, "level")
     lam = check_dominant(rs, lam)
     mu = check_alcove(rs, k, mu)
     mats, signs = rs.weyl_matrices()

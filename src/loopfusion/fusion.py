@@ -41,7 +41,7 @@ from .rootdata import (
     Weight,
     as_nonnegative,
     canonical_key,
-    dominant_representative,
+    dominant_reduce,
     weyl_group_size,
 )
 
@@ -172,7 +172,7 @@ def s_matrix(rs: RootSystem, k: int) -> SMatrix:
 
 def conjugate_weight(rs: RootSystem, weight: tuple) -> Weight:
     """Charge conjugation: the dominant representative of -weight (= -w0 w)."""
-    return dominant_representative(rs, tuple(-v for v in weight))
+    return dominant_reduce(rs, tuple(-v for v in weight))[0]
 
 
 def _verlinde_sum_s(sm: SMatrix, genus: int, labels, lasts=None) -> list[int]:

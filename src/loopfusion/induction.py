@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .affine_weyl import AffineContext, _induced
 from .finite_reps import VirtualCharacter, tensor_decompose
 from .fusion import FusionElement, fuse_elements
-from .rootdata import RootSystem, Weight, as_nonnegative, check_dominant
+from .rootdata import RootSystem, Weight, check_dominant
 
 
 @dataclass
@@ -45,12 +45,18 @@ def induce(rs: RootSystem, h: int, lam: tuple) -> InductionResult:
 
 
 def induce_virtual(rs: RootSystem, h: int, vc: VirtualCharacter) -> FusionElement:
-    """Linear extension of induce; signed contributions may cancel."""
-    out = FusionElement(k=as_nonnegative(h, "level"))
+    """Linear extension of induce; signed contributions may cancel.
+
+    Every term is induced in place by ``affine_weyl._induced`` under one
+    context, as ``verlinde.cohomology_report`` induces its insertions.
+    """
+    ctx = AffineContext(rs, h)
+    out = FusionElement(k=ctx.h)
     for lam, mult in vc.terms.items():
-        single = induce(rs, h, lam)
-        for w, c in single.value.terms.items():
-            out.add(w, mult * c)
+        induced = _induced(ctx, lam)
+        if induced is not None:
+            target, length = induced
+            out.add(target, -mult if length % 2 else mult)
     return out
 
 

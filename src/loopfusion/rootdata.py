@@ -31,7 +31,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -70,11 +70,6 @@ def weyl_cap() -> int:
     raise ValidationError(f"{WEYL_CAP_ENV} must be a positive integer, got {raw!r}")
 
 
-def cap_exceeded(what: str, cap: int) -> ResourceError:
-    """The ResourceError for `what` passing the Weyl cap, with the override hint."""
-    return ResourceError(f"{what} exceeds the cap {cap} (raise {WEYL_CAP_ENV} to override)")
-
-
 @lru_cache(maxsize=None)
 def _orbit_size(rs: "RootSystem", support: Weight) -> int:
     """|W| / |W_J| for a dominant weight whose labels vanish on J.
@@ -96,7 +91,8 @@ def check_orbit_size(rs: "RootSystem", top: Weight, what: str, *args, cap: "int 
         cap = weyl_cap()
     size = _orbit_size(rs, tuple(int(v != 0) for v in top))
     if size > cap:
-        raise cap_exceeded(what.format(*args), cap)
+        raise ResourceError(
+            f"{what.format(*args)} exceeds the cap {cap} (raise {WEYL_CAP_ENV} to override)")
     return size
 
 
@@ -420,8 +416,9 @@ class RootSystem:
     # -- Weyl-group material --------------------------------------------------
 
     def weyl_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """All Weyl elements as int64 matrices plus their signs, in
-        :func:`enumerate_weyl` order.
+        """All Weyl elements as int64 matrices plus their signs, in the order
+        of their images of rho in ``_orbit_walk(rs, rs.rho)``: identity
+        first, then by length.
 
         Cached after the first call; guarded by the Weyl-order cap.  Each
         element is s_i times its parent, whose matrix it copies with only the
@@ -464,12 +461,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.spec})"
-
-
-def _reflect_simple(x: tuple, i: int, simple_roots: tuple[Weight, ...]) -> tuple:
-    alpha = simple_roots[i]
-    xi = x[i]
-    return tuple(v - xi * a for v, a in zip(x, alpha))
 
 
 @lru_cache(maxsize=None)
@@ -535,13 +526,9 @@ def check_weight(rs: RootSystem, x: tuple) -> Weight:
 def check_dominant(rs: RootSystem, x: tuple) -> Weight:
     """x as a dominant integer weight, or ValidationError."""
     x = check_weight(rs, x)
-    if not is_dominant(x):
+    if min(x, default=0) < 0:
         raise ValidationError(f"weight {x} is not dominant")
     return x
-
-
-def is_dominant(x: tuple) -> bool:
-    return min(x, default=0) >= 0
 
 
 def pairing_int(rs: RootSystem, x: tuple, y: tuple):
@@ -558,21 +545,11 @@ def pairing_int(rs: RootSystem, x: tuple, y: tuple):
 def pairing(rs: RootSystem, x: tuple, y: tuple) -> Fraction:
     """Invariant form (x, y) on weight-space vectors, exact.
 
-    Feeding a coroot vector (see :func:`coroot_of`) as ``y`` yields the
-    Cartan pairing; simple coroots give plain coordinates.
+    Simple coroots as ``y`` give plain coordinates.
     """
     check_rank(rs, x)
     check_rank(rs, y)
     return pairing_int(rs, x, y) * Fraction(1, rs.form_den)
-
-
-def coroot_of(rs: RootSystem, alpha: tuple) -> RationalVector:
-    """The coroot 2*alpha/(alpha, alpha) as a weight-space vector."""
-    check_rank(rs, alpha)
-    norm = pairing(rs, alpha, alpha)
-    if norm == 0:
-        raise ValidationError("coroot of the zero vector is undefined")
-    return tuple(Fraction(2 * a) / norm for a in alpha)
 
 
 def theta_pairing(rs: RootSystem, x: tuple) -> int:
@@ -649,30 +626,6 @@ def weyl_group_size(rs: RootSystem) -> int:
     return check_orbit_size(rs, rs.rho, "Weyl order {} of {}", rs.weyl_order, rs.spec)
 
 
-def enumerate_weyl(rs: RootSystem) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield each Weyl element once as (reduced word, sign).
-
-    Words are tuples of simple-reflection indexes, composed left to right as
-    maps (the last index acts first); identity first, then by length.  An
-    element's word is its letter i followed by its parent's word.
-    """
-    weyl_group_size(rs)
-    _, parents, letters = _orbit_walk(rs, rs.rho)
-    words: list[tuple[int, ...]] = [()]
-    yield (), 1
-    for parent, i in zip(parents[1:], letters[1:]):
-        word = (i, *words[parent])
-        words.append(word)
-        yield word, -1 if len(word) % 2 else 1
-
-
-def apply_word(rs: RootSystem, word: tuple[int, ...], x: tuple) -> tuple:
-    """Apply a word of simple reflections to x (last index acts first)."""
-    for i in reversed(word):
-        x = _reflect_simple(x, i, rs.simple_roots)
-    return tuple(x)
-
-
 def sweep_reduce(supports: tuple, y: list, max_steps: int) -> int:
     """Reflect y in place into the orthant y >= 0; returns the number of
     reflections.  ``supports`` is ``RootSystem.simple_supports`` for a weight
@@ -711,8 +664,3 @@ def dominant_reduce(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
     y = list(check_weight(rs, x))
     steps = sweep_reduce(rs.simple_supports, y, len(rs.positive_roots))
     return tuple(y), -1 if steps % 2 else 1
-
-
-def dominant_representative(rs: RootSystem, x: tuple) -> tuple:
-    """The dominant point in the finite Weyl orbit of the integer weight x."""
-    return dominant_reduce(rs, x)[0]

@@ -21,11 +21,7 @@ from oracles import su2_fusion
 
 from loopfusion.affine_weyl import AffineContext, alcove_reduce, on_wall, total_degree
 from loopfusion.errors import NumericalError
-from loopfusion.finite_reps import (
-    tensor_dimension_identity,
-    weight_multiplicities,
-    weyl_dimension,
-)
+from loopfusion.finite_reps import tensor_decompose, weight_multiplicities, weyl_dimension
 from loopfusion.fusion import (
     alcove_weights,
     conjugate_weight,
@@ -227,7 +223,9 @@ def test_criterion_09_representation_base_layer():
         for _ in range(200):
             lam = tuple(rng.randint(0, cap) for _ in range(rs.rank))
             mu = tuple(rng.randint(0, cap) for _ in range(rs.rank))
-            if not tensor_dimension_identity(rs, lam, mu):
+            decomp = tensor_decompose(rs, lam, mu)
+            total = sum(c * weyl_dimension(rs, nu) for nu, c in decomp.terms.items())
+            if total != weyl_dimension(rs, lam) * weyl_dimension(rs, mu):
                 failures.append((label, lam, mu, "klimyk"))
             seen.update((lam, mu))
         for lam in sorted(seen):

@@ -16,7 +16,6 @@ from loopfusion.affine_weyl import (
     apply_affine_word,
     check_alcove,
     on_wall,
-    reflect_generator,
     total_degree,
 )
 from loopfusion.errors import ValidationError
@@ -75,13 +74,13 @@ def test_a2_wall_examples():
 def test_reflect_generator_matches_definitions():
     ctx = ctx_of("A1", 1)
     # affine generator: x -> x - ((x, theta~) - kappa) theta
-    assert reflect_generator(ctx, (4,), 0) == (2,)
-    assert reflect_generator(ctx, (1,), 1) == (-1,)
+    assert apply_affine_word(ctx, (0,), (4,)) == (2,)
+    assert apply_affine_word(ctx, (1,), (1,)) == (-1,)
     ctx2 = ctx_of("A2", 0)
-    assert reflect_generator(ctx2, (2, 2), 0) == (1, 1)
-    assert reflect_generator(ctx2, (2, 2), 1) == (-2, 4)
+    assert apply_affine_word(ctx2, (0,), (2, 2)) == (1, 1)
+    assert apply_affine_word(ctx2, (1,), (2, 2)) == (-2, 4)
     with pytest.raises(ValidationError):
-        reflect_generator(ctx2, (2, 2), 3)
+        apply_affine_word(ctx2, (3,), (2, 2))
 
 
 @pytest.mark.parametrize("label,h", [("A1", 2), ("A2", 1), ("B2", 1), ("G2", 0)])
@@ -254,7 +253,7 @@ def greedy_walk_steps(ctx, x, affine_first):
         idx = first if first is not None else second
         if idx is None:
             return steps
-        x = reflect_generator(ctx, x, idx)
+        x = apply_affine_word(ctx, (idx,), x)
         steps += 1
 
 
@@ -355,7 +354,7 @@ def test_rational_points_sweep_to_the_greedy_walk_endpoint(label, h):
         r = alcove_reduce(ctx, x)
         y = x
         for idx in r.word:  # the greedy walk, in Fractions, letter by letter
-            y = reflect_generator(ctx, y, idx)
+            y = apply_affine_word(ctx, (idx,), y)
         assert y == r.reduced
         assert len(r.word) == r.length
         assert (r.status == WALL) == on_wall(ctx, x)
@@ -390,10 +389,10 @@ def test_the_closed_alcove_is_the_orthant_of_the_extended_labels(label):
                 assert r.reduced == x
                 assert (0 in ext) == (r.status == WALL) == on_wall(ctx, x)
             for i, a in enumerate(rs.affine_roots):
-                z = reflect_generator(ctx, x, i)
+                z = apply_affine_word(ctx, (i,), x)
                 assert extended(rs, kappa, z) == tuple(e - ext[i] * c for e, c in zip(ext, a))
                 assert extended(rs, kappa, z)[i] == -ext[i]
-                assert reflect_generator(ctx, z, i) == x
+                assert apply_affine_word(ctx, (i,), z) == x
             if all(isinstance(v, int) for v in x):
                 label_test = min(x) >= 0 and theta_pairing(rs, x) <= h
                 assert label_test == (min(extended(rs, h, x)) >= 0)
@@ -414,9 +413,9 @@ def test_the_closed_alcove_is_the_orthant_of_the_extended_labels(label):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda ctx: reflect_generator(ctx, (0.5, 1.0), 1),
-        lambda ctx: reflect_generator(ctx, (1, 2, 3), 1),
-        lambda ctx: reflect_generator(ctx, (1,), 0),
+        lambda ctx: apply_affine_word(ctx, (1,), (0.5, 1.0)),
+        lambda ctx: apply_affine_word(ctx, (1,), (1, 2, 3)),
+        lambda ctx: apply_affine_word(ctx, (0,), (1,)),
         lambda ctx: apply_affine_word(ctx, (0, 1), (2.5, -1.0)),
         lambda ctx: apply_affine_word(ctx, (), (1, 2, 3)),
     ],
@@ -431,11 +430,8 @@ def test_generators_return_python_ints_for_numpy_ints_and_integral_fractions():
     from fractions import Fraction
 
     ctx = ctx_of("A2", 1)
-    for z in (
-        reflect_generator(ctx, (np.int64(2), Fraction(6, 2)), 1),
-        apply_affine_word(ctx, (1,), (np.int64(2), Fraction(6, 2))),
-    ):
-        assert z == (-2, 5) and all(type(v) is int for v in z)
+    z = apply_affine_word(ctx, (1,), (np.int64(2), Fraction(6, 2)))
+    assert z == (-2, 5) and all(type(v) is int for v in z)
 
 
 @pytest.mark.parametrize("rows", [[], ()], ids=["list", "tuple"])

@@ -16,7 +16,6 @@ from loopfusion.finite_reps import (
     VirtualCharacter,
     character_ratio,
     tensor_decompose,
-    tensor_dimension_identity,
     weight_multiplicities,
     weyl_dimension,
 )
@@ -92,10 +91,13 @@ def test_weight_multiplicity_invariants(label, lam):
             assert m.by_weight[y] == mult
 
 
-def test_weight_multiplicity_cap():
+def test_weight_multiplicity_cap(monkeypatch):
+    from loopfusion import finite_reps
+
+    monkeypatch.setattr(finite_reps, "WEIGHT_CAP_DEFAULT", 10)
     rs = build_root_system("B2")
     with pytest.raises(ResourceError):
-        weight_multiplicities(rs, (3, 3), cap=10)
+        weight_multiplicities(rs, (3, 3))
 
 
 def test_huge_weights_are_refused_before_any_recursion(monkeypatch):
@@ -109,12 +111,14 @@ def test_huge_weights_are_refused_before_any_recursion(monkeypatch):
     with pytest.raises(ResourceError):
         tensor_decompose(a1, (2**45,), (2**45,))
     # A2 (40, 40) has 3*41*41 - 3*41 + 1 = 4921 weights, each label below the cap
+    monkeypatch.setattr(finite_reps, "WEIGHT_CAP_DEFAULT", 4920)
     with pytest.raises(ResourceError):
-        weight_multiplicities(build_root_system("A2"), (40, 40), cap=4920)
+        weight_multiplicities(build_root_system("A2"), (40, 40))
     # the orbit of (3, 0) fits under the Weyl cap, that of its weight (1, 1) does not
+    monkeypatch.setattr(finite_reps, "WEIGHT_CAP_DEFAULT", 999)
     monkeypatch.setenv("LOOPFUSION_WEYL_CAP", "5")
     with pytest.raises(ResourceError, match=r"orbit of \(1, 1\)"):
-        weight_multiplicities(build_root_system("A2"), (3, 0), cap=999)
+        weight_multiplicities(build_root_system("A2"), (3, 0))
 
 
 def test_a_lowered_weyl_cap_refuses_cached_answers_too(monkeypatch):
@@ -172,14 +176,19 @@ def test_orbit_size_enumerates_nothing(monkeypatch):
     assert _orbit_size.__wrapped__(e8, (0,) * 8) == 1
 
 
-def test_large_weight_systems_count_only_real_weights():
+def test_large_weight_systems_count_only_real_weights(monkeypatch):
+    from loopfusion import finite_reps
+
     # E6 650 = 270 weights of multiplicity 1, 72 of multiplicity 5, zero with 20
     e6 = build_root_system("E6")
-    m = weight_multiplicities(e6, (1, 0, 0, 0, 1, 0), cap=343)
-    assert m.dominant == {(1, 0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0, 1): 5, (0,) * 6: 20}
-    assert len(m.by_weight) == 343
-    with pytest.raises(ResourceError):
-        weight_multiplicities(e6, (1, 0, 0, 0, 1, 0), cap=342)
+    with monkeypatch.context() as patch:
+        patch.setattr(finite_reps, "WEIGHT_CAP_DEFAULT", 343)
+        m = weight_multiplicities(e6, (1, 0, 0, 0, 1, 0))
+        assert m.dominant == {(1, 0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0, 1): 5, (0,) * 6: 20}
+        assert len(m.by_weight) == 343
+        patch.setattr(finite_reps, "WEIGHT_CAP_DEFAULT", 342)
+        with pytest.raises(ResourceError):
+            weight_multiplicities(e6, (1, 0, 0, 0, 1, 0))
     # B4 (1,1,1,1): dominant multiplicities of the 2^16-dimensional irrep
     b4 = build_root_system("B4")
     m = weight_multiplicities(b4, (1, 1, 1, 1))
@@ -227,7 +236,6 @@ def test_tensor_commutes_and_respects_dimension(label):
         ab = tensor_decompose(rs, lam, mu)
         ba = tensor_decompose(rs, mu, lam)
         assert ab.terms == ba.terms
-        assert tensor_dimension_identity(rs, lam, mu)
         total = sum(m * weyl_dimension(rs, nu) for nu, m in ab.terms.items())
         assert total == weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
         assert all(m > 0 for m in ab.terms.values())
@@ -371,6 +379,15 @@ def test_character_ratio_validation():
         character_ratio(rs, 2, (-1,), (0,))
     with pytest.raises(ValidationError):
         character_ratio(rs, 2, (1,), (3,))
+
+
+def test_character_ratio_validates_its_level():
+    # a numpy level is an int like any other, not an int64 product that wraps
+    rs = build_root_system("A1")
+    mu = (2**62 // 3,)
+    assert character_ratio(rs, np.int64(2**62), (1,), mu) == character_ratio(rs, 2**62, (1,), mu)
+    with pytest.raises(ValidationError, match="level 2.0 is not an integer"):
+        character_ratio(rs, 2.0, (1,), (0,))
 
 
 @settings(max_examples=60, deadline=None)

@@ -279,3 +279,49 @@ def test_induced_levels_are_python_ints(h):
     for insertions in ([], [(1, 0)], [(2, 0)]):
         report = cohomology_report(rs, h, Surface(1, insertions))
         assert type(report.h) is int and "h=1," in repr(report)
+
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_induce_virtual_is_the_sum_of_single_inductions(label):
+    from loopfusion.fusion import FusionElement
+
+    rs = build_root_system(label)
+    rng = random.Random(f"{label} virtual")
+    for h in (0, 1, 3):
+        kappa = h + rs.dual_coxeter
+        for _ in range(4):
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                lam = tuple(rng.randint(0, 3 * kappa) for _ in range(rs.rank))
+                terms[lam] = terms.get(lam, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+            # a term whose label carries the opposite coefficient cancels it
+            lam = tuple(rng.randint(0, 3 * kappa) for _ in range(rs.rank))
+            single = induce(rs, h, lam).value.terms
+            for target, sign in single.items():
+                terms[lam] = terms.get(lam, 0) + 2
+                terms[target] = terms.get(target, 0) - 2 * sign
+            vc = VirtualCharacter(terms)
+            want = FusionElement(k=h)
+            for w, mult in vc.terms.items():
+                for target, c in induce(rs, h, w).value.terms.items():
+                    want.add(target, mult * c)
+            assert induce_virtual(rs, h, vc) == want, (h, vc)
+
+
+def test_induce_virtual_does_not_go_through_induce(monkeypatch):
+    from loopfusion import induction
+
+    calls = []
+    original = induction.induce
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(induction, "induce", spy)
+    rs = build_root_system("A2")
+    vc = tensor_decompose(rs, (1, 0), (1, 1))
+    assert induce_virtual(rs, 2, vc)
+    assert calls == []
