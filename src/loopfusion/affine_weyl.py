@@ -3,11 +3,14 @@
 All points handled here are rho-shifted: the fundamental alcove is the set
 with (x, alpha_i^vee) >= 0 for simple coroots and (x, theta^vee) <= kappa,
 its interior the strict version, and the walls the affine hyperplanes
-(x, alpha) in kappa*Z over positive roots.  Every alcove test, wall verdict
-and generator, scalar or batch, reads the extended Dynkin labels of
-:func:`rootdata.extended` (:func:`kernels.extended_batch` for a batch), where
-the closed alcove is the orthant y >= 0, its walls the points with a zero
-label, and s_0 is one generator among the rest.
+(x, alpha) in kappa*Z over positive roots.  Every generator, and a single
+point's alcove test, reads the extended Dynkin labels of
+:func:`rootdata.extended`, where the closed alcove is the orthant y >= 0,
+its walls the points with a zero label, and s_0 is one generator among the
+rest.  A batch reads its verdicts off the closed form instead: a point is
+off the closed alcove exactly when its closed-form length is positive, and
+on a wall when some (x, alpha) lies in kappa*Z, so one product of the rows
+with the positive roots decides both before any labels are built.
 
 Reduction needs no walk from x.  Its length is the number of walls strictly
 separating x from the alcove (Humphreys, *Reflection Groups and Coxeter
@@ -21,8 +24,9 @@ batch.  The sweeps start from x or from its translate, whichever has
 the shorter closed-form length.  Both lengths take one pass over the
 positive roots, the translate having x's quotients less n*C, with n the
 kappa*Q^vee shift and C the Cartan integers <alpha, alpha_i^vee>: a batch
-gets them from one product, a single point grows its pairings root by root,
-each root being an earlier one plus a simple root.
+gets them and its wall flags from one product
+(:func:`kernels.alcove_length_batch`), a single point grows its pairings
+root by root, each root being an earlier one plus a simple root.
 Every violated reflection crosses exactly one separating wall, so any order
 reaches the same point in exactly that many reflections, and an affine Weyl
 element maps walls to walls, so x is on one exactly when its reduced point
@@ -284,18 +288,17 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
 def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     """Vectorized reduction of integer points; (reduced, lengths, wall flags).
 
-    Each row is :func:`alcove_reduce` read off its extended Dynkin labels
-    (:func:`kernels.extended_batch`): a row with no negative label is in the
-    closed alcove and stays, with a wall flag where some label is zero.  The
-    others get, in one product over the positive roots, their closed-form
-    length and that of their kappa*Q^vee translate, and one kernel call
-    sweeps each from x or the translate, whichever is shorter, taking that
-    length as its reflection count.  Their wall flags are the kernel's zero
-    labels of the reduced points, a point being on a wall exactly when its
-    reduced point is.  The rows run as int64 when they and the alcove's scale
-    fit the kernels' range, otherwise as Python ints, in which case reduced
-    points and lengths come back as object arrays.  Non-integer entries
-    raise ValidationError.
+    Each row is :func:`alcove_reduce` in closed form first: one
+    :func:`kernels.alcove_length_batch` product over the positive roots gives
+    every row's length, that of its kappa*Q^vee translate, and its wall flag,
+    true when some (x, alpha) lies in kappa*Z, as :func:`_lengths` gives
+    them for one point.  A row of length 0 is in the closed alcove and
+    stays.  One kernel call sweeps the others, each from x or the translate,
+    whichever is shorter, taking that length as its reflection count.  The
+    rows run as int64 when they and the alcove's scale fit the kernels'
+    range, otherwise as Python ints, in which case reduced points and
+    lengths come back as object arrays.  Non-integer entries raise
+    ValidationError.
     """
     # a list goes in as Python ints: numpy would make floats of entries past
     # 2^63 that sit beside negative ones
@@ -312,24 +315,19 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     kappa = ctx.kappa
     den = rs.form_den * kappa
     ys = kernels.int_rows(arr, den)
-    labels = kernels.extended_batch(rs.comarks, kappa, ys)
-    status = (labels == 0).any(axis=1).astype(np.int64)
-    lengths = np.zeros(len(ys), dtype=ys.dtype)
-    out = np.flatnonzero((labels < 0).any(axis=1))
-    if out.size == 0:
-        return ys, lengths, status
-    xs = ys[out]
-    shifts = (xs @ rs.np_form_int) // den
-    length, moved_length = kernels.alcove_length_batch(
-        rs.np_root_pairs, rs.np_positive_roots, den, xs, shifts
+    shifts = (ys @ rs.np_form_int) // den
+    lengths, moved_lengths, walls = kernels.alcove_length_batch(
+        rs.np_root_pairs, rs.np_positive_roots, den, ys, shifts
     )
-    moved = xs - kappa * shifts @ rs.np_simple_coroots
-    start = np.where((moved_length < length)[:, None], moved, xs)
-    ys[out], _, status[out] = kernels.alcove_reduce_batch(
-        rs.np_colour_classes, rs.comarks, kappa, np.minimum(moved_length, length), start
-    )
-    lengths[out] = length
-    return ys, lengths, status
+    [out] = lengths.nonzero()
+    if out.size:
+        moved = ys - kappa * shifts @ rs.np_simple_coroots
+        start = np.where((moved_lengths < lengths)[:, None], moved, ys)
+        ys[out], _, _ = kernels.alcove_reduce_batch(
+            rs.np_alcove_classes, rs.comarks, kappa,
+            np.minimum(moved_lengths, lengths).take(out), start.take(out, axis=0),
+        )
+    return ys, lengths, walls.astype(np.int64)
 
 
 def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":

@@ -228,10 +228,10 @@ def klimyk_reduce(rs: RootSystem, kappa: int, lam: Weight, offsets: list) -> lis
     """The Klimyk rows offset + nu over the weights nu of V_lam, for many
     offsets at once, reduced at level kappa in one kernel call.
 
-    The rows come from :func:`kernels.int_rows`, int64 when every entry and
-    kappa fit the int64 kernel range, otherwise Python ints.  A row with a
-    zero :func:`kernels.extended_batch` label at level kappa lies on a wall
-    of the alcove; the affine Weyl group maps walls to walls, so its
+    The rows' extended labels at level kappa come from
+    :func:`kernels.extended_rows`, int64 when every label fits the int64
+    kernel range, otherwise Python ints.  A row with a zero label lies on a
+    wall of the alcove; the affine Weyl group maps walls to walls, so its
     reduction stays on one and it cancels without reaching the kernel.  The
     rows with no zero label are swept into the orthant, the closed alcove,
     counting each row's reflections.  A swept row that lands on a wall
@@ -247,8 +247,7 @@ def klimyk_reduce(rs: RootSystem, kappa: int, lam: Weight, offsets: list) -> lis
     system = weight_multiplicities(rs, lam)
     offsets = kernels.int_rows(np.array(offsets, dtype=object).reshape(-1, rs.rank))
     weights = np.fromiter(chain.from_iterable(system.by_weight), np.int64).reshape(-1, rs.rank)
-    rows = kernels.int_rows((offsets[:, None, :] + weights).reshape(-1, rs.rank), kappa)
-    labels = kernels.extended_batch(rs.comarks, kappa, rows)
+    labels = kernels.extended_rows(rs.comarks, kappa, (offsets[:, None, :] + weights).reshape(-1, rs.rank))
     live = np.flatnonzero(labels.all(axis=1))  # a row on a wall stays on one
     reduced, signs, _ = kernels.dominant_reduce_batch(
         rs.np_colour_classes, labels[live], len(rs.positive_roots)

@@ -1,30 +1,36 @@
 """Batched numpy kernels: orthant sweeps, extended Dynkin labels, alcove
 lengths and reduction, S-sums.
 
-Both reductions sweep the rows of :func:`extended_batch`, the batch twin of
-``rootdata.extended``, into the orthant y >= 0, the closed alcove, whose
-walls are the rows with a zero label, branch-free over all rows.  A sweep
-applies the generators one colour class of pairwise orthogonal nodes at a
-time, one matrix step per class, each reflection acting by how far a row
-violates it, which is zero where it does not.
+Both reductions sweep extended Dynkin labels (kappa - level(x), *x), the
+rows of :func:`extended_batch`, the batch twin of ``rootdata.extended``,
+into the orthant y >= 0, the closed alcove, whose walls are the rows with a
+zero label, branch-free over all rows.  A sweep applies the generators one
+colour class of pairwise orthogonal nodes at a time, one matrix step per
+class, each reflection acting by how far a row violates it, which is zero
+where it does not.
 :func:`dominant_reduce_batch` counts each row's reflections, which is all
 the Klimyk rows need besides the reduced point: at kappa = k + c they are
 the Kac-Walton fusion rows, and at a level no row reaches, where s_0 never
 fires, the tensor-product rows.  :func:`alcove_reduce_batch` counts
-nothing: :func:`alcove_length_batch` gives each row's length, and its
-translate's, in closed form from one product over the positive roots, for
-callers that need the length itself.  A violated reflection crosses
-exactly one wall separating the row from the alcove, so each row takes
-the same number of reflections as in any other order, and a sweep may
-apply several of them.
+nothing: :func:`alcove_length_batch` gives each row's length, its
+translate's and its wall flag in closed form from one product over the
+positive roots, and the caller passes the lengths in.  It builds its
+labels with one product and steps on whole rows with full-width class
+matrices.  A violated reflection crosses exactly one wall separating the
+row from the alcove, so each row takes the same number of reflections as
+in any other order, and a sweep may apply several of them.
 
 The reductions take integer rows of either dtype and keep it: int64, or an
 object array of Python ints, which have no magnitude limit.  Callers get
 their rows from :func:`int_rows`, which picks int64 only for entries inside
-``INT64_SAFE_LIMIT``, so the kernels never silently lose precision.
+``INT64_SAFE_LIMIT``, or their labels from :func:`extended_rows`, which
+does so for the labels themselves, so the kernels never silently lose
+precision.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,51 +94,90 @@ def extended_batch(comarks, kappa: int, xs):
     return np.column_stack((kappa - xs @ comarks, xs))
 
 
+def extended_rows(comarks, kappa: int, rows: np.ndarray) -> np.ndarray:
+    """:func:`extended_batch` of int64 or object ``rows`` at level kappa:
+    int64 when every label lies inside ``INT64_SAFE_LIMIT``, otherwise Python
+    ints.  The range test is on the labels the sweeps receive, not on kappa,
+    so a level past the limit stays on int64 while the node-0 labels
+    kappa - level(x) stay inside it.  int64 rows must have levels far inside
+    int64, as :func:`int_rows` rows plus weights of a representation do."""
+    if rows.dtype != object and kappa < 1 << 62:  # kappa - level(x) is then exact in int64
+        labels = extended_batch(comarks, kappa, rows)
+        if fits_int64(labels):
+            return labels
+    return extended_batch(comarks, kappa, rows.astype(object))
+
+
 def alcove_length_batch(pairs, roots, den: int, xs, shifts):
     """Closed-form alcove lengths of each row x of xs and of its translate
-    x - kappa * (shifts . simple coroots), in one pass over the positive roots.
+    x - kappa * (shifts . simple coroots), and whether x lies on a wall, all
+    from one product over the positive roots.
 
     ``pairs`` holds form_den * alpha under the form and ``roots`` the Dynkin
     labels <alpha, alpha_i^vee>, one row per positive root; ``den`` is
-    form_den * kappa.  With x . pair = q*den + r, a root counts |q| walls
-    strictly between x and the alcove, or q - 1 (q > 0) and -q (q <= 0) when
-    x lies on one of its walls (r = 0).  The translate has the quotients
-    q - shifts . roots and the same remainders.  Object rows give object
-    lengths; np.divmod has no object loop, hence q*den == x . pair as the
-    zero-remainder test.
+    form_den * kappa.  The walls of a root strictly between x and the
+    alcove are the multiples of den in [den, p) when its pairing
+    p = x . pair is positive, (p - 1) // den of them, and those in (p, 0]
+    otherwise, -(p // den) of them: the count is the larger of the two
+    quotients, the other never being positive.  x lies on a wall of the root
+    when p // den and (p - 1) // den differ, den dividing p, and off the
+    closed alcove exactly when its length is positive.  The translate has
+    both quotients less shifts . roots.  Returns (lengths, translate
+    lengths, wall flags); object rows give object lengths.
     """
     p = xs @ pairs.T
-    q = p // den
-    on = p == q * den
-    return tuple((np.abs(t) - (on & (t > 0))).sum(axis=1) for t in (q, q - shifts @ roots.T))
+    below, above = p // den, (p - 1) // den
+    moves = shifts @ roots.T
+    length = np.maximum(above, -below).sum(axis=1)
+    moved = np.maximum(above - moves, moves - below).sum(axis=1)
+    return length, moved, (below != above).any(axis=1)
+
+
+@lru_cache
+def _extension(comarks: tuple) -> np.ndarray:
+    """The matrix taking x to (-level(x), *x): the extended labels at level 0."""
+    out = np.eye(len(comarks), len(comarks) + 1, 1, dtype=np.int64)
+    out[:, 0] = np.negative(comarks)
+    return out
 
 
 def alcove_reduce_batch(classes, comarks, kappa: int, lengths, xs):
     """Reduce each row of xs into the closed level-kappa alcove by cyclic sweeps.
 
     The sweeps run on the :func:`extended_batch` rows y = (kappa - level, x),
-    where the closed alcove is the orthant y >= 0 and s_i acts as y -=
-    min(y_i, 0) * a_i, a_i being row i of ``RootSystem.affine_roots``.
-    ``classes`` holds (nodes, rows of a) per colour class: the reflections of
-    one class commute and leave each other's coordinates alone, so a sweep is
-    one matrix step per class.  ``lengths`` are the rows' closed-form
-    lengths, which the kernel returns as its reflection counts; a sweep
-    reflects every row not yet reduced at least once, so the longest length
-    bounds the sweeps.  Returns (reduced, lengths, status), status being 1
-    for reduced points with a zero label, on the closed-alcove boundary, and
-    0 otherwise.  The affine Weyl group maps walls to walls, so a row is on a
+    built here by one product with the level-0 extension of ``comarks`` and
+    kappa added to node 0.  The closed alcove is the orthant y >= 0 and s_i
+    acts as y -= min(y_i, 0) * a_i, a_i being row i of
+    ``RootSystem.affine_roots``.  ``classes`` holds, per colour class, the
+    columns of y a step reads and the rows a_i for them: the class's nodes
+    and their rows (``RootSystem.np_colour_classes``), or every column and a
+    full-width matrix with zero rows off the class
+    (``RootSystem.np_alcove_classes``), so that a step is a minimum, a
+    product and a subtraction on whole rows.  The reflections of one class
+    commute and leave each other's coordinates alone, so a sweep is one
+    matrix step per class.  ``lengths`` are the rows' closed-form lengths,
+    which the kernel returns as its reflection counts; a sweep reflects every
+    row not yet reduced at least once, so the longest length bounds the
+    sweeps, and at most once per node, so no row is reduced before
+    sweeps * (rank + 1) reach its length and the alcove test waits until
+    then.  Returns (reduced, lengths, status), status being 1 for reduced
+    points with a zero label, on the closed-alcove boundary, and 0
+    otherwise.  The affine Weyl group maps walls to walls, so a row is on a
     wall exactly when its reduced point is.  The rows keep the dtype of xs.
     """
     if len(xs) == 0:
         return np.array(xs), lengths, np.zeros(0, dtype=np.int64)
-    ys = extended_batch(comarks, kappa, xs)
-    for _ in range(int(lengths.max())):
-        if ys.min() >= 0:
+    ys = xs @ _extension(comarks)
+    ys[:, 0] += kappa
+    longest, width = int(lengths.max()), ys.shape[1]
+    for sweep in range(1, longest + 1):
+        for columns, rows in classes:
+            ys -= np.minimum(ys[:, columns], 0) @ rows
+        if sweep * width >= longest and ys.min() >= 0:
             break
-        for nodes, roots in classes:
-            ys -= np.minimum(ys[:, nodes], 0) @ roots
-    if ys.min() < 0:
-        raise AssertionError("alcove reduction failed to terminate")
+    else:
+        if ys.min() < 0:
+            raise AssertionError("alcove reduction failed to terminate")
     return ys[:, 1:], lengths, (ys == 0).any(axis=1).astype(np.int64)
 
 

@@ -438,3 +438,98 @@ def test_generators_return_python_ints_for_numpy_ints_and_integral_fractions():
 def test_an_empty_batch_reduces_to_three_empty_arrays(rows):
     reduced, lengths, walls = alcove_reduce_batch(ctx_of("A2", 1), rows)
     assert reduced.shape == (0, 2) and lengths.shape == walls.shape == (0,)
+
+
+BATCH_TYPES = ["A1", "A2", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
+
+
+def _batch_rows(ctx, rng):
+    """(rows, kinds, huge) for one context: wall points inside the closed
+    alcove, wall points outside it, open-alcove points and points outside it
+    off every wall, and each row moved past 2^64 by kappa*Q^vee."""
+    rs, kappa = ctx.rs, ctx.kappa
+
+    def moved(x, scale):
+        # an affine word, then a kappa*Q^vee translation
+        y = apply_affine_word(ctx, [rng.randint(0, rs.rank) for _ in range(rng.randint(1, 12))], x)
+        for coroot in rs.simple_coroot_weights:
+            n = rng.choice((-1, 1)) * rng.randint(scale // 2, scale) * kappa
+            y = tuple(v + n * c for v, c in zip(y, coroot))
+        return y
+
+    # a point with a zero Dynkin label is on the wall (x, alpha_i) = 0, and
+    # its reduced point is a wall point of the closed alcove
+    walls_in = []
+    while len(walls_in) < 4:
+        x = [rng.randint(-3 * kappa, 3 * kappa) for _ in range(rs.rank)]
+        x[rng.randrange(rs.rank)] = 0
+        walls_in.append(alcove_reduce(ctx, tuple(x)).reduced)
+    walls_in.append((0,) * rs.rank)
+    inside = [rs.rho] + [
+        x for x in (tuple(rng.randint(1, kappa) for _ in range(rs.rank)) for _ in range(20))
+        if interior(ctx, x)
+    ][:3]
+    walls_out = [moved(x, 3) for x in walls_in]
+    off_walls = [moved(x, 3) for x in inside]
+    rows = walls_in + walls_out + inside + off_walls
+    kinds = ["wall in"] * len(walls_in) + ["wall out"] * len(walls_out) + ["in"] * len(inside)
+    kinds += ["out"] * len(off_walls)
+    return rows, kinds, [moved(x, 1 << 64) for x in rows]
+
+
+@pytest.mark.parametrize("label", BATCH_TYPES)
+def test_batch_wall_verdicts_and_lengths_equal_the_scalar_reduction(label):
+    # the wall flags come from the closed form, not from the kernel's zero
+    # labels: every kind of row, alone or mixed, int64 or past 2^64, must
+    # reduce as alcove_reduce reduces it
+    rs = build_root_system(label)
+    rng = random.Random(f"{label} batch walls")
+    for h in (0, 1, 3):
+        ctx = AffineContext(rs, h)
+        rows, kinds, huge = _batch_rows(ctx, rng)
+        batches = [np.array(rows, dtype=np.int64), np.array(rows + huge, dtype=object), np.array(huge, dtype=object)]
+        batches += [np.array([x for x, k in zip(rows, kinds) if k == kind], dtype=np.int64)
+                    for kind in ("wall in", "wall out", "in", "out")]
+        for batch in batches:
+            reduced, lengths, status = alcove_reduce_batch(ctx, batch)
+            assert reduced.dtype == lengths.dtype == batch.dtype
+            for x, red, ln, flag in zip(batch.tolist(), reduced.tolist(), lengths.tolist(), status.tolist()):
+                r = alcove_reduce(ctx, tuple(x))
+                assert (tuple(red), ln, flag) == (r.reduced, r.length, int(r.status == WALL))
+        for x, far, kind in zip(rows, huge, kinds):
+            r, r_far = alcove_reduce(ctx, x), alcove_reduce(ctx, far)
+            assert (r.status == WALL) == (r_far.status == WALL) == kind.startswith("wall")
+            assert max(map(abs, far)) > 1 << 64
+            if kind in ("wall in", "in"):
+                assert r.length == 0
+
+
+def test_a_batch_takes_one_closed_form_product_and_one_kernel_call(monkeypatch):
+    # lengths, wall flags and starts come from one alcove_length_batch call;
+    # no extended labels are built before the one kernel call, and a batch
+    # inside the closed alcove makes no kernel call at all
+    from loopfusion import affine_weyl, kernels
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(kernels, "alcove_length_batch")
+    spy(kernels, "alcove_reduce_batch")
+    spy(kernels, "extended_batch")
+    spy(affine_weyl, "extended")
+    for label in BATCH_TYPES:
+        ctx = ctx_of(label, 1)
+        rows, kinds, huge = _batch_rows(ctx, random.Random(f"{label} batch calls"))
+        for batch, kernel in ((np.array(rows + huge, dtype=object), True), (np.array(rows, dtype=np.int64), True),
+                              (np.array([x for x, k in zip(rows, kinds) if k == "in"], dtype=np.int64), False)):
+            calls.clear()
+            alcove_reduce_batch(ctx, batch)
+            assert calls == ["alcove_length_batch"] + ["alcove_reduce_batch"] * kernel

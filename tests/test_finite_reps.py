@@ -403,11 +403,12 @@ def test_freudenthal_total_is_weyl_dimension(label, data):
     assert m.total() == weyl_dimension(rs, lam)
 
 
-@pytest.mark.parametrize("top,exact", [((1 << 40) - 1, True), ((1 << 40) - 2, False)])
+@pytest.mark.parametrize("top,exact", [((1 << 40), True), ((1 << 40) - 1, False)])
 def test_tensor_int64_guard_boundary(monkeypatch, top, exact):
-    # (top - 2) x (1) reduces at kappa = level(top - 2) + level(1) + 2 = top + 1,
-    # node 0's label and the largest entry the kernel receives, and from
-    # kappa = 2^40 on the kernel receives Python-int rows instead of int64 ones
+    # (top - 2) x (1) reduces the rows top and top - 2 at kappa = top + 1,
+    # whose node-0 labels are 1 and 3: top is the largest label the kernel
+    # receives, and from top = 2^40 on it receives Python-int rows instead of
+    # int64 ones, however large kappa is
     from loopfusion import kernels
 
     dtypes = []
@@ -430,3 +431,56 @@ def test_tensor_with_huge_highest_weight_uses_exact_reduction():
 
     red, sign = dominant_reduce(rs, (-big,))
     assert red == (big,) and sign == -1
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"])
+def test_klimyk_rows_straddling_the_label_rule_agree_on_both_dtypes(label, monkeypatch):
+    # the int64 rule reads the extended labels the kernel receives: at a
+    # level past 2^40, rows whose node-0 labels all stay inside the limit run
+    # as int64 and one label at the limit sends the batch to Python ints, as
+    # does one entry at it.  Every kernel call must give what it gives on an
+    # object copy of its rows, and at a level no row reaches the rows reduce
+    # to the tensor product either way
+    from loopfusion import kernels
+    from loopfusion.finite_reps import klimyk_reduce
+    from loopfusion.rootdata import theta_pairing
+
+    dtypes = []
+    real = kernels.dominant_reduce_batch
+
+    def both(classes, rows, bound):
+        out = real(classes, rows, bound)
+        exact = real(classes, rows.astype(object), bound)
+        assert [a.tolist() for a in out] == [a.tolist() for a in exact]
+        dtypes.append(rows.dtype)
+        return out
+
+    monkeypatch.setattr(kernels, "dominant_reduce_batch", both)
+    rs = build_root_system(label)
+    limit = kernels.INT64_SAFE_LIMIT
+    lam = (1,) + (0,) * (rs.rank - 1)
+    mu = tuple(random.Random(f"{label} straddle").randint(0, 2) for _ in range(rs.rank))
+    offset = tuple(v + 1 for v in mu)
+    weights = weight_multiplicities(rs, lam).by_weight
+    lowest = theta_pairing(rs, offset) + min(theta_pairing(rs, nu) for nu in weights)
+    want = tensor_decompose(rs, lam, mu).terms
+    for top, dtype in ((limit - 1, np.int64), (limit, object)):
+        # the largest node-0 label kappa - level(offset + nu) is top
+        dtypes.clear()
+        [got] = klimyk_reduce(rs, top + lowest, lam, [offset])
+        assert got == want and dtypes == [np.dtype(dtype)]
+    # the first coordinate of the rows big + 1 + nu reaching top, with small node-0 labels
+    for top, dtype in ((limit - 1, np.int64), (limit, object)):
+        big = (top - 1 - max(nu[0] for nu in weights),) + mu[1:]
+        dtypes.clear()
+        got = tensor_decompose(rs, big, lam)
+        assert dtypes == [np.dtype(dtype)]
+        assert all(c > 0 for c in got.terms.values())
+        assert sum(c * weyl_dimension(rs, w) for w, c in got.terms.items()) == (
+            weyl_dimension(rs, big) * weyl_dimension(rs, lam)
+        )
+    if label == "E8":
+        # kappa = level(lam) + level(mu) + 30 is about 2^40.3 here, every label small
+        dtypes.clear()
+        got = tensor_decompose(rs, (0, 0, 0, 1 << 38, 0, 0, 0, 0), lam)
+        assert dtypes == [np.dtype(np.int64)] and len(got.terms) > 1

@@ -58,7 +58,8 @@ def closed_form_lengths(rs, kappa, xs):
     """The closed-form lengths of the rows of xs and of their kappa*Q^vee translates."""
     den = rs.form_den * kappa
     shifts = (xs @ rs.np_form_int) // den
-    return kernels.alcove_length_batch(rs.np_root_pairs, rs.np_positive_roots, den, xs, shifts)
+    lengths, moved, _ = kernels.alcove_length_batch(rs.np_root_pairs, rs.np_positive_roots, den, xs, shifts)
+    return lengths, moved
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
