@@ -323,7 +323,7 @@ def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):
     if out.size:
         moved = ys - kappa * shifts @ rs.np_simple_coroots
         start = np.where((moved_lengths < lengths)[:, None], moved, ys)
-        ys[out], _, _ = kernels.alcove_reduce_batch(
+        ys[out], _ = kernels.alcove_reduce_batch(
             rs.np_alcove_classes, rs.comarks, kappa,
             np.minimum(moved_lengths, lengths).take(out), start.take(out, axis=0),
         )

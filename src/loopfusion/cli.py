@@ -4,6 +4,14 @@ Output is JSON by default (schema: top-level algebra/level/result/meta, with
 meta carrying kappa plus degree/vanishes where meaningful) or an aligned
 ASCII table via --format table.  Exit codes classify failures: 2 usage,
 3 validation, 4 numerical gate, 5 resource cap.
+
+A query is the namespace of :func:`build_parser`, which :func:`run` answers
+directly: it parses the algebra label, then the weight and boundary lists,
+then refuses a negative level, so a query with several faults always
+reports the same first one.  Every subcommand parses --boundary, but only
+those that take a surface (verlinde, report, check --genus) build one; the
+others ignore --genus.  Every term list comes in the canonical order of
+``WeightCombination.sorted_terms``.
 """
 
 from __future__ import annotations
@@ -11,14 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .affine_weyl import AffineContext, alcove_reduce
 from .errors import NumericalError, ResourceError, ValidationError
-from .finite_reps import tensor_decompose, weyl_dimension
-from .fusion import FusionElement, fuse_kw
+from .finite_reps import WeightCombination, tensor_decompose, weyl_dimension
+from .fusion import fuse_kw
 from .induction import homomorphism_check, induce
-from .rootdata import AlgebraSpec, build_root_system, canonical_key
+from .rootdata import AlgebraSpec, build_root_system
 from .verlinde import Surface, cohomology_report, factorization_check, verlinde_dimension
 
 SUBCOMMANDS = (
@@ -32,17 +39,6 @@ SUBCOMMANDS = (
     "induce",
     "check",
 )
-
-
-@dataclass
-class Command:
-    subcommand: str
-    algebra: AlgebraSpec
-    level: int
-    weights: list[tuple]
-    boundary: list[tuple] = field(default_factory=list)
-    genus: "int | None" = None
-    format: str = "json"
 
 
 def parse_weight_list(text: str) -> list[tuple]:
@@ -79,65 +75,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> Command:
-    ns = build_parser().parse_args(argv)
-    return Command(
-        subcommand=ns.subcommand,
-        algebra=AlgebraSpec.parse(ns.algebra),
-        level=ns.level,
-        weights=parse_weight_list(ns.weights),
-        boundary=parse_weight_list(ns.boundary),
-        genus=ns.genus,
-        format=ns.format,
-    )
-
-
-def _fusion_terms(rs, element: FusionElement) -> list[dict]:
+def _terms(rs, combination: WeightCombination, name: str = "coeff") -> list[dict]:
     return [
-        {"weight": list(w), "coeff": c} for w, c in element.sorted_terms(rs)
+        {"weight": list(w), name: c} for w, c in combination.sorted_terms(rs)
     ]
 
 
-def _require_weights(cmd: Command, count: int) -> list[tuple]:
-    if len(cmd.weights) != count:
+def _require_weights(subcommand: str, weights: list[tuple], count: int) -> list[tuple]:
+    if len(weights) != count:
         raise ValidationError(
-            f"{cmd.subcommand} needs exactly {count} weight(s), got {len(cmd.weights)}"
+            f"{subcommand} needs exactly {count} weight(s), got {len(weights)}"
         )
-    return cmd.weights
+    return weights
 
 
-def run(cmd: Command) -> tuple[int, str]:
-    """Execute a parsed command; (exit code, rendered output)."""
-    rs = build_root_system(cmd.algebra)
-    if cmd.level < 0:
-        raise ValidationError(f"level must be nonnegative, got {cmd.level}")
-    meta: dict = {"kappa": cmd.level + rs.dual_coxeter}
-    genus = cmd.genus if cmd.genus is not None else 0
+def run(args: argparse.Namespace) -> str:
+    """Answer one query parsed by :func:`build_parser`; the rendered output."""
+    spec = AlgebraSpec.parse(args.algebra)
+    weights = parse_weight_list(args.weights)
+    boundary = parse_weight_list(args.boundary)
+    rs = build_root_system(spec)
+    if args.level < 0:
+        raise ValidationError(f"level must be nonnegative, got {args.level}")
+    meta: dict = {"kappa": args.level + rs.dual_coxeter}
+    subcommand = args.subcommand
+    if subcommand in ("verlinde", "report") or (subcommand == "check" and args.genus is not None):
+        surface = Surface(genus=args.genus or 0, insertions=tuple(weights), boundary=tuple(boundary))
 
-    if cmd.subcommand == "roots":
+    if subcommand == "roots":
         result = rs.describe()
-    elif cmd.subcommand == "dim":
-        if not cmd.weights:
+    elif subcommand == "dim":
+        if not weights:
             raise ValidationError("dim needs at least one weight")
         result = [
             {"weight": list(w), "dimension": weyl_dimension(rs, w)}
-            for w in cmd.weights
+            for w in weights
         ]
-    elif cmd.subcommand == "tensor":
-        lam, mu = _require_weights(cmd, 2)
-        decomp = tensor_decompose(rs, lam, mu)
-        result = [
-            {"weight": list(w), "multiplicity": c}
-            for w, c in sorted(
-                decomp.terms.items(), key=lambda kv: canonical_key(rs, kv[0])
-            )
-        ]
-    elif cmd.subcommand == "reduce":
-        if not cmd.weights:
+    elif subcommand == "tensor":
+        lam, mu = _require_weights(subcommand, weights, 2)
+        result = _terms(rs, tensor_decompose(rs, lam, mu), "multiplicity")
+    elif subcommand == "reduce":
+        if not weights:
             raise ValidationError("reduce needs at least one vector")
-        ctx = AffineContext(rs, cmd.level)
+        ctx = AffineContext(rs, args.level)
         result = []
-        for x in cmd.weights:
+        for x in weights:
             red = alcove_reduce(ctx, x)
             entry = {
                 "input": list(x),
@@ -147,16 +129,14 @@ def run(cmd: Command) -> tuple[int, str]:
                 "sign": red.sign,
             }
             result.append(entry)
-    elif cmd.subcommand == "fusion":
-        lam, mu = _require_weights(cmd, 2)
-        result = _fusion_terms(rs, fuse_kw(rs, cmd.level, lam, mu))
-    elif cmd.subcommand == "verlinde":
-        surface = Surface(genus=genus, insertions=tuple(cmd.weights), boundary=tuple(cmd.boundary))
-        result = verlinde_dimension(rs, cmd.level, surface)
-        meta["genus"] = genus
-    elif cmd.subcommand == "report":
-        surface = Surface(genus=genus, insertions=tuple(cmd.weights), boundary=tuple(cmd.boundary))
-        report = cohomology_report(rs, cmd.level, surface)
+    elif subcommand == "fusion":
+        lam, mu = _require_weights(subcommand, weights, 2)
+        result = _terms(rs, fuse_kw(rs, args.level, lam, mu))
+    elif subcommand == "verlinde":
+        result = verlinde_dimension(rs, args.level, surface)
+        meta["genus"] = surface.genus
+    elif subcommand == "report":
+        report = cohomology_report(rs, args.level, surface)
         result = {
             "vanishes": report.vanishes,
             "dimension": report.dimension,
@@ -166,42 +146,39 @@ def run(cmd: Command) -> tuple[int, str]:
         if not report.vanishes:
             result["degree"] = report.degree
             meta["degree"] = report.degree
-    elif cmd.subcommand == "induce":
-        (lam,) = _require_weights(cmd, 1)
-        res = induce(rs, cmd.level, lam)
-        result = _fusion_terms(rs, res.value)
+    elif subcommand == "induce":
+        (lam,) = _require_weights(subcommand, weights, 1)
+        res = induce(rs, args.level, lam)
+        result = _terms(rs, res.value)
         vanishes = not bool(res.value)
         meta["vanishes"] = vanishes
         if not vanishes:
             meta["degree"] = res.source_degrees[tuple(lam)]
-    elif cmd.subcommand == "check":
-        if cmd.genus is not None:
-            surface = Surface(
-                genus=cmd.genus, insertions=tuple(cmd.weights), boundary=tuple(cmd.boundary)
-            )
-            fc = factorization_check(rs, cmd.level, surface)
+    elif subcommand == "check":
+        if args.genus is not None:
+            fc = factorization_check(rs, args.level, surface)
             result = {"lhs": fc["lhs"], "rhs": fc["rhs"], "equal": fc["equal"]}
-            meta["genus"] = cmd.genus
+            meta["genus"] = surface.genus
         else:
-            lam, mu = _require_weights(cmd, 2)
-            hc = homomorphism_check(rs, cmd.level, lam, mu)
+            lam, mu = _require_weights(subcommand, weights, 2)
+            hc = homomorphism_check(rs, args.level, lam, mu)
             result = {
                 "equal": hc["equal"],
-                "lhs": _fusion_terms(rs, hc["lhs"]),
-                "rhs": _fusion_terms(rs, hc["rhs"]),
+                "lhs": _terms(rs, hc["lhs"]),
+                "rhs": _terms(rs, hc["rhs"]),
             }
     else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown subcommand {cmd.subcommand!r}")
+        raise ValidationError(f"unknown subcommand {subcommand!r}")
 
     payload = {
-        "algebra": str(cmd.algebra),
-        "level": cmd.level,
+        "algebra": str(spec),
+        "level": args.level,
         "result": result,
         "meta": meta,
     }
-    if cmd.format == "table":
-        return 0, _render_table(payload)
-    return 0, json.dumps(payload, separators=(",", ":")) + "\n"
+    if args.format == "table":
+        return _render_table(payload)
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -228,8 +205,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact Verlinde numbers print at any length
     try:
-        cmd = parse_args(argv)
-        code, text = run(cmd)
+        text = run(build_parser().parse_args(argv))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -240,7 +216,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 5
     sys.stdout.write(text)
-    return code
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,6 +35,7 @@ from .rootdata import (
     RootSystem,
     Weight,
     as_nonnegative,
+    canonical_key,
     check_dominant,
     check_orbit_size,
     pairing_int,
@@ -68,6 +69,10 @@ class WeightCombination:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def sorted_terms(self, rs: RootSystem) -> list[tuple[Weight, int]]:
+        """The (weight, coefficient) pairs in ``canonical_key`` order."""
+        return sorted(self.terms.items(), key=lambda kv: canonical_key(rs, kv[0]))
 
 
 @dataclass

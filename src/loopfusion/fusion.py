@@ -66,9 +66,6 @@ class FusionElement(WeightCombination):
     k: int
     terms: dict[Weight, int] = field(default_factory=dict)
 
-    def sorted_terms(self, rs: RootSystem) -> list[tuple[Weight, int]]:
-        return sorted(self.terms.items(), key=lambda kv: canonical_key(rs, kv[0]))
-
 
 def iter_alcove_labels(rs: RootSystem, k: int) -> Iterator[Weight]:
     """Every level-k alcove label, unordered and lazily.
@@ -157,17 +154,20 @@ def _build_s_matrix(rs: RootSystem, k: int) -> SMatrix:
 
 
 def s_matrix(rs: RootSystem, k: int) -> SMatrix:
-    """The S-matrix at level k, cached; all structural gates enforced."""
+    """The S-matrix at level k, cached; all structural gates enforced.
+
+    A cache hit takes no lock: an entry is only ever published whole, by
+    ``setdefault`` under ``_smatrix_lock``, so racing builds keep the first.
+    """
     k = as_nonnegative(k, "level")
     weyl_group_size(rs)  # the Weyl cap may have been lowered since a cached build
     key = (rs.spec.series, rs.spec.rank, k)
-    with _smatrix_lock:
-        got = _smatrix_cache.get(key)
-    if got is not None:
-        return got
-    built = _build_s_matrix(rs, k)
-    with _smatrix_lock:
-        return _smatrix_cache.setdefault(key, built)
+    got = _smatrix_cache.get(key)
+    if got is None:
+        built = _build_s_matrix(rs, k)
+        with _smatrix_lock:
+            got = _smatrix_cache.setdefault(key, built)
+    return got
 
 
 def conjugate_weight(rs: RootSystem, weight: tuple) -> Weight:

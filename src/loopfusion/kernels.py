@@ -15,10 +15,11 @@ fires, the tensor-product rows.  :func:`alcove_reduce_batch` counts
 nothing: :func:`alcove_length_batch` gives each row's length, its
 translate's and its wall flag in closed form from one product over the
 positive roots, and the caller passes the lengths in.  It builds its
-labels with one product and steps on whole rows with full-width class
-matrices.  A violated reflection crosses exactly one wall separating the
-row from the alcove, so each row takes the same number of reflections as
-in any other order, and a sweep may apply several of them.
+labels with :func:`extended_batch`, as the Klimyk rows get theirs, and
+steps on whole rows with full-width class matrices.  A violated reflection
+crosses exactly one wall separating the row from the alcove, so each row
+takes the same number of reflections as in any other order, and a sweep
+may apply several of them.
 
 The reductions take integer rows of either dtype and keep it: int64, or an
 object array of Python ints, which have no magnitude limit.  Callers get
@@ -29,8 +30,6 @@ precision.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -133,52 +132,37 @@ def alcove_length_batch(pairs, roots, den: int, xs, shifts):
     return length, moved, (below != above).any(axis=1)
 
 
-@lru_cache
-def _extension(comarks: tuple) -> np.ndarray:
-    """The matrix taking x to (-level(x), *x): the extended labels at level 0."""
-    out = np.eye(len(comarks), len(comarks) + 1, 1, dtype=np.int64)
-    out[:, 0] = np.negative(comarks)
-    return out
-
-
 def alcove_reduce_batch(classes, comarks, kappa: int, lengths, xs):
     """Reduce each row of xs into the closed level-kappa alcove by cyclic sweeps.
 
-    The sweeps run on the :func:`extended_batch` rows y = (kappa - level, x),
-    built here by one product with the level-0 extension of ``comarks`` and
-    kappa added to node 0.  The closed alcove is the orthant y >= 0 and s_i
-    acts as y -= min(y_i, 0) * a_i, a_i being row i of
-    ``RootSystem.affine_roots``.  ``classes`` holds, per colour class, the
-    columns of y a step reads and the rows a_i for them: the class's nodes
-    and their rows (``RootSystem.np_colour_classes``), or every column and a
-    full-width matrix with zero rows off the class
-    (``RootSystem.np_alcove_classes``), so that a step is a minimum, a
-    product and a subtraction on whole rows.  The reflections of one class
-    commute and leave each other's coordinates alone, so a sweep is one
-    matrix step per class.  ``lengths`` are the rows' closed-form lengths,
-    which the kernel returns as its reflection counts; a sweep reflects every
-    row not yet reduced at least once, so the longest length bounds the
-    sweeps, and at most once per node, so no row is reduced before
-    sweeps * (rank + 1) reach its length and the alcove test waits until
-    then.  Returns (reduced, lengths, status), status being 1 for reduced
-    points with a zero label, on the closed-alcove boundary, and 0
-    otherwise.  The affine Weyl group maps walls to walls, so a row is on a
-    wall exactly when its reduced point is.  The rows keep the dtype of xs.
+    The sweeps run on the :func:`extended_batch` rows y = (kappa - level, x)
+    of ``comarks``.  The closed alcove is the orthant y >= 0 and s_i acts as
+    y -= min(y_i, 0) * a_i, a_i being row i of ``RootSystem.affine_roots``.
+    ``classes`` holds one full-width matrix per colour class, its rows a_i at
+    the class's nodes and zero rows elsewhere (``RootSystem.np_alcove_classes``),
+    so that a step is a minimum, a product and a subtraction on whole rows.
+    The reflections of one class commute and leave each other's coordinates
+    alone, so a sweep is one matrix step per class.  ``lengths`` are the
+    rows' closed-form lengths, which the kernel returns as its reflection
+    counts; a sweep reflects every row not yet reduced at least once, so the
+    longest length bounds the sweeps, and at most once per node, so no row
+    is reduced before sweeps * (rank + 1) reach its length and the alcove
+    test waits until then.  Returns (reduced, lengths); the rows keep the
+    dtype of xs.
     """
     if len(xs) == 0:
-        return np.array(xs), lengths, np.zeros(0, dtype=np.int64)
-    ys = xs @ _extension(comarks)
-    ys[:, 0] += kappa
+        return np.array(xs), lengths
+    ys = extended_batch(comarks, kappa, xs)
     longest, width = int(lengths.max()), ys.shape[1]
     for sweep in range(1, longest + 1):
-        for columns, rows in classes:
-            ys -= np.minimum(ys[:, columns], 0) @ rows
+        for rows in classes:
+            ys -= np.minimum(ys, 0) @ rows
         if sweep * width >= longest and ys.min() >= 0:
             break
     else:
         if ys.min() < 0:
             raise AssertionError("alcove reduction failed to terminate")
-    return ys[:, 1:], lengths, (ys == 0).any(axis=1).astype(np.int64)
+    return ys[:, 1:], lengths
 
 
 def signed_weyl_sum(mats, signs, form_int, rows, cols, denom: int):

@@ -416,17 +416,18 @@ class RootSystem:
     # the batch alcove kernel's view, built on first read
 
     @cached_property
-    def np_alcove_classes(self) -> tuple[tuple[slice, np.ndarray], ...]:
-        """Per colour class, every column and the full-width matrix holding
-        its ``affine_roots`` rows at its nodes and zero rows elsewhere: the
+    def np_alcove_classes(self) -> tuple[np.ndarray, ...]:
+        """Per colour class, the full-width matrix holding its
+        ``affine_roots`` rows at its nodes and zero rows elsewhere: the
         classes on which :func:`kernels.alcove_reduce_batch` takes each step
-        on whole rows.  Built on first read; root systems that never reduce a
-        batch in the alcove never build it."""
+        on whole rows, where ``np_colour_classes`` serves the Klimyk kernel,
+        which reads only a class's columns.  Built on first read; root
+        systems that never reduce a batch in the alcove never build it."""
         out = []
         for nodes in self.colour_classes:
             rows = np.zeros((self.rank + 1, self.rank + 1), dtype=np.int64)
             rows[list(nodes)] = [self.affine_roots[i] for i in nodes]
-            out.append((slice(None), rows))
+            out.append(rows)
         return tuple(out)
 
     # -- Weyl-group material --------------------------------------------------

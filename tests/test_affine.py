@@ -506,8 +506,8 @@ def test_batch_wall_verdicts_and_lengths_equal_the_scalar_reduction(label):
 
 def test_a_batch_takes_one_closed_form_product_and_one_kernel_call(monkeypatch):
     # lengths, wall flags and starts come from one alcove_length_batch call;
-    # no extended labels are built before the one kernel call, and a batch
-    # inside the closed alcove makes no kernel call at all
+    # no extended labels are built before the one kernel call, which builds
+    # them, and a batch inside the closed alcove makes no kernel call at all
     from loopfusion import affine_weyl, kernels
 
     calls = []
@@ -532,4 +532,4 @@ def test_a_batch_takes_one_closed_form_product_and_one_kernel_call(monkeypatch):
                               (np.array([x for x, k in zip(rows, kinds) if k == "in"], dtype=np.int64), False)):
             calls.clear()
             alcove_reduce_batch(ctx, batch)
-            assert calls == ["alcove_length_batch"] + ["alcove_reduce_batch"] * kernel
+            assert calls == ["alcove_length_batch"] + ["alcove_reduce_batch", "extended_batch"] * kernel

@@ -42,6 +42,17 @@ def test_golden_outputs_are_byte_identical(fname, args):
     assert proc.stdout == (GOLDEN / fname).read_bytes()
 
 
+# stdout, stderr and exit code of every subcommand in both formats and of the
+# error paths, frozen from the CLI before it ran on argparse's namespace
+FROZEN = json.loads((GOLDEN / "cli_queries.json").read_text())
+
+
+@pytest.mark.parametrize("case", FROZEN, ids=[" ".join(c["args"]) for c in FROZEN])
+def test_queries_answer_byte_for_byte_as_frozen(case, capsys):
+    assert cli.main(case["args"]) == case["exit"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
 def test_identical_invocations_are_deterministic():
     args = GOLDEN_CASES[0][1]
     first = run_cli(args)

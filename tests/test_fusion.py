@@ -149,6 +149,70 @@ def test_a_corrupted_weyl_sum_is_refused(monkeypatch, factor):
         s_matrix(build_root_system("B3"), 2)
 
 
+def test_warm_s_matrix_calls_take_no_lock(monkeypatch):
+    # a hit reads the published entry lock-free; only a build takes the lock,
+    # once, to publish its matrix
+    import threading
+
+    from loopfusion import fusion
+
+    class CountingLock:
+        def __init__(self):
+            self.lock, self.acquires = threading.Lock(), 0
+
+        def __enter__(self):
+            self.acquires += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    lock = CountingLock()
+    monkeypatch.setattr(fusion, "_smatrix_lock", lock)
+    monkeypatch.setattr(fusion, "_smatrix_cache", {})
+    rs = build_root_system("A2")
+    cold = s_matrix(rs, 2)
+    assert lock.acquires == 1
+    assert s_matrix(rs, 2) is cold
+    assert lock.acquires == 1
+
+
+def test_racing_s_matrix_calls_all_get_the_published_matrix(monkeypatch):
+    import sys
+    import threading
+
+    from loopfusion import fusion
+
+    rs = build_root_system("B2")
+    got, errors = [], []
+
+    def work(start):
+        try:
+            start.wait(timeout=30)
+            got.append(s_matrix(rs, 2))
+        except Exception as exc:  # reported below: a thread's failure must fail the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(fusion, "_smatrix_cache", {})
+            got.clear()
+            start = threading.Barrier(8)
+            threads = [threading.Thread(target=work, args=(start,)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            published = s_matrix(rs, 2)
+            assert len(got) == 8 and all(sm is published for sm in got)
+    finally:
+        sys.setswitchinterval(old)
+
+
 def test_conjugation_matches_weight_involution():
     for label, k in [("A2", 3), ("B2", 2), ("G2", 2)]:
         rs = build_root_system(label)

@@ -98,16 +98,18 @@ def test_alcove_reduce_backends_agree(label, h):
     lengths_obj, moved_obj = closed_form_lengths(rs, kappa, xs.astype(object))
     assert lengths.tolist() == lengths_obj.tolist()
     assert moved.tolist() == moved_obj.tolist()
-    args = (rs.np_colour_classes, rs.comarks, kappa)
+    args = (rs.np_alcove_classes, rs.comarks, kappa)
     via_int64 = kernels.alcove_reduce_batch(*args, lengths, xs.copy())
     via_object = kernels.alcove_reduce_batch(*args, lengths_obj, xs.astype(object))
     assert via_object[0].dtype == object
-    for a in range(3):
+    for a in range(2):
         assert via_int64[a].tolist() == via_object[a].tolist()
-    reduced, steps, status = via_int64
+    reduced, steps = via_int64
     assert steps.tolist() == lengths.tolist()
-    assert 0 < status.sum() < len(xs)  # both verdicts occur
-    for x, red, ell, ell_moved, wall in zip(xs, reduced, lengths, moved, status):
+    # the wall verdicts are the layer's closed-form flags
+    walls = alcove_reduce_batch(ctx, xs.copy())[2]
+    assert 0 < walls.sum() < len(xs)  # both verdicts occur
+    for x, red, ell, ell_moved, wall in zip(xs, reduced, lengths, moved, walls):
         x = tuple(int(v) for v in x)
         exact = alcove_reduce(ctx, x)
         assert tuple(int(v) for v in red) == exact.reduced
@@ -236,8 +238,8 @@ def test_empty_batches():
         finite_classes(rs), xs, len(rs.positive_roots)
     )
     assert reduced.shape == (0, 2)
-    reduced, steps, status = kernels.alcove_reduce_batch(
-        rs.np_colour_classes, rs.comarks, 3, np.empty(0, dtype=np.int64), xs
+    reduced, steps = kernels.alcove_reduce_batch(
+        rs.np_alcove_classes, rs.comarks, 3, np.empty(0, dtype=np.int64), xs
     )
     assert reduced.shape == (0, 2)
 
@@ -275,13 +277,13 @@ def test_batch_paths_scalar_path_and_kernel_agree_far_from_the_alcove(label, h, 
     via_object = alcove_reduce_batch(ctx, xs.astype(object))
     # the kernel on the raw rows, no translation first, within their closed-form lengths
     lengths, _ = closed_form_lengths(rs, kappa, xs)
-    kernel = kernels.alcove_reduce_batch(rs.np_colour_classes, rs.comarks, kappa, lengths, xs.copy())
+    kernel = kernels.alcove_reduce_batch(rs.np_alcove_classes, rs.comarks, kappa, lengths, xs.copy())
     for a, x in enumerate(xs.tolist()):
         r = alcove_reduce(ctx, tuple(x))
         want = (list(r.reduced), r.length, r.status == WALL)
         assert (via_int64[0][a].tolist(), int(via_int64[1][a]), bool(via_int64[2][a])) == want
         assert ([int(v) for v in via_object[0][a]], via_object[1][a], bool(via_object[2][a])) == want
-        assert (kernel[0][a].tolist(), int(kernel[1][a]), bool(kernel[2][a])) == want
+        assert (kernel[0][a].tolist(), int(kernel[1][a])) == want[:2]
         # one wall per reflection: the scalar sweeps count exactly the length
         y = list(extended(rs, kappa, x))
         assert sweep_reduce(rs.affine_supports, y, r.length) == r.length
@@ -332,8 +334,8 @@ def test_alcove_reductions_raise_one_reflection_short_of_the_length():
     lengths, _ = closed_form_lengths(rs, kappa, xs)
     length = int(lengths[0])
     assert length > 100
-    args = (rs.np_colour_classes, rs.comarks, kappa, lengths)
-    reduced, steps, _ = kernels.alcove_reduce_batch(*args, xs.copy())
+    args = (rs.np_alcove_classes, rs.comarks, kappa, lengths)
+    reduced, steps = kernels.alcove_reduce_batch(*args, xs.copy())
     assert steps.tolist() == [length, 0]
     # a sweep reflects a row at most rank + 1 times, so a count of 1 cannot reach the alcove
     with pytest.raises(AssertionError, match="terminate"):
