@@ -35,6 +35,13 @@ Only ``AlcoveReduction.word`` walks from x itself, greedily, because its
 letters are output: the first violated generator in the order 0..rank
 ("affine_first") or 1..rank, 0 ("finite_first") fires.
 
+Everything past the entry runs in integers.  A rational point x is scaled
+once, where it enters (:func:`_scaled`): with d its common denominator, d*x
+at level d*kappa - c has d times the extended labels of x, so the same
+walls, lengths, translate, sweeps and word, and the reduced point is divided
+by d once on the way out.  Lengths, translates, sweeps and walks never see a
+``Fraction``, and an integer point builds none.
+
 Induction of a dominant weight lambda (:func:`_induced`, behind
 ``induction.induce``, ``induction.induce_virtual`` and
 ``verlinde.cohomology_report``) and
@@ -125,20 +132,30 @@ class AlcoveReduction:
             raise ResourceError(
                 f"reduction word of length {self.length} exceeds the walk budget {budget}"
             )
-        return _walk(self.ctx, self.source, self.order == "affine_first")
+        return _walk(*_scaled(self.ctx, self.source)[:2], self.order == "affine_first")
 
 
-def _normalize(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
+def _scaled(ctx: AffineContext, x: tuple) -> tuple[AffineContext, tuple, int]:
+    """(context, point, d): the one entry of a point into the integer core.
+
+    Integer coordinates (ints, np.integers) pass as Python ints with d = 1.
+    A rational point x becomes d*x, with d its common denominator, in the
+    context of level d*kappa - c: its extended labels are d times those of
+    x, so its walls, lengths, translate, sweeps and greedy word are those of
+    x.  Anything else, a float included, raises ValidationError.
+    """
+    check_rank(ctx.rs, x)
+    try:
+        return ctx, tuple(map(operator.index, x)), 1
+    except TypeError:
+        x = [v if isinstance(v, Fraction) else as_int(v) for v in x]
+    d = math.lcm(*(v.denominator for v in x))
+    return AffineContext(ctx.rs, d * ctx.kappa - ctx.rs.dual_coxeter), tuple(int(v * d) for v in x), d
 
 
-def _check_point(rs: RootSystem, x: tuple) -> tuple:
-    """x as a rational point: integer coordinates as Python ints, Fractions
-    kept unless integral; anything else, a float included, is refused."""
-    check_rank(rs, x)
-    return tuple(_normalize(v) if isinstance(v, Fraction) else as_int(v) for v in x)
+def _unscaled(y: tuple, d: int) -> tuple:
+    """The point y/d that :func:`_scaled` scaled by d, integral coordinates as ints."""
+    return y if d == 1 else tuple(v // d if v % d == 0 else Fraction(v, d) for v in y)
 
 
 def _reflect(supports: tuple, y: list, idx: int) -> None:
@@ -152,22 +169,23 @@ def apply_affine_word(ctx: AffineContext, word: tuple[int, ...], x: tuple) -> tu
     """Apply a generator word to x, the last entry acting first.
 
     Generator 0 is the affine wall reflection and i >= 1 is s_i; generator
-    idx turns extended label idx into its negative.  x is checked as
-    :func:`alcove_reduce` checks it, and the word acts on its extended
-    labels."""
+    idx turns extended label idx into its negative.  x is checked and
+    scaled as :func:`alcove_reduce` does it, and the word acts on its
+    extended labels."""
     rs = ctx.rs
-    y = list(extended(rs, ctx.kappa, _check_point(rs, x)))
+    sctx, y, d = _scaled(ctx, x)
+    y = list(extended(rs, sctx.kappa, y))
     for idx in reversed(word):
         if not 0 <= idx <= rs.rank:
             raise ValidationError(f"generator index {idx} outside 0..{rs.rank}")
         _reflect(rs.affine_supports, y, idx)
-    return tuple(_normalize(v) for v in y[1:])
+    return _unscaled(tuple(y[1:]), d)
 
 
 def _lengths(ctx: AffineContext, x: tuple) -> tuple[int, bool, int, list]:
     """Closed-form reduction length of x, whether x is on a wall, the length
     of its kappa*Q^vee translate and the shift n that :func:`_translate` moves
-    it by, exact for any scalars, in one pass over the positive roots.
+    it by, exactly, in one pass over the positive roots.
 
     With form_den*(x, alpha) = q*den + r and den = form_den*kappa, a root
     counts |q| walls strictly between x and the alcove, one fewer when q > 0
@@ -205,12 +223,11 @@ def _translate(ctx: AffineContext, x: tuple, shift: list) -> tuple:
     """x less kappa*n_i times the i-th simple coroot, for the shift n of
     :func:`_lengths`, which puts the coordinates (x, omega_i) of x on the
     simple coroots in [0, kappa)."""
-    y = list(x)
+    y = x
     for n, coroot in zip(shift, ctx.rs.simple_coroot_weights):
         if n:
             step = n * ctx.kappa
-            for j, c in enumerate(coroot):
-                y[j] -= step * c
+            y = [v - step * c for v, c in zip(y, coroot)]
     return tuple(y)
 
 
@@ -219,9 +236,10 @@ def on_wall(ctx: AffineContext, x: tuple) -> bool:
 
     The reflection hyperplanes of the shifted action at scale kappa are
     (x, alpha) = n*kappa over roots alpha, with the form normalized so long
-    roots have (alpha, alpha) = 2.
+    roots have (alpha, alpha) = 2.  x is checked and scaled as
+    :func:`alcove_reduce` does it.
     """
-    return _lengths(ctx, _check_point(ctx.rs, x))[1]
+    return _lengths(*_scaled(ctx, x)[:2])[1]
 
 
 def _walk(ctx: AffineContext, x: tuple, affine_first: bool) -> tuple[int, ...]:
@@ -244,43 +262,43 @@ def _sweep_to_alcove(ctx: AffineContext, x: tuple, labels: tuple, closed: tuple)
     """The closed-alcove point of the orbit of x, whose extended labels are
     ``labels`` and whose :func:`_lengths` are ``closed``.  Cyclic sweeps
     reach it from x or from its translate, whichever has the shorter length,
-    in exactly that many reflections.  Rational labels are scaled by their
-    common denominator d first, which scales the alcove to level d*kappa, so
-    the sweeps run in integers."""
+    in exactly that many reflections, all in integers."""
     length, _, moved, shift = closed
     if moved < length:
         labels, length = extended(ctx.rs, ctx.kappa, _translate(ctx, x, shift)), moved
-    d = math.lcm(*(v.denominator for v in labels))
-    y = [int(v * d) for v in labels] if d > 1 else list(labels)
+    y = list(labels)
     sweep_reduce(ctx.rs.affine_supports, y, length)
-    return tuple(_normalize(Fraction(v, d)) for v in y[1:]) if d > 1 else tuple(y[1:])
+    return tuple(y[1:])
 
 
 def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> AlcoveReduction:
     """Reduce a rational point into the closed fundamental alcove, exactly.
 
     Coordinates are ints, np.integers or Fractions; anything else raises
-    ValidationError.  Points already in the closed alcove cost one violation
-    test.  Others get their length and wall status in closed form; the
-    reduced point is swept to from x or from its kappa*Q^vee translate,
-    whichever is shorter.  ``order`` picks which violated generator the
+    ValidationError.  A rational point is reduced as d times itself at level
+    d*kappa - c (:func:`_scaled`) and divided by d once on the way out, so
+    the reduction runs in integers.  Points already in the closed alcove
+    cost one violation test.  Others get their length and wall status in
+    closed form; the reduced point is swept to from x or from its
+    kappa*Q^vee translate, whichever is shorter.  ``order`` picks which violated generator the
     greedy walk behind ``word`` fires first ("affine_first" is the default
     convention, "finite_first" the alternate); nothing else depends on it.
     """
-    y = _check_point(ctx.rs, x)
+    sctx, y, d = _scaled(ctx, x)
     if order not in ("affine_first", "finite_first"):
         raise ValidationError(f"unknown reduction order {order!r}")
-    labels = extended(ctx.rs, ctx.kappa, y)
+    source = _unscaled(y, d)
+    labels = extended(ctx.rs, sctx.kappa, y)
     if min(labels) >= 0:
-        return AlcoveReduction(WALL if 0 in labels else INTERIOR, y, 0, 1, ctx, y, order)
-    closed = length, wall, _, _ = _lengths(ctx, y)
+        return AlcoveReduction(WALL if 0 in labels else INTERIOR, source, 0, 1, ctx, source, order)
+    closed = length, wall, _, _ = _lengths(sctx, y)
     return AlcoveReduction(
         status=WALL if wall else INTERIOR,
-        reduced=_sweep_to_alcove(ctx, y, labels, closed),
+        reduced=_unscaled(_sweep_to_alcove(sctx, y, labels, closed), d),
         length=length,
         sign=-1 if length % 2 else 1,
         ctx=ctx,
-        source=y,
+        source=source,
         order=order,
     )
 
@@ -339,8 +357,7 @@ def total_degree(ctx: AffineContext, lambdas: list) -> "int | None":
     """
     total = 0
     for lam in lambdas:
-        lam = check_dominant(ctx.rs, lam)
-        length, wall, _, _ = _lengths(ctx, tuple(v + 1 for v in lam))
+        length, wall, _, _ = _lengths(ctx, tuple(v + 1 for v in check_dominant(ctx.rs, lam)))
         if wall:
             return None
         total += length
@@ -360,9 +377,7 @@ def _induced(ctx: AffineContext, lam: tuple) -> "tuple[tuple, int] | None":
     if min(labels) >= 0:
         return None if 0 in labels else (tuple(v - 1 for v in y), 0)
     closed = length, wall, _, _ = _lengths(ctx, y)
-    if wall:
-        return None
-    return tuple(v - 1 for v in _sweep_to_alcove(ctx, y, labels, closed)), length
+    return None if wall else (tuple(v - 1 for v in _sweep_to_alcove(ctx, y, labels, closed)), length)
 
 
 def check_alcove(rs: RootSystem, k: int, weight: tuple) -> tuple:

@@ -8,9 +8,12 @@ ASCII table via --format table.  Exit codes classify failures: 2 usage,
 A query is the namespace of :func:`build_parser`, which :func:`run` answers
 directly: it parses the algebra label, then the weight and boundary lists,
 then refuses a negative level, so a query with several faults always
-reports the same first one.  Every subcommand parses --boundary, but only
-those that take a surface (verlinde, report, check --genus) build one; the
-others ignore --genus.  Every term list comes in the canonical order of
+reports the same first one.  Each subcommand declares only the options it
+reads, and argparse refuses any other (exit 2): every one takes --algebra,
+--level and --format, every one but roots --weights, and only those that
+take a surface (verlinde, report, check) --genus and --boundary; check
+reads a surface only with --genus, so it refuses --boundary without it.
+Every term list comes in the canonical order of
 ``WeightCombination.sorted_terms``.
 """
 
@@ -28,6 +31,8 @@ from .induction import homomorphism_check, induce
 from .rootdata import AlgebraSpec, build_root_system
 from .verlinde import Surface, cohomology_report, factorization_check, verlinde_dimension
 
+# the subcommands that read a surface: --genus and --boundary
+SURFACE_SUBCOMMANDS = ("verlinde", "report", "check")
 SUBCOMMANDS = (
     "roots",
     "dim",
@@ -68,10 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} query")
         p.add_argument("--algebra", required=True, help="algebra label, e.g. A2 or G2")
         p.add_argument("--level", type=int, default=0, help="level k (or twisting level h)")
-        p.add_argument("--weights", default="", help='weights "a,b;c,d"')
-        p.add_argument("--boundary", default="", help='boundary labels "a,b;c,d"')
-        p.add_argument("--genus", type=int, default=None, help="surface genus")
+        if name != "roots":
+            p.add_argument("--weights", help='weights "a,b;c,d"')
+        if name in SURFACE_SUBCOMMANDS:
+            p.add_argument("--boundary", help='boundary labels "a,b;c,d"')
+            p.add_argument("--genus", type=int, help="surface genus")
         p.add_argument("--format", choices=("json", "table"), default="json")
+        # what an option that is absent, or not declared, reads as
+        p.set_defaults(weights="", boundary=None, genus=None)
     return parser
 
 
@@ -93,12 +102,14 @@ def run(args: argparse.Namespace) -> str:
     """Answer one query parsed by :func:`build_parser`; the rendered output."""
     spec = AlgebraSpec.parse(args.algebra)
     weights = parse_weight_list(args.weights)
-    boundary = parse_weight_list(args.boundary)
+    boundary = parse_weight_list(args.boundary or "")
+    subcommand = args.subcommand
+    if subcommand == "check" and args.boundary is not None and args.genus is None:
+        raise ValidationError("check --boundary needs --genus")
     rs = build_root_system(spec)
     if args.level < 0:
         raise ValidationError(f"level must be nonnegative, got {args.level}")
     meta: dict = {"kappa": args.level + rs.dual_coxeter}
-    subcommand = args.subcommand
     if subcommand in ("verlinde", "report") or (subcommand == "check" and args.genus is not None):
         surface = Surface(genus=args.genus or 0, insertions=tuple(weights), boundary=tuple(boundary))
 

@@ -13,12 +13,12 @@ Conventions used throughout the package:
   alpha^vee = 2*alpha/(alpha, alpha), and the form matrix on fundamental
   weights is D @ inverse(cartan) with D the symmetrizer diagonal.
 
-The construction is integer-only: positive roots grow along alpha_i-strings
-in simple-root coordinates, lengths come from an integer symmetrizer, and the
-form from a fraction-free adjugate of the Cartan matrix.  `fractions.Fraction`
-appears only in the public rational fields ``symmetrizer``, ``form`` and
-``simple_coroots`` (the last two built on first read) and in
-:func:`pairing`; nothing here uses floats.
+The construction is integer-only and builds no ``Fraction``: positive roots
+grow along alpha_i-strings in simple-root coordinates, lengths come from an
+integer symmetrizer, and the form from a fraction-free adjugate of the
+Cartan matrix.  `fractions.Fraction` appears only in the public rational
+views ``symmetrizer``, ``form`` and ``simple_coroots``, each built on first
+read, and in :func:`pairing`; nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -212,21 +212,23 @@ def _colour_classes(cartan) -> tuple[tuple[int, ...], ...]:
 
 
 def _symmetrizer(cartan: list[list[int]]) -> list[int]:
-    """Smallest positive integers e with e_i*cartan[i][j] = e_j*cartan[j][i]."""
+    """Smallest positive integers e with e_i*cartan[i][j] = e_j*cartan[j][i].
+
+    Grown node by node from e_0 = 1 in integers: reaching j from i, every
+    entry found so far is multiplied by |cartan[j][i]| and e_j set to
+    e_i*|cartan[i][j]|, which keeps the ratio e_j/e_i = cartan[i][j]/cartan[j][i].
+    """
     r = len(cartan)
-    d: list[Fraction | None] = [None] * r
-    d[0] = Fraction(1)
+    e = [1] + [0] * (r - 1)
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(r):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+            if i != j and cartan[i][j] != 0 and not e[j]:
+                e, e[j] = [-cartan[j][i] * v for v in e], -cartan[i][j] * e[i]
                 queue.append(j)
-    if any(v is None for v in d):
+    if not all(e):
         raise AssertionError("Dynkin diagram must be connected")
-    scale = math.lcm(*(v.denominator for v in d))
-    e = [int(v * scale) for v in d]
     g = math.gcd(*e)
     return [v // g for v in e]
 
@@ -324,7 +326,6 @@ class RootSystem:
         # normalize so (theta, theta) = 2: d_i = e_i / long, long = (theta, theta)_e / 2
         theta_idx = max(range(len(roots)), key=lambda i: self.root_heights[i])
         long = norms[theta_idx] // 2
-        self.symmetrizer: tuple[Fraction, ...] = tuple(Fraction(ei, long) for ei in e)
 
         self.highest_root: Weight = self.positive_roots[theta_idx]
         self.marks: tuple[int, ...] = self.root_coeffs[theta_idx]
@@ -401,7 +402,14 @@ class RootSystem:
         self._weyl_lock = threading.Lock()
         self._weyl_cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    # rational views built on first read: only describe() and tests use them
+    # rational views built on first read; the construction and the integer
+    # core never read them
+
+    @cached_property
+    def symmetrizer(self) -> RationalVector:
+        """The symmetrizer d_i = (alpha_i, alpha_i) / 2, as Fractions read
+        off the integers ``scaled_d`` = form_den * d_i."""
+        return tuple(Fraction(s, self.form_den) for s in self.scaled_d)
 
     @cached_property
     def form(self) -> tuple[RationalVector, ...]:

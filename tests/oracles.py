@@ -1,12 +1,13 @@
 """Independent oracles for the test suite.
 
 Everything here is computed from first principles with no imports from the
-package under test: closed-form su(2) rules, frozen Lie-theory tables, a
-brute-force affine orbit search, and a standalone coroot generator working
-straight from frozen Cartan matrices.  The index formula takes its S-matrix
-and characters as arguments, so that it sums them with no alcove reduction,
-and the two-pass closed-form alcove lengths take the root data they read as
-an argument, pairing x with every positive root by a full dot product.
+package under test: closed-form su(2) and su(3) fusion rules, frozen
+Lie-theory tables, a brute-force affine orbit search, and a standalone
+coroot generator working straight from frozen Cartan matrices.  The index
+formula takes its S-matrix and characters as arguments, so that it sums
+them with no alcove reduction, and the two-pass closed-form alcove lengths
+take the root data they read as an argument, pairing x with every positive
+root by a full dot product.
 """
 
 from __future__ import annotations
@@ -92,13 +93,38 @@ def clebsch_gordan(a: int, b: int) -> dict:
     return {(c,): 1 for c in range(abs(a - b), a + b + 1, 2)}
 
 
-def su2_fusion(k: int, a: int, b: int) -> dict:
-    """Level-k su(2) fusion: truncated Clebsch-Gordan.
+def a1_fusion_coefficient(k: int, a: int, b: int, c: int) -> int:
+    """Level-k su(2) fusion coefficient N_ab^c: truncated Clebsch-Gordan,
+    1 iff |a-b| <= c <= min(a+b, 2k-a-b) and a+b+c is even, else 0."""
+    return int(abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0)
 
-    N^c nonzero iff |a-b| <= c <= min(a+b, 2k-a-b) and a+b+c even.
+
+def su2_fusion(k: int, a: int, b: int) -> dict:
+    """Level-k su(2) fusion of a and b: the c of the Clebsch-Gordan range
+    |a-b|..a+b that :func:`a1_fusion_coefficient` keeps."""
+    return {(c,): 1 for c in range(abs(a - b), a + b + 1, 2) if a1_fusion_coefficient(k, a, b, c)}
+
+
+def a2_fusion_coefficient(k, lam: tuple, mu: tuple, nu: tuple) -> int:
+    """Level-k su(3) fusion coefficient N_{lam mu}^nu by the threshold levels
+    of Begin, Mathieu and Walton ("su(3)_k fusion coefficients", Mod. Phys.
+    Lett. A 1992); k = None gives the tensor-product multiplicity.
+
+    Over the invariant triple (lam, mu, nu*), nu* = (nu_2, nu_1), with s_j
+    the sum of the j-th coordinates, a = (2 s_1 + s_2)/3 and
+    b = (s_1 + 2 s_2)/3 are integers (triality) or the coefficient is 0.
+    The couplings live at the levels k_min..k_max, with k_max = min(a, b)
+    and k_min the largest of each label's level and of a and b less the
+    least first and second coordinate; N = max(0, min(k, k_max) - k_min + 1).
     """
-    top = min(a + b, 2 * k - a - b)
-    return {(c,): 1 for c in range(abs(a - b), top + 1, 2)}
+    triple = (lam, mu, (nu[1], nu[0]))
+    s1, s2 = (sum(t[j] for t in triple) for j in (0, 1))
+    if (2 * s1 + s2) % 3:
+        return 0
+    a, b = (2 * s1 + s2) // 3, (s1 + 2 * s2) // 3
+    k_min = max(*(t[0] + t[1] for t in triple), a - min(t[0] for t in triple), b - min(t[1] for t in triple))
+    k_max = min(a, b) if k is None else min(a, b, k)
+    return max(0, k_max - k_min + 1)
 
 
 def a1_s_entry(k: int, a: int, b: int) -> float:

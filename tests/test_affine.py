@@ -533,3 +533,58 @@ def test_a_batch_takes_one_closed_form_product_and_one_kernel_call(monkeypatch):
             calls.clear()
             alcove_reduce_batch(ctx, batch)
             assert calls == ["alcove_length_batch"] + ["alcove_reduce_batch", "extended_batch"] * kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    label=st.sampled_from(["A2", "B3", "G2", "F4", "E6"]),
+    h=st.integers(min_value=0, max_value=3),
+    d=st.integers(min_value=1, max_value=7),
+    data=st.data(),
+)
+def test_a_rational_point_reduces_as_d_times_itself_at_level_d_kappa(label, h, d, data):
+    # x/d at level kappa is x at level d*kappa (twisting level d*kappa - c)
+    # with every extended label divided by d: the same status, length, sign
+    # and word, and 1/d times the reduced point
+    from fractions import Fraction
+
+    rs = build_root_system(label)
+    ctx = AffineContext(rs, h)
+    big = AffineContext(rs, d * ctx.kappa - rs.dual_coxeter)
+    x = tuple(data.draw(st.integers(-50 * ctx.kappa, 50 * ctx.kappa)) for _ in range(rs.rank))
+    point = tuple(Fraction(v, d) for v in x)
+    r, scaled = alcove_reduce(ctx, point), alcove_reduce(big, x)
+    assert (r.status, r.length, r.sign) == (scaled.status, scaled.length, scaled.sign)
+    assert r.reduced == tuple(Fraction(v, d) for v in scaled.reduced)
+    assert r.ctx is ctx and r.source == point
+    # integral coordinates come back as ints
+    assert all(type(v) is int for v in (*r.reduced, *r.source) if v.denominator == 1)
+    assert on_wall(ctx, point) == on_wall(big, x) == (r.status == WALL)
+    if r.length <= ctx.step_budget:
+        assert r.word == scaled.word
+        assert apply_affine_word(ctx, r.word, r.reduced) == point
+
+
+def test_integer_points_build_no_fraction(monkeypatch):
+    # with every Fraction name of the integer core refusing to be called, a
+    # fresh root system is built and integer points are reduced, tested,
+    # walked and mapped back
+    from loopfusion import affine_weyl, rootdata
+
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built on integer input")
+
+    monkeypatch.setattr(affine_weyl, "Fraction", refuse)
+    monkeypatch.setattr(rootdata, "Fraction", refuse)
+    rng = random.Random(31)
+    for label in ("A2", "B3", "G2", "F4", "E6"):
+        rs = rootdata.RootSystem(rootdata.AlgebraSpec.parse(label))
+        assert not {"symmetrizer", "form", "simple_coroots"} & set(vars(rs))
+        ctx = AffineContext(rs, 2)
+        points = [rs.rho, (0,) * rs.rank]
+        points += [tuple(rng.randint(-5 * ctx.kappa, 5 * ctx.kappa) for _ in range(rs.rank)) for _ in range(20)]
+        for x in points:
+            r = alcove_reduce(ctx, x)
+            assert (r.status == WALL) == on_wall(ctx, x)
+            assert apply_affine_word(ctx, r.word, r.reduced) == x
+            assert all(type(v) is int for v in r.reduced)

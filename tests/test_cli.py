@@ -43,13 +43,25 @@ def test_golden_outputs_are_byte_identical(fname, args):
 
 
 # stdout, stderr and exit code of every subcommand in both formats and of the
-# error paths, frozen from the CLI before it ran on argparse's namespace
+# error paths, frozen from the CLI before it ran on argparse's namespace; the
+# entries that pass a subcommand an option it does not declare were frozen
+# again once argparse refused them (exit 2), with a usage line wide enough
+# that no Python version wraps it
 FROZEN = json.loads((GOLDEN / "cli_queries.json").read_text())
 
 
+def main_exit(args):
+    """cli.main's exit code, argparse's usage exit included."""
+    try:
+        return cli.main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("case", FROZEN, ids=[" ".join(c["args"]) for c in FROZEN])
-def test_queries_answer_byte_for_byte_as_frozen(case, capsys):
-    assert cli.main(case["args"]) == case["exit"]
+def test_queries_answer_byte_for_byte_as_frozen(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps its usage to the terminal
+    assert main_exit(case["args"]) == case["exit"]
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
@@ -127,6 +139,54 @@ def test_usage_errors_exit_2():
     assert run_cli([]).returncode == 2
     assert run_cli(["fusion", "--algebra", "A1", "--frobnicate"]).returncode == 2
     assert run_cli(["no-such-subcommand", "--algebra", "A1"]).returncode == 2
+
+
+# the options each subcommand reads besides --algebra, --level and --format
+READS = {
+    "roots": (),
+    "dim": ("--weights",),
+    "tensor": ("--weights",),
+    "reduce": ("--weights",),
+    "fusion": ("--weights",),
+    "verlinde": ("--weights", "--genus", "--boundary"),
+    "report": ("--weights", "--genus", "--boundary"),
+    "induce": ("--weights",),
+    "check": ("--weights", "--genus", "--boundary"),
+}
+
+
+@pytest.mark.parametrize("name", cli.SUBCOMMANDS)
+def test_each_subcommand_takes_only_the_options_it_reads(name, capsys):
+    assert set(READS) == set(cli.SUBCOMMANDS)
+    parser = cli.build_parser()
+    for common in (["--level", "2"], ["--format", "table"]):
+        parser.parse_args([name, "--algebra", "A1", *common])
+    for option in ("--weights", "--genus", "--boundary"):
+        args = [name, "--algebra", "A1", option, "1"]
+        if option in READS[name]:
+            assert getattr(parser.parse_args(args), option[2:]) == (1 if option == "--genus" else "1")
+        else:
+            assert main_exit(args) == 2
+            assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+def test_an_absent_or_undeclared_option_reads_as_empty():
+    for name in cli.SUBCOMMANDS:
+        args = cli.build_parser().parse_args([name, "--algebra", "A1"])
+        assert (args.weights, args.boundary, args.genus) == ("", None, None)
+
+
+def test_check_refuses_a_boundary_without_a_genus(capsys):
+    for boundary in ("1", ""):
+        args = ["check", "--algebra", "A1", "--level", "1", "--weights", "1;1", "--boundary", boundary]
+        assert cli.main(args) == 3
+        assert capsys.readouterr() == ("", "error: check --boundary needs --genus\n")
+    # a malformed boundary is still the first fault, as where --boundary is read
+    assert cli.main(["check", "--algebra", "A1", "--boundary", "x"]) == 3
+    assert "weight entry 'x'" in capsys.readouterr().err
+    # with a genus the boundary is read: one A1 boundary label at genus 1
+    assert cli.main(["check", "--algebra", "A1", "--level", "1", "--genus", "1", "--boundary", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["equal"] is True
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -518,3 +519,61 @@ def test_routes_agree_on_every_e6_level_2_pair():
     ws = weights_of(e6, 2)
     for lam, mu in itertools.combinations_with_replacement(ws, 2):
         assert fuse_kw(e6, 2, lam, mu) == fuse_s(e6, 2, lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize(
+    "label,levels,rule",
+    [("A1", range(61), oracles.a1_fusion_coefficient), ("A2", range(11), oracles.a2_fusion_coefficient)],
+    ids=["A1", "A2"],
+)
+def test_fusion_matrices_equal_the_closed_form_rule_on_every_label_triple(label, levels, rule):
+    # the A1 rule, and the Begin-Mathieu-Walton threshold levels for A2,
+    # against every coefficient of the stored matrices, zeros included
+    from loopfusion.verlinde import fusion_matrices
+
+    rs = build_root_system(label)
+    unpack = (lambda w: w[0]) if label == "A1" else (lambda w: w)
+    for k in levels:
+        fm = fusion_matrices(rs, k)
+        labels = [unpack(w) for w in fm.labels]
+        for a, lam in enumerate(labels):
+            for b, mu in enumerate(labels):
+                row = fm.fusion[a][b]
+                assert [row.get(c, 0) for c in range(len(labels))] == [rule(k, lam, mu, nu) for nu in labels], (
+                    k, lam, mu)
+
+
+def test_fuse_kw_equals_the_a2_threshold_rule_on_large_labels():
+    # about 20 seeded pairs of A2 labels with entries up to 100 at k = 300:
+    # every term of fuse_kw is the rule's coefficient, and every label the
+    # rule couples (one of the right triality, within the tensor product's
+    # level) is a term
+    rs = build_root_system("A2")
+    k = 300
+    rng = random.Random("A2 k=300 threshold levels")
+    for _ in range(20):
+        lam, mu = (tuple(rng.randint(0, 100) for _ in range(2)) for _ in range(2))
+        terms = fuse_kw(rs, k, lam, mu).terms
+        top = min(k, sum(lam) + sum(mu))
+        want = {}
+        for n1 in range(top + 1):
+            for n2 in range(top + 1 - n1):
+                if (n1 + 2 * n2 - lam[0] - 2 * lam[1] - mu[0] - 2 * mu[1]) % 3 == 0:
+                    if c := oracles.a2_fusion_coefficient(k, lam, mu, (n1, n2)):
+                        want[(n1, n2)] = c
+        assert terms == want, (lam, mu)
+
+
+def test_tensor_products_equal_the_a2_rule_at_infinite_level():
+    from loopfusion.finite_reps import tensor_decompose
+
+    rs = build_root_system("A2")
+    rng = random.Random("A2 tensor threshold levels")
+    for _ in range(20):
+        lam, mu = (tuple(rng.randint(0, 12) for _ in range(2)) for _ in range(2))
+        top = sum(lam) + sum(mu)
+        want = {}
+        for nu in itertools.product(range(top + 1), repeat=2):
+            if c := oracles.a2_fusion_coefficient(None, lam, mu, nu):
+                want[nu] = c
+        assert tensor_decompose(rs, lam, mu).terms == want, (lam, mu)

@@ -742,3 +742,16 @@ def test_every_built_fusion_ring_commutes(label, k):
     fm = _build_fusion_matrices(build_root_system(label), k)
     n = len(fm.labels)
     assert all(fm.fusion[a][b] == fm.fusion[b][a] for a in range(n) for b in range(a))
+
+
+def test_su_level_rank_duality_without_insertions():
+    # k^g V_g(A_{N-1}, k) = N^g V_g(A_{k-1}, N) (Mlawer, Naculich, Riggs and
+    # Schnitzer, Nucl. Phys. B 1991) for every N, k >= 2 with N k <= 12
+    pairs = [(n, k) for n in range(2, 7) for k in range(2, 7) if n * k <= 12]
+    assert len(pairs) == 12
+    for n, k in pairs:
+        su_n, su_k = build_root_system(f"A{n - 1}"), build_root_system(f"A{k - 1}")
+        for g in range(1, 5):
+            lhs = k**g * verlinde_dimension(su_n, k, Surface(genus=g))
+            rhs = n**g * verlinde_dimension(su_k, n, Surface(genus=g))
+            assert lhs == rhs, (n, k, g)
