@@ -3,7 +3,7 @@
 All points handled here are rho-shifted: the fundamental alcove is the set
 with (x, alpha_i^vee) >= 0 for simple coroots and (x, theta^vee) <= kappa,
 its interior the strict version, and the walls the affine hyperplanes
-(x, alpha) in kappa*Z over positive roots.  Every generator, and a single
+(x, alpha) in kappa*Z over positive roots.  Every sweep, and a single
 point's alcove test, reads the extended Dynkin labels of
 :func:`rootdata.extended`, where the closed alcove is the orthant y >= 0,
 its walls the points with a zero label, and s_0 is one generator among the
@@ -30,16 +30,15 @@ root by root, each root being an earlier one plus a simple root.
 Every violated reflection crosses exactly one separating wall, so any order
 reaches the same point in exactly that many reflections, and an affine Weyl
 element maps walls to walls, so x is on one exactly when its reduced point
-is.
-Only ``AlcoveReduction.word`` walks from x itself, greedily, because its
-letters are output: the first violated generator in the order 0..rank
-("affine_first") or 1..rank, 0 ("finite_first") fires.
+is.  Nothing here walks from x letter by letter: the status, the length (the
+cohomological degree) and the reduced point are the whole answer, and none
+of them depends on a path.
 
 Everything past the entry runs in integers.  A rational point x is scaled
 once, where it enters (:func:`_scaled`): with d its common denominator, d*x
 at level d*kappa - c has d times the extended labels of x, so the same
-walls, lengths, translate, sweeps and word, and the reduced point is divided
-by d once on the way out.  Lengths, translates, sweeps and walks never see a
+walls, lengths, translate and sweeps, and the reduced point is divided by d
+once on the way out.  Lengths, translates and sweeps never see a
 ``Fraction``, and an integer point builds none.
 
 Induction of a dominant weight lambda (:func:`_induced`, behind
@@ -55,14 +54,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError
 from .rootdata import (
     RootSystem,
     as_int,
@@ -92,15 +90,6 @@ class AffineContext:
     def kappa(self) -> int:
         return self.h + self.rs.dual_coxeter
 
-    @property
-    def step_budget(self) -> int:
-        """Longest walk :attr:`AlcoveReduction.word` takes; longer ones are refused.
-
-        A word has one letter per wall crossed, so this caps the words on
-        offer at coordinates a comfortable multiple of kappa.
-        """
-        return 10 * self.kappa * len(self.rs.positive_roots) + 10
-
 
 @dataclass(frozen=True)
 class AlcoveReduction:
@@ -115,24 +104,6 @@ class AlcoveReduction:
     reduced: tuple
     length: int
     sign: int
-    ctx: AffineContext = field(repr=False, compare=False)
-    source: tuple = field(repr=False, compare=False)
-    order: str = field(default="affine_first", repr=False, compare=False)
-
-    @cached_property
-    def word(self) -> tuple[int, ...]:
-        """The generators the greedy walk from ``source`` applies, in order.
-
-        Feeding it to :func:`apply_affine_word` maps ``reduced`` back to the
-        input.  Computed on first read, one step per letter; a word longer
-        than ``ctx.step_budget`` raises ResourceError without walking.
-        """
-        budget = self.ctx.step_budget
-        if self.length > budget:
-            raise ResourceError(
-                f"reduction word of length {self.length} exceeds the walk budget {budget}"
-            )
-        return _walk(*_scaled(self.ctx, self.source)[:2], self.order == "affine_first")
 
 
 def _scaled(ctx: AffineContext, x: tuple) -> tuple[AffineContext, tuple, int]:
@@ -141,8 +112,8 @@ def _scaled(ctx: AffineContext, x: tuple) -> tuple[AffineContext, tuple, int]:
     Integer coordinates (ints, np.integers) pass as Python ints with d = 1.
     A rational point x becomes d*x, with d its common denominator, in the
     context of level d*kappa - c: its extended labels are d times those of
-    x, so its walls, lengths, translate, sweeps and greedy word are those of
-    x.  Anything else, a float included, raises ValidationError.
+    x, so its walls, lengths, translate and sweeps are those of x.  Anything
+    else, a float included, raises ValidationError.
     """
     check_rank(ctx.rs, x)
     try:
@@ -156,30 +127,6 @@ def _scaled(ctx: AffineContext, x: tuple) -> tuple[AffineContext, tuple, int]:
 def _unscaled(y: tuple, d: int) -> tuple:
     """The point y/d that :func:`_scaled` scaled by d, integral coordinates as ints."""
     return y if d == 1 else tuple(v // d if v % d == 0 else Fraction(v, d) for v in y)
-
-
-def _reflect(supports: tuple, y: list, idx: int) -> None:
-    """Generator idx on the extended labels y, in place: y -= y_idx * a_idx."""
-    c = y[idx]
-    for j, a in supports[idx]:
-        y[j] -= c * a
-
-
-def apply_affine_word(ctx: AffineContext, word: tuple[int, ...], x: tuple) -> tuple:
-    """Apply a generator word to x, the last entry acting first.
-
-    Generator 0 is the affine wall reflection and i >= 1 is s_i; generator
-    idx turns extended label idx into its negative.  x is checked and
-    scaled as :func:`alcove_reduce` does it, and the word acts on its
-    extended labels."""
-    rs = ctx.rs
-    sctx, y, d = _scaled(ctx, x)
-    y = list(extended(rs, sctx.kappa, y))
-    for idx in reversed(word):
-        if not 0 <= idx <= rs.rank:
-            raise ValidationError(f"generator index {idx} outside 0..{rs.rank}")
-        _reflect(rs.affine_supports, y, idx)
-    return _unscaled(tuple(y[1:]), d)
 
 
 def _lengths(ctx: AffineContext, x: tuple) -> tuple[int, bool, int, list]:
@@ -242,22 +189,6 @@ def on_wall(ctx: AffineContext, x: tuple) -> bool:
     return _lengths(*_scaled(ctx, x)[:2])[1]
 
 
-def _walk(ctx: AffineContext, x: tuple, affine_first: bool) -> tuple[int, ...]:
-    """The letters of the greedy walk from x into the closed alcove, in order.
-
-    The walk runs on the extended labels y of x and fires the first negative
-    y_i in the order 0..rank, or 1..rank, 0 when not ``affine_first``.  It
-    takes exactly as many steps as x has closed-form length.
-    """
-    y = list(extended(ctx.rs, ctx.kappa, x))
-    order = range(len(y)) if affine_first else (*range(1, len(y)), 0)
-    word = []
-    while (idx := next((i for i in order if y[i] < 0), None)) is not None:
-        _reflect(ctx.rs.affine_supports, y, idx)
-        word.append(idx)
-    return tuple(word)
-
-
 def _sweep_to_alcove(ctx: AffineContext, x: tuple, labels: tuple, closed: tuple) -> tuple:
     """The closed-alcove point of the orbit of x, whose extended labels are
     ``labels`` and whose :func:`_lengths` are ``closed``.  Cyclic sweeps
@@ -271,7 +202,7 @@ def _sweep_to_alcove(ctx: AffineContext, x: tuple, labels: tuple, closed: tuple)
     return tuple(y[1:])
 
 
-def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> AlcoveReduction:
+def alcove_reduce(ctx: AffineContext, x: tuple) -> AlcoveReduction:
     """Reduce a rational point into the closed fundamental alcove, exactly.
 
     Coordinates are ints, np.integers or Fractions; anything else raises
@@ -280,27 +211,15 @@ def alcove_reduce(ctx: AffineContext, x: tuple, order: str = "affine_first") -> 
     the reduction runs in integers.  Points already in the closed alcove
     cost one violation test.  Others get their length and wall status in
     closed form; the reduced point is swept to from x or from its
-    kappa*Q^vee translate, whichever is shorter.  ``order`` picks which violated generator the
-    greedy walk behind ``word`` fires first ("affine_first" is the default
-    convention, "finite_first" the alternate); nothing else depends on it.
+    kappa*Q^vee translate, whichever is shorter.
     """
     sctx, y, d = _scaled(ctx, x)
-    if order not in ("affine_first", "finite_first"):
-        raise ValidationError(f"unknown reduction order {order!r}")
-    source = _unscaled(y, d)
     labels = extended(ctx.rs, sctx.kappa, y)
     if min(labels) >= 0:
-        return AlcoveReduction(WALL if 0 in labels else INTERIOR, source, 0, 1, ctx, source, order)
+        return AlcoveReduction(WALL if 0 in labels else INTERIOR, _unscaled(y, d), 0, 1)
     closed = length, wall, _, _ = _lengths(sctx, y)
-    return AlcoveReduction(
-        status=WALL if wall else INTERIOR,
-        reduced=_unscaled(_sweep_to_alcove(sctx, y, labels, closed), d),
-        length=length,
-        sign=-1 if length % 2 else 1,
-        ctx=ctx,
-        source=source,
-        order=order,
-    )
+    reduced = _unscaled(_sweep_to_alcove(sctx, y, labels, closed), d)
+    return AlcoveReduction(WALL if wall else INTERIOR, reduced, length, -1 if length % 2 else 1)
 
 
 def alcove_reduce_batch(ctx: AffineContext, xs: np.ndarray):

@@ -9,7 +9,8 @@ A query is the namespace of :func:`build_parser`, which :func:`run` answers
 directly: it parses the algebra label, then the weight and boundary lists,
 then refuses a negative level, so a query with several faults always
 reports the same first one.  Each subcommand declares only the options it
-reads, and argparse refuses any other (exit 2): every one takes --algebra,
+reads, and its own parser refuses any other (exit 2, under the usage line
+of that subcommand): every one takes --algebra,
 --level and --format, every one but roots --weights, and only those that
 take a surface (verlinde, report, check) --genus and --boundary; check
 reads a surface only with --genus, so it refuses --boundary without it.
@@ -63,12 +64,24 @@ def parse_weight_list(text: str) -> list[tuple]:
     return out
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an option it does not declare itself,
+    under its own usage line, where argparse would hand it up to the
+    top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopfusion",
         description="Exact fusion rings, alcove reduction and loop-group dimension formulas.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, help=f"{name} query")
         p.add_argument("--algebra", required=True, help="algebra label, e.g. A2 or G2")

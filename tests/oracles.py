@@ -7,7 +7,10 @@ coroot generator working straight from frozen Cartan matrices.  The index
 formula takes its S-matrix and characters as arguments, so that it sums
 them with no alcove reduction, and the two-pass closed-form alcove lengths
 take the root data they read as an argument, pairing x with every positive
-root by a full dot product.
+root by a full dot product.  So do the greedy affine walk and its inverse,
+which read only the level, the comarks and the affine Cartan rows, the
+weight table of the Galois check, which reads the form through the pairing
+it is given, and the symplectic level-rank label map, which reads nothing.
 """
 
 from __future__ import annotations
@@ -312,3 +315,87 @@ def two_pass_lengths(ctx, x) -> tuple[int, bool, int]:
     and again on its :func:`translate`."""
     length, wall = length_and_wall(ctx, x)
     return length, wall, length_and_wall(ctx, translate(ctx, x))[0]
+
+
+def _extended_labels(rs, kappa, x) -> list:
+    """(kappa - (x, theta^vee), *x) from ``rs.comarks``: the closed alcove at
+    level kappa is the orthant of these labels (Kac, *Infinite Dimensional
+    Lie Algebras*, 6.1)."""
+    return [kappa - sum(c * v for c, v in zip(rs.comarks, x)), *x]
+
+
+def _generator(rs, y: list, idx: int) -> list:
+    """Affine generator idx on extended labels: y - y_idx * a_idx, with a_idx
+    row idx of ``rs.affine_roots`` (0 the affine wall, i >= 1 s_i)."""
+    c = y[idx]
+    return [v - c * a for v, a in zip(y, rs.affine_roots[idx])]
+
+
+def greedy_walk(rs, kappa, x, affine_first: bool = True) -> tuple[tuple[int, ...], tuple]:
+    """(word, end): the greedy walk of x into the closed alcove at level kappa.
+
+    Each step fires the first negative extended label in the order 0..rank
+    (``affine_first``) or 1..rank, 0, and the letters come out in the order
+    they fire; ``end`` is the closed-alcove point reached.  Every step
+    crosses one wall separating x from the alcove, so the word is as long as
+    the reduction, and :func:`apply_word` of it maps ``end`` back to x.
+    Exact on ints and Fractions.
+    """
+    y = _extended_labels(rs, kappa, x)
+    order = range(len(y)) if affine_first else (*range(1, len(y)), 0)
+    word = []
+    while (idx := next((i for i in order if y[i] < 0), None)) is not None:
+        y = _generator(rs, y, idx)
+        word.append(idx)
+    return tuple(word), tuple(y[1:])
+
+
+def apply_word(rs, kappa, word, x) -> tuple:
+    """The generator word applied to x at level kappa, the last letter acting
+    first, on extended labels as :func:`greedy_walk` fires them."""
+    y = _extended_labels(rs, kappa, x)
+    for idx in reversed(word):
+        y = _generator(rs, y, idx)
+    return tuple(y[1:])
+
+
+def root_of_unity_mod_prime(m: int) -> tuple[int, int]:
+    """(p, omega): the least prime p = 1 (mod m) and an omega of order
+    exactly m in the multiplicative group of F_p."""
+    p = m + 1
+    while p < 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += m
+    factors = {q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, math.isqrt(q) + 1))}
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // m, p)
+        if all(pow(omega, m // q, p) != 1 for q in factors):
+            return p, omega
+    raise AssertionError("F_p has an element of every order dividing p - 1")
+
+
+def weight_table(weights: dict, pair, rank: int) -> list[tuple[tuple, int]]:
+    """The weights nu of one irrep as (row, multiplicity) pairs, with row the
+    linear form x -> pair(nu, x) on the rank coordinates of x, read off the
+    unit vectors once per weight: pair(nu, x) = row . x."""
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return [(tuple(pair(nu, e) for e in units), mult) for nu, mult in weights.items()]
+
+
+def character_mod_p(table, x, modulus: int, omega: int, p: int) -> int:
+    """sum_nu m(nu) * omega^(row(nu) . x mod modulus) mod p over a
+    :func:`weight_table`: the character at exp(2 pi i x / kappa) with the
+    modulus-th root of unity replaced by omega in F_p.  It is invariant under
+    the affine Weyl group W x kappa Q^vee when the modulus is form_den * kappa
+    and the rows come from form_den times the form."""
+    return sum(m * pow(omega, sum(a * b for a, b in zip(row, x)) % modulus, p) for row, m in table) % p
+
+
+def symplectic_transpose(labels: tuple, k: int) -> tuple:
+    """The level-rank map from C_n at level k to C_k at level n (Mlawer,
+    Naculich, Riggs and Schnitzer, Nucl. Phys. B 1991): the Dynkin labels
+    a_1..a_n, a_n on the long root, give the partition lam_i = a_i + ... + a_n
+    in an n x k box, and its transpose, in a k x n box, is read back as the
+    k labels b_j = lam^T_j - lam^T_(j+1)."""
+    lam = [sum(labels[i:]) for i in range(len(labels))]
+    dual = [sum(part > j for part in lam) for j in range(k)]
+    return tuple(a - b for a, b in zip(dual, [*dual[1:], 0]))

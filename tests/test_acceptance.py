@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 import conftest
-from oracles import su2_fusion
+from oracles import greedy_walk, su2_fusion
 
 from loopfusion.affine_weyl import AffineContext, alcove_reduce, on_wall, total_degree
 from loopfusion.errors import NumericalError
@@ -30,7 +30,7 @@ from loopfusion.fusion import (
     s_matrix,
 )
 from loopfusion.induction import homomorphism_check, induce
-from loopfusion.rootdata import build_root_system
+from loopfusion.rootdata import build_root_system, pairing
 from loopfusion.verlinde import Surface, factorization_check, verlinde_dimension
 
 # (algebra, highest level) pairs making up the shared test matrix
@@ -118,6 +118,9 @@ def test_criterion_03_induction_homomorphism():
 
 
 def test_criterion_04_wall_criterion_agreement():
+    # on_wall, the reduction's status and induce's vanishing read one wall
+    # flag between them; the definition, some positive root alpha with
+    # (x, alpha) in kappa*Z, is checked here root by root in Fractions
     rng = random.Random(404)
     failures = []
     for label in ("A1", "A2", "B2"):
@@ -127,11 +130,12 @@ def test_criterion_04_wall_criterion_agreement():
             ctx = AffineContext(rs, h)
             lam = tuple(rng.randint(0, 12) for _ in range(rs.rank))
             shifted = tuple(v + 1 for v in lam)
+            defined = any((pairing(rs, shifted, alpha) / ctx.kappa).denominator == 1 for alpha in rs.positive_roots)
             wall = on_wall(ctx, shifted)
             red = alcove_reduce(ctx, shifted)
             dies = not induce(rs, h, lam).value
-            if wall != (red.status == "wall") or wall != dies:
-                failures.append((label, h, lam, wall, red.status, dies))
+            if not defined == wall == (red.status == "wall") == dies:
+                failures.append((label, h, lam, defined, wall, red.status, dies))
     _verdict(4, "wall criterion agreement", failures)
 
 
@@ -143,10 +147,13 @@ def test_criterion_05_degree_path_independence():
         rs = build_root_system(label)
         ctx = AffineContext(rs, rng.randint(0, 3))
         x = tuple(rng.randint(-12, 12) for _ in range(rs.rank))
-        a = alcove_reduce(ctx, x, order="affine_first")
-        b = alcove_reduce(ctx, x, order="finite_first")
-        if (a.status, a.reduced, a.length) != (b.status, b.reduced, b.length):
-            failures.append((label, ctx.h, x))
+        # both greedy walks, affine generator first or last, take exactly
+        # the reduction's length in letters and end at its reduced point
+        red = alcove_reduce(ctx, x)
+        for affine_first in (True, False):
+            word, end = greedy_walk(rs, ctx.kappa, x, affine_first)
+            if (len(word), end) != (red.length, red.reduced):
+                failures.append((label, ctx.h, x, affine_first))
     for label, kmax in MATRIX:
         rs = build_root_system(label)
         for k in range(kmax + 1):

@@ -13,7 +13,6 @@ from loopfusion.affine_weyl import (
     AffineContext,
     alcove_reduce,
     alcove_reduce_batch,
-    apply_affine_word,
     check_alcove,
     on_wall,
     total_degree,
@@ -71,16 +70,24 @@ def test_a2_wall_examples():
     assert on_wall(ctx, (3, 3))
 
 
+def walk(ctx, x, affine_first=True):
+    """The test oracle's greedy walk of x at the level of ctx: (word, end)."""
+    return oracles.greedy_walk(ctx.rs, ctx.kappa, x, affine_first)
+
+
+def unwalk(ctx, word, x):
+    """The test oracle's word applied to x at the level of ctx."""
+    return oracles.apply_word(ctx.rs, ctx.kappa, word, x)
+
+
 def test_reflect_generator_matches_definitions():
     ctx = ctx_of("A1", 1)
     # affine generator: x -> x - ((x, theta~) - kappa) theta
-    assert apply_affine_word(ctx, (0,), (4,)) == (2,)
-    assert apply_affine_word(ctx, (1,), (1,)) == (-1,)
+    assert unwalk(ctx, (0,), (4,)) == (2,)
+    assert unwalk(ctx, (1,), (1,)) == (-1,)
     ctx2 = ctx_of("A2", 0)
-    assert apply_affine_word(ctx2, (0,), (2, 2)) == (1, 1)
-    assert apply_affine_word(ctx2, (1,), (2, 2)) == (-2, 4)
-    with pytest.raises(ValidationError):
-        apply_affine_word(ctx2, (3,), (2, 2))
+    assert unwalk(ctx2, (0,), (2, 2)) == (1, 1)
+    assert unwalk(ctx2, (1,), (2, 2)) == (-2, 4)
 
 
 @pytest.mark.parametrize("label,h", [("A1", 2), ("A2", 1), ("B2", 1), ("G2", 0)])
@@ -119,26 +126,28 @@ def test_orbit_correctness_via_word_reconstruction(label):
                 continue
             assert not on_wall(ctx, x)
             assert interior(ctx, r.reduced)
-            # the recorded word maps the reduced point back to the input
-            assert apply_affine_word(ctx, r.word, r.reduced) == x
-            assert len(r.word) == r.length
+            # the greedy walk ends at the reduced point, and its word maps
+            # that point back to the input
+            word, end = walk(ctx, x)
+            assert end == r.reduced and unwalk(ctx, word, r.reduced) == x
+            assert len(word) == r.length
             assert r.sign == (-1) ** r.length
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
 def test_path_independence_of_sign_and_length(label):
+    # both greedy walks, affine generator first or last, take exactly the
+    # closed-form length in letters and end at the reduced point
     rng = random.Random(99)
     for h in (0, 2):
         ctx = ctx_of(label, h)
         for _ in range(120):
             x = tuple(rng.randint(-2 * ctx.kappa, 2 * ctx.kappa) for _ in range(ctx.rs.rank))
-            ra = alcove_reduce(ctx, x, order="affine_first")
-            rb = alcove_reduce(ctx, x, order="finite_first")
-            assert ra.status == rb.status
-            if ra.status == INTERIOR:
-                assert ra.reduced == rb.reduced
-                assert ra.length == rb.length
-                assert ra.sign == rb.sign
+            r = alcove_reduce(ctx, x)
+            for affine_first in (True, False):
+                word, end = walk(ctx, x, affine_first)
+                assert (len(word), end) == (r.length, r.reduced)
+            assert r.sign == (-1) ** r.length
 
 
 def test_alcove_points_are_fixed_with_zero_length():
@@ -206,8 +215,6 @@ def test_check_alcove_and_validation():
         AffineContext(build_root_system("A1"), -1)
     with pytest.raises(ValidationError):
         alcove_reduce(ctx, (1, 2))
-    with pytest.raises(ValidationError):
-        alcove_reduce(ctx, (1,), order="sideways")
 
 
 @pytest.mark.parametrize("h", [2, np.int64(2), np.uint8(2), True, -1, np.int64(-1), 2.0, "2"])
@@ -240,21 +247,8 @@ def test_reduction_properties(label, h, data):
         assert on_wall(ctx, x)
     else:
         assert interior(ctx, r.reduced)
-        assert apply_affine_word(ctx, r.word, r.reduced) == x
-
-
-def greedy_walk_steps(ctx, x, affine_first):
-    """Steps of the plain greedy walk into the closed alcove, counted one by one."""
-    steps = 0
-    while True:
-        finite = next((i + 1 for i, v in enumerate(x) if v < 0), None)
-        affine = 0 if theta_pairing(ctx.rs, x) > ctx.kappa else None
-        first, second = (affine, finite) if affine_first else (finite, affine)
-        idx = first if first is not None else second
-        if idx is None:
-            return steps
-        x = apply_affine_word(ctx, (idx,), x)
-        steps += 1
+        word, end = walk(ctx, x)
+        assert end == r.reduced and unwalk(ctx, word, r.reduced) == x
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "E6"])
@@ -267,11 +261,10 @@ def test_closed_form_length_is_the_walk_length_on_and_off_walls(label):
             x = tuple(rng.randint(-3 * ctx.kappa, 3 * ctx.kappa) for _ in range(ctx.rs.rank))
             r = alcove_reduce(ctx, x)
             verdicts.add(r.status)
-            assert len(r.word) == r.length == greedy_walk_steps(ctx, x, True)
-            rf = alcove_reduce(ctx, x, order="finite_first")
-            assert len(rf.word) == rf.length == greedy_walk_steps(ctx, x, False)
-            assert apply_affine_word(ctx, r.word, r.reduced) == x
-            assert apply_affine_word(ctx, rf.word, rf.reduced) == x
+            for affine_first in (True, False):
+                word, end = walk(ctx, x, affine_first)
+                assert (len(word), end) == (r.length, r.reduced)
+                assert unwalk(ctx, word, r.reduced) == x
     assert verdicts == {WALL, INTERIOR}
 
 
@@ -320,7 +313,7 @@ def test_one_pass_lengths_match_the_two_pass_oracle(label):
                 x = [rng.randint(-scale, scale) for _ in range(rs.rank)]
                 x[rng.randrange(rs.rank)] = 0
                 word = [rng.randint(0, rs.rank) for _ in range(rng.randint(0, 20))]
-                points.append(apply_affine_word(ctx, word, tuple(x)))
+                points.append(unwalk(ctx, word, tuple(x)))
         for x in points:
             got = _lengths(ctx, x)
             assert got[:3] == oracles.two_pass_lengths(ctx, x), (h, x)
@@ -328,16 +321,6 @@ def test_one_pass_lengths_match_the_two_pass_oracle(label):
             assert _translate(ctx, x, got[3]) == oracles.translate(ctx, x), (h, x)
             walls.add(got[1])
     assert walls == {True, False}
-
-
-def test_words_past_the_step_budget_are_refused_without_walking():
-    from loopfusion.errors import ResourceError
-
-    ctx = ctx_of("A1", 2)
-    r = alcove_reduce(ctx, (1 << 45,))
-    assert r.length > ctx.step_budget
-    with pytest.raises(ResourceError):
-        r.word
 
 
 @pytest.mark.parametrize("label,h", [("A2", 1), ("G2", 0), ("B3", 2)])
@@ -352,11 +335,9 @@ def test_rational_points_sweep_to_the_greedy_walk_endpoint(label, h):
             for _ in range(ctx.rs.rank)
         )
         r = alcove_reduce(ctx, x)
-        y = x
-        for idx in r.word:  # the greedy walk, in Fractions, letter by letter
-            y = apply_affine_word(ctx, (idx,), y)
-        assert y == r.reduced
-        assert len(r.word) == r.length
+        word, end = walk(ctx, x)  # the greedy walk, in Fractions
+        assert end == r.reduced
+        assert len(word) == r.length
         assert (r.status == WALL) == on_wall(ctx, x)
         assert all(isinstance(v, int) for v in r.reduced if v.denominator == 1)
 
@@ -389,10 +370,10 @@ def test_the_closed_alcove_is_the_orthant_of_the_extended_labels(label):
                 assert r.reduced == x
                 assert (0 in ext) == (r.status == WALL) == on_wall(ctx, x)
             for i, a in enumerate(rs.affine_roots):
-                z = apply_affine_word(ctx, (i,), x)
+                z = unwalk(ctx, (i,), x)
                 assert extended(rs, kappa, z) == tuple(e - ext[i] * c for e, c in zip(ext, a))
                 assert extended(rs, kappa, z)[i] == -ext[i]
-                assert apply_affine_word(ctx, (i,), z) == x
+                assert unwalk(ctx, (i,), z) == x
             if all(isinstance(v, int) for v in x):
                 label_test = min(x) >= 0 and theta_pairing(rs, x) <= h
                 assert label_test == (min(extended(rs, h, x)) >= 0)
@@ -413,15 +394,19 @@ def test_the_closed_alcove_is_the_orthant_of_the_extended_labels(label):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda ctx: apply_affine_word(ctx, (1,), (0.5, 1.0)),
-        lambda ctx: apply_affine_word(ctx, (1,), (1, 2, 3)),
-        lambda ctx: apply_affine_word(ctx, (0,), (1,)),
-        lambda ctx: apply_affine_word(ctx, (0, 1), (2.5, -1.0)),
-        lambda ctx: apply_affine_word(ctx, (), (1, 2, 3)),
+        lambda ctx: alcove_reduce(ctx, (0.5, 1.0)),
+        lambda ctx: alcove_reduce(ctx, (1, 2, 3)),
+        lambda ctx: on_wall(ctx, (1,)),
+        lambda ctx: alcove_reduce(ctx, (2.5, -1.0)),
+        lambda ctx: on_wall(ctx, (1, 2, 3)),
     ],
     ids=["float", "too-long", "too-short-affine", "word-float", "empty-word-too-long"],
 )
 def test_generators_refuse_floats_and_points_of_the_wrong_length(call):
+    # the affine generators act only inside alcove_reduce's sweeps and
+    # on_wall's closed form, whose one entry refuses the point before any
+    # generator fires: (0.5, 1.0) lies in the alcove, (2.5, -1.0) needs a
+    # word, and on_wall reflects nothing
     with pytest.raises(ValidationError):
         call(ctx_of("A2", 1))
 
@@ -430,8 +415,13 @@ def test_generators_return_python_ints_for_numpy_ints_and_integral_fractions():
     from fractions import Fraction
 
     ctx = ctx_of("A2", 1)
-    z = apply_affine_word(ctx, (1,), (np.int64(2), Fraction(6, 2)))
-    assert z == (-2, 5) and all(type(v) is int for v in z)
+    r = alcove_reduce(ctx, (np.int64(2), Fraction(6, 2)))
+    assert r.length > 0 and r == alcove_reduce(ctx, (2, 3))
+    assert all(type(v) is int for v in r.reduced)
+    # a rational point comes back with its integral coordinates as ints
+    r = alcove_reduce(ctx, (np.int64(7), Fraction(1, 2)))
+    assert r.length > 0 and r.reduced == oracles.greedy_walk(ctx.rs, ctx.kappa, (7, Fraction(1, 2)))[1]
+    assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in r.reduced)
 
 
 @pytest.mark.parametrize("rows", [[], ()], ids=["list", "tuple"])
@@ -451,7 +441,7 @@ def _batch_rows(ctx, rng):
 
     def moved(x, scale):
         # an affine word, then a kappa*Q^vee translation
-        y = apply_affine_word(ctx, [rng.randint(0, rs.rank) for _ in range(rng.randint(1, 12))], x)
+        y = unwalk(ctx, [rng.randint(0, rs.rank) for _ in range(rng.randint(1, 12))], x)
         for coroot in rs.simple_coroot_weights:
             n = rng.choice((-1, 1)) * rng.randint(scale // 2, scale) * kappa
             y = tuple(v + n * c for v, c in zip(y, coroot))
@@ -544,8 +534,8 @@ def test_a_batch_takes_one_closed_form_product_and_one_kernel_call(monkeypatch):
 )
 def test_a_rational_point_reduces_as_d_times_itself_at_level_d_kappa(label, h, d, data):
     # x/d at level kappa is x at level d*kappa (twisting level d*kappa - c)
-    # with every extended label divided by d: the same status, length, sign
-    # and word, and 1/d times the reduced point
+    # with every extended label divided by d: the same status, length and
+    # sign, and 1/d times the reduced point
     from fractions import Fraction
 
     rs = build_root_system(label)
@@ -556,19 +546,19 @@ def test_a_rational_point_reduces_as_d_times_itself_at_level_d_kappa(label, h, d
     r, scaled = alcove_reduce(ctx, point), alcove_reduce(big, x)
     assert (r.status, r.length, r.sign) == (scaled.status, scaled.length, scaled.sign)
     assert r.reduced == tuple(Fraction(v, d) for v in scaled.reduced)
-    assert r.ctx is ctx and r.source == point
     # integral coordinates come back as ints
-    assert all(type(v) is int for v in (*r.reduced, *r.source) if v.denominator == 1)
+    assert all(type(v) is int for v in r.reduced if v.denominator == 1)
     assert on_wall(ctx, point) == on_wall(big, x) == (r.status == WALL)
-    if r.length <= ctx.step_budget:
-        assert r.word == scaled.word
-        assert apply_affine_word(ctx, r.word, r.reduced) == point
+    # the greedy walk of x at level d*kappa, in integers, takes the length in
+    # letters, and its word maps the reduced point back to x/d
+    word, end = walk(big, x)
+    assert (len(word), end) == (r.length, scaled.reduced)
+    assert unwalk(ctx, word, r.reduced) == point
 
 
 def test_integer_points_build_no_fraction(monkeypatch):
     # with every Fraction name of the integer core refusing to be called, a
-    # fresh root system is built and integer points are reduced, tested,
-    # walked and mapped back
+    # fresh root system is built and integer points are reduced and tested
     from loopfusion import affine_weyl, rootdata
 
     def refuse(*args):
@@ -586,5 +576,45 @@ def test_integer_points_build_no_fraction(monkeypatch):
         for x in points:
             r = alcove_reduce(ctx, x)
             assert (r.status == WALL) == on_wall(ctx, x)
-            assert apply_affine_word(ctx, r.word, r.reduced) == x
+            assert r.reduced == walk(ctx, x)[1]
             assert all(type(v) is int for v in r.reduced)
+
+
+GALOIS_CASES = [("A1", 3), ("A2", 3), ("B3", 2), ("C3", 2), ("D4", 2), ("G2", 3), ("F4", 2), ("E6", 2)]
+
+
+def test_reduced_points_keep_every_character_value_mod_p():
+    # Characters are invariant under W x kappa*Q^vee, so the character of
+    # lam at exp(2 pi i x / kappa) is the same at x and at its reduced point.
+    # With M = form_den * kappa, a prime p = 1 (mod M) and omega of order M in
+    # F_p, the character's exact image in F_p checks the reduced point of
+    # x = l * (mu + rho) exactly at any magnitude of l, scalar and batch.
+    from math import gcd
+
+    from loopfusion.finite_reps import weight_multiplicities
+    from loopfusion.fusion import alcove_weights
+    from loopfusion.rootdata import pairing_int
+
+    cases = 0
+    for label, k in GALOIS_CASES:
+        rs = build_root_system(label)
+        ctx = AffineContext(rs, k)
+        modulus = rs.form_den * ctx.kappa
+        p, omega = oracles.root_of_unity_mod_prime(modulus)
+        labels = [lw.weight for lw in alcove_weights(rs, k)]
+        tables = [
+            oracles.weight_table(weight_multiplicities(rs, lam).by_weight, lambda nu, x: pairing_int(rs, nu, x), rs.rank)
+            for lam in labels
+        ]
+        scales = [ell for ell in (3, 5, 7, 11, 13, 2**64 + 1, 2**67 + 3 * modulus + 1) if gcd(ell, 2 * modulus) == 1]
+        for ell in scales:
+            points = [tuple(ell * (v + 1) for v in mu) for mu in labels]
+            batch, _, _ = alcove_reduce_batch(ctx, np.array(points, dtype=object))
+            for x, row in zip(points, batch.tolist()):
+                y = alcove_reduce(ctx, x).reduced
+                assert tuple(row) == y
+                for table in tables:
+                    want = oracles.character_mod_p(table, x, modulus, omega, p)
+                    assert oracles.character_mod_p(table, y, modulus, omega, p) == want, (label, ell, x)
+                    cases += 1
+    assert cases == 2855

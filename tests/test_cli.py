@@ -45,8 +45,8 @@ def test_golden_outputs_are_byte_identical(fname, args):
 # stdout, stderr and exit code of every subcommand in both formats and of the
 # error paths, frozen from the CLI before it ran on argparse's namespace; the
 # entries that pass a subcommand an option it does not declare were frozen
-# again once argparse refused them (exit 2), with a usage line wide enough
-# that no Python version wraps it
+# again once the subcommand's parser refused them (exit 2, its own usage
+# line), with a usage line wide enough that no Python version wraps it
 FROZEN = json.loads((GOLDEN / "cli_queries.json").read_text())
 
 
@@ -168,6 +168,17 @@ def test_each_subcommand_takes_only_the_options_it_reads(name, capsys):
         else:
             assert main_exit(args) == 2
             assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+def test_a_refused_option_names_its_subcommand(capsys, monkeypatch):
+    # the subcommand's parser refuses it, under its own usage line, not the
+    # top-level parser with the list of subcommands
+    monkeypatch.setenv("COLUMNS", "200")
+    for name in cli.SUBCOMMANDS:
+        assert main_exit([name, "--algebra", "A1", "--frobnicate", "2"]) == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith(f"usage: loopfusion {name} [-h] --algebra ALGEBRA")
+        assert error == f"loopfusion {name}: error: unrecognized arguments: --frobnicate 2"
 
 
 def test_an_absent_or_undeclared_option_reads_as_empty():

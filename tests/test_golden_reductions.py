@@ -2,10 +2,12 @@
 
 The golden holds seeded points on A1-A3, B3, C3, G2, F4, E6 and E8 at twisting
 levels h = 0, 1, 3 and coordinates up to 1, 10 and 50 kappa.  Each point
-records, for both reduction orders, the reduced point, length, status, sign
-and the SHA-256 of its ``word`` (None where the word is refused), plus its
-dominant reduction.  Running this file as a script rewrites the golden from
-the current code.
+records, for both orders of the greedy walk (affine generator first or
+last), the reduced point, length, status and sign, the same in both, and the
+SHA-256 of the walk's word, from the test oracle, or None past the golden's
+budget of 10 * kappa * |positive roots| + 10 letters, plus its dominant
+reduction.  Running this file as a script rewrites the golden from the
+current code.
 """
 
 import hashlib
@@ -16,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+
 from loopfusion.affine_weyl import WALL, AffineContext, alcove_reduce, alcove_reduce_batch
-from loopfusion.errors import ResourceError
 from loopfusion.rootdata import build_root_system, dominant_reduce
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "alcove_reductions.json"
@@ -36,24 +39,22 @@ def cell_points(ctx, scale):
     ]
 
 
-def word_digest(red):
-    try:
-        word = red.word
-    except ResourceError:
+def word_digest(ctx, x, length, affine_first):
+    if length > 10 * ctx.kappa * len(ctx.rs.positive_roots) + 10:
         return None
-    return hashlib.sha256(bytes(word)).hexdigest()
+    return hashlib.sha256(bytes(oracles.greedy_walk(ctx.rs, ctx.kappa, x, affine_first)[0])).hexdigest()
 
 
 def record(ctx, x):
     out = {"x": list(x)}
+    red = alcove_reduce(ctx, x)
     for order in ("affine_first", "finite_first"):
-        red = alcove_reduce(ctx, x, order=order)
         out[order] = {
             "reduced": list(red.reduced),
             "length": red.length,
             "status": red.status,
             "sign": red.sign,
-            "word": word_digest(red),
+            "word": word_digest(ctx, x, red.length, order == "affine_first"),
         }
     point, sign = dominant_reduce(ctx.rs, x)
     out["dominant"] = [list(point), sign]

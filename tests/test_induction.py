@@ -18,6 +18,8 @@ from loopfusion.induction import (
 from loopfusion.rootdata import build_root_system
 from loopfusion.verlinde import Surface, cohomology_report
 
+import oracles
+
 
 def test_induce_worked_examples():
     a1 = build_root_system("A1")
@@ -196,7 +198,7 @@ def test_induction_equals_the_alcove_reduce_route(label):
     # the closed-form wall verdict first, then the sweep: the same label
     # (reduced point less rho), length and sign as alcove_reduce, and None
     # exactly on its walls
-    from loopfusion.affine_weyl import INTERIOR, WALL, AffineContext, _induced, alcove_reduce, apply_affine_word
+    from loopfusion.affine_weyl import INTERIOR, WALL, AffineContext, _induced, alcove_reduce
     from loopfusion.rootdata import dominant_reduce
 
     rs = build_root_system(label)
@@ -213,7 +215,7 @@ def test_induction_equals_the_alcove_reduce_route(label):
         for scale in (60, 2**66):
             for _ in range(4):
                 word = [rng.randint(0, rs.rank) for _ in range(rng.randint(0, 12))]
-                x = list(apply_affine_word(ctx, word, (1,) * rs.rank))
+                x = list(oracles.apply_word(rs, kappa, word, (1,) * rs.rank))
                 for coroot in rs.simple_coroot_weights:
                     m = kappa * rng.randint(-scale, scale)
                     x = [v + m * c for v, c in zip(x, coroot)]

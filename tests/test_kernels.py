@@ -18,7 +18,6 @@ from loopfusion.affine_weyl import (
     AffineContext,
     alcove_reduce,
     alcove_reduce_batch,
-    apply_affine_word,
 )
 from loopfusion.rootdata import build_root_system, dominant_reduce, extended, sweep_reduce
 
@@ -415,7 +414,7 @@ def test_dominant_kernel_counts_the_length_in_both_chambers(label):
         # rho moved by random words of generators is off every wall
         words = [[rng.randint(0, rs.rank) for _ in range(rng.randint(0, 60))] for _ in range(15)]
         xs = np.concatenate((
-            [apply_affine_word(ctx, word, rs.rho) for word in words],
+            [oracles.apply_word(rs, kappa, word, rs.rho) for word in words],
             random_rows(rng, rs.rank, 15, lo=-3 * kappa, hi=3 * kappa),
         ))
         walls = [oracles.length_and_wall(ctx, tuple(x)) for x in xs.tolist()]

@@ -755,3 +755,22 @@ def test_su_level_rank_duality_without_insertions():
             lhs = k**g * verlinde_dimension(su_n, k, Surface(genus=g))
             rhs = n**g * verlinde_dimension(su_k, n, Surface(genus=g))
             assert lhs == rhs, (n, k, g)
+
+
+def test_symplectic_level_rank_duality():
+    # C_n at level k and C_k at level n have isomorphic fusion rings, the
+    # labels matched by transposing the partition lam_i = a_i + ... + a_n
+    # (Mlawer, Naculich, Riggs and Schnitzer, Nucl. Phys. B 1991), so their
+    # Verlinde numbers agree at every genus, and with each single insertion
+    pairs = [(n, k) for n in range(2, 11) for k in range(n, 11) if n * k <= 20]
+    assert len(pairs) == 15
+    for n, k in pairs:
+        sp_n, sp_k = build_root_system(f"C{n}"), build_root_system(f"C{k}")
+        for g in range(4):
+            assert verlinde_dimension(sp_n, k, Surface(genus=g)) == verlinde_dimension(sp_k, n, Surface(genus=g)), (n, k, g)
+        labels = weights_of(sp_n, k)
+        dual = [oracles.symplectic_transpose(lam, k) for lam in labels]
+        assert sorted(dual) == sorted(weights_of(sp_k, n))
+        for lam, mu in zip(labels, dual):
+            lhs = verlinde_dimension(sp_n, k, Surface(genus=1, insertions=[lam]))
+            assert lhs == verlinde_dimension(sp_k, n, Surface(genus=1, insertions=[mu])), (n, k, lam)
