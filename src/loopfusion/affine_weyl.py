@@ -39,7 +39,7 @@ once, where it enters (:func:`_scaled`): with d its common denominator, d*x
 at level d*kappa - c has d times the extended labels of x, so the same
 walls, lengths, translate and sweeps, and the reduced point is divided by d
 once on the way out.  Lengths, translates and sweeps never see a
-``Fraction``, and an integer point builds none.
+``Fraction``, and an integer point builds none and never loads ``fractions``.
 
 Induction of a dominant weight lambda (:func:`_induced`, behind
 ``induction.induce``, ``induction.induce_virtual`` and
@@ -54,14 +54,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import ValidationError
 from .rootdata import (
+    CheckedRecord,
     RootSystem,
     as_int,
     as_nonnegative,
@@ -76,23 +76,25 @@ INTERIOR = "interior"
 WALL = "wall"
 
 
-@dataclass(frozen=True)
-class AffineContext:
-    """Root system plus a nonnegative twisting level h; kappa = h + c."""
-
+class _AffineContextFields(NamedTuple):
     rs: RootSystem
     h: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", as_nonnegative(self.h, "level"))
+
+class AffineContext(CheckedRecord, _AffineContextFields):
+    """Root system plus a nonnegative twisting level h; kappa = h + c."""
+
+    __slots__ = ()
+
+    def __new__(cls, rs: RootSystem, h: int) -> "AffineContext":
+        return tuple.__new__(cls, (rs, as_nonnegative(h, "level")))
 
     @property
     def kappa(self) -> int:
         return self.h + self.rs.dual_coxeter
 
 
-@dataclass(frozen=True)
-class AlcoveReduction:
+class AlcoveReduction(NamedTuple):
     """Outcome of reducing one point into the closed fundamental alcove.
 
     ``length`` counts the walls strictly separating the input from the
@@ -119,6 +121,8 @@ def _scaled(ctx: AffineContext, x: tuple) -> tuple[AffineContext, tuple, int]:
     try:
         return ctx, tuple(map(operator.index, x)), 1
     except TypeError:
+        from fractions import Fraction
+
         x = [v if isinstance(v, Fraction) else as_int(v) for v in x]
     d = math.lcm(*(v.denominator for v in x))
     return AffineContext(ctx.rs, d * ctx.kappa - ctx.rs.dual_coxeter), tuple(int(v * d) for v in x), d
@@ -126,7 +130,11 @@ def _scaled(ctx: AffineContext, x: tuple) -> tuple[AffineContext, tuple, int]:
 
 def _unscaled(y: tuple, d: int) -> tuple:
     """The point y/d that :func:`_scaled` scaled by d, integral coordinates as ints."""
-    return y if d == 1 else tuple(v // d if v % d == 0 else Fraction(v, d) for v in y)
+    if d == 1:
+        return y
+    from fractions import Fraction
+
+    return tuple(v // d if v % d == 0 else Fraction(v, d) for v in y)
 
 
 def _lengths(ctx: AffineContext, x: tuple) -> tuple[int, bool, int, list]:

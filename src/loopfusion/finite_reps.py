@@ -20,11 +20,11 @@ dominant chamber near every row, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from math import pi, prod
 from operator import add, mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from . import kernels
 from .affine_weyl import check_alcove
 from .errors import NumericalError, ResourceError
 from .rootdata import (
+    CheckedRecord,
     RootSystem,
     Weight,
     as_nonnegative,
@@ -48,17 +49,21 @@ WEIGHT_CAP_DEFAULT = 10**6
 CHARACTER_TOLERANCE = 1e-9
 
 
-class WeightCombination:
+class WeightCombination(CheckedRecord):
     """Bookkeeping of a finitely supported integer combination of weights.
 
-    Subclasses are dataclasses declaring ``terms``; their generated equality
-    compares fields only between instances of the same class.
+    A slot-free mixin for NamedTuple records with a ``terms`` field: each
+    subclass builds its terms through :meth:`_normal` (weights as tuples,
+    coefficients as ints, zeros dropped, a fresh dict when none is given),
+    ``_replace`` included, and compares field by field as a tuple.
     """
 
+    __slots__ = ()
     terms: dict[Weight, int]
 
-    def __post_init__(self) -> None:
-        self.terms = {tuple(w): int(c) for w, c in self.terms.items() if c != 0}
+    @staticmethod
+    def _normal(terms) -> dict[Weight, int]:
+        return {tuple(w): int(c) for w, c in (terms or {}).items() if c != 0}
 
     def add(self, weight: Weight, coeff: int) -> None:
         new = self.terms.get(weight, 0) + coeff
@@ -75,15 +80,20 @@ class WeightCombination:
         return sorted(self.terms.items(), key=lambda kv: canonical_key(rs, kv[0]))
 
 
-@dataclass
-class VirtualCharacter(WeightCombination):
+class _VirtualCharacterFields(NamedTuple):
+    terms: dict[Weight, int]
+
+
+class VirtualCharacter(WeightCombination, _VirtualCharacterFields):
     """Finitely supported integer combination of dominant weights."""
 
-    terms: dict[Weight, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, terms=None) -> "VirtualCharacter":
+        return tuple.__new__(cls, (cls._normal(terms),))
 
 
-@dataclass
-class WeightMultiplicities:
+class WeightMultiplicities(NamedTuple):
     """Every weight of one irrep with its multiplicity (Weyl-symmetric)."""
 
     highest: Weight

@@ -28,7 +28,7 @@ import itertools
 import math
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,20 +51,25 @@ ROUND_TOLERANCE = 1e-6
 S_BYTE_CAP = 1 << 32
 
 
-@dataclass(frozen=True)
-class LevelWeight:
+class LevelWeight(NamedTuple):
     """An alcove label: dominant weight with (weight, theta^vee) <= k."""
 
     weight: Weight
     k: int
 
 
-@dataclass
-class FusionElement(WeightCombination):
+class _FusionElementFields(NamedTuple):
+    k: int
+    terms: dict[Weight, int]
+
+
+class FusionElement(WeightCombination, _FusionElementFields):
     """Integer combination of level-k alcove labels; equality is level-aware."""
 
-    k: int
-    terms: dict[Weight, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, k: int, terms=None) -> "FusionElement":
+        return tuple.__new__(cls, (k, cls._normal(terms)))
 
 
 def iter_alcove_labels(rs: RootSystem, k: int) -> Iterator[Weight]:
@@ -105,8 +110,7 @@ def alcove_weights(rs: RootSystem, k: int) -> list[LevelWeight]:
     return [LevelWeight(weight=w, k=k) for w in found]
 
 
-@dataclass
-class SMatrix:
+class SMatrix(NamedTuple):
     """Kac-Peterson modular S-matrix on the level-k alcove labels."""
 
     labels: tuple[Weight, ...]

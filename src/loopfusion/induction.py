@@ -9,20 +9,26 @@ linearly this is a ring homomorphism onto the fusion ring, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .affine_weyl import AffineContext, _induced
 from .finite_reps import VirtualCharacter, tensor_decompose
 from .fusion import FusionElement, fuse_elements
-from .rootdata import RootSystem, Weight, check_dominant
+from .rootdata import CheckedRecord, RootSystem, Weight, check_dominant
 
 
-@dataclass
-class InductionResult:
+class _InductionResultFields(NamedTuple):
+    value: FusionElement
+    source_degrees: dict[Weight, int]
+
+
+class InductionResult(CheckedRecord, _InductionResultFields):
     """Induced fusion element plus the reduction degree of each source label."""
 
-    value: FusionElement
-    source_degrees: dict[Weight, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, value: FusionElement, source_degrees=None) -> "InductionResult":
+        return tuple.__new__(cls, (value, {} if source_degrees is None else source_degrees))
 
 
 def induce(rs: RootSystem, h: int, lam: tuple) -> InductionResult:

@@ -16,9 +16,10 @@ Conventions used throughout the package:
 The construction is integer-only and builds no ``Fraction``: positive roots
 grow along alpha_i-strings in simple-root coordinates, lengths come from an
 integer symmetrizer, and the form from a fraction-free adjugate of the
-Cartan matrix.  `fractions.Fraction` appears only in the public rational
-views ``symmetrizer``, ``form`` and ``simple_coroots``, each built on first
-read, and in :func:`pairing`; nothing here uses floats.
+Cartan matrix.  `fractions` is imported only where a ``Fraction`` is made:
+the public rational views ``symmetrizer``, ``form`` and ``simple_coroots``,
+each built on first read, and :func:`pairing`, so an integer-only process
+never loads it; nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -28,17 +29,15 @@ import operator
 import os
 import re
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ResourceError, ValidationError
 
 Weight = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
+RationalVector = "tuple[Fraction, ...]"
 
 WEYL_CAP_DEFAULT = 51840
 WEYL_CAP_ENV = "LOOPFUSION_WEYL_CAP"
@@ -96,20 +95,36 @@ def check_orbit_size(rs: "RootSystem", top: Weight, what: str, *args, cap: "int 
     return size
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """A simple Lie algebra label: series A-G plus rank."""
+class CheckedRecord:
+    """Mixin for a NamedTuple subclass whose ``__new__`` checks, normalises
+    or defaults its fields (NamedTuple forbids a ``__new__`` in the fields
+    class itself): ``_make``, and so ``_replace``, goes through ``__new__``."""
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _AlgebraSpecFields(NamedTuple):
     series: str
     rank: int
 
-    def __post_init__(self) -> None:
-        ok = _VALID_RANKS.get(self.series)
-        if ok is None or not ok(self.rank):
+
+class AlgebraSpec(CheckedRecord, _AlgebraSpecFields):
+    """A simple Lie algebra label: series A-G plus rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, series: str, rank: int) -> "AlgebraSpec":
+        ok = _VALID_RANKS.get(series)
+        if ok is None or not ok(rank):
             raise ValidationError(
-                f"invalid algebra {self.series}{self.rank}: valid labels are "
+                f"invalid algebra {series}{rank}: valid labels are "
                 "A(r>=1) B(r>=2) C(r>=2) D(r>=3) E6 E7 E8 F4 G2"
             )
+        return tuple.__new__(cls, (series, rank))
 
     @classmethod
     def parse(cls, text: "str | AlgebraSpec") -> "AlgebraSpec":
@@ -409,16 +424,22 @@ class RootSystem:
     def symmetrizer(self) -> RationalVector:
         """The symmetrizer d_i = (alpha_i, alpha_i) / 2, as Fractions read
         off the integers ``scaled_d`` = form_den * d_i."""
+        from fractions import Fraction
+
         return tuple(Fraction(s, self.form_den) for s in self.scaled_d)
 
     @cached_property
     def form(self) -> tuple[RationalVector, ...]:
         """The invariant form on fundamental weights, as Fractions."""
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(v, self.form_den) for v in row) for row in self.form_int)
 
     @cached_property
     def simple_coroots(self) -> tuple[RationalVector, ...]:
         """The simple coroots as weight vectors of Fractions."""
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(v) for v in c) for c in self.simple_coroot_weights)
 
     # the batch alcove kernel's view, built on first read
@@ -468,19 +489,18 @@ class RootSystem:
 
     def describe(self) -> dict:
         """JSON-ready summary of every construction field."""
-        frac = lambda v: str(v) if isinstance(v, Fraction) else v
         return {
             "series": self.spec.series,
             "rank": self.rank,
             "cartan": [list(row) for row in self.cartan],
             "simple_roots": [list(a) for a in self.simple_roots],
             "positive_roots": [list(a) for a in self.positive_roots],
-            "simple_coroots": [[frac(v) for v in a] for a in self.simple_coroots],
+            "simple_coroots": [[str(v) for v in a] for a in self.simple_coroots],
             "fundamental_weights": [list(a) for a in self.fundamental_weights],
             "rho": list(self.rho),
             "highest_root": list(self.highest_root),
             "dual_coxeter": self.dual_coxeter,
-            "form_matrix": [[frac(v) for v in row] for row in self.form],
+            "form_matrix": [[str(v) for v in row] for row in self.form],
             "weyl_order": self.weyl_order,
         }
 
@@ -574,6 +594,8 @@ def pairing(rs: RootSystem, x: tuple, y: tuple) -> Fraction:
     """
     check_rank(rs, x)
     check_rank(rs, y)
+    from fractions import Fraction
+
     return pairing_int(rs, x, y) * Fraction(1, rs.form_den)
 
 

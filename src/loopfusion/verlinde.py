@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -50,7 +49,7 @@ from .fusion import (
     more_labels_than,
     s_matrix,
 )
-from .rootdata import RootSystem, Weight, as_nonnegative, pairing_int
+from .rootdata import CheckedRecord, RootSystem, Weight, as_nonnegative, pairing_int
 from .rootdata import extended, theta_pairing
 
 
@@ -71,7 +70,7 @@ class _SurfaceFields(NamedTuple):
     boundary: tuple[Weight, ...] = ()
 
 
-class Surface(_SurfaceFields):
+class Surface(CheckedRecord, _SurfaceFields):
     """Genus plus labeled points: interior insertions and boundary labels.
 
     An immutable tuple-backed record.  The genus is a nonnegative integer;
@@ -90,13 +89,8 @@ class Surface(_SurfaceFields):
             tuple(map(_surface_label, boundary)),
         ))
 
-    @classmethod
-    def _make(cls, fields) -> "Surface":
-        return cls(*fields)
 
-
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Vanishing verdict, degree and dimension for one twisted product."""
 
     vanishes: bool
@@ -133,26 +127,22 @@ def _times(v: list[int], m: Sparse) -> list[int]:
     return out
 
 
-@dataclass
 class FusionMatrices:
     """Exact level-k fusion data on the alcove labels, vacuum at index 0.
 
     ``fusion[a][b]`` maps c to N_ab^c (nonzero entries only), ``dual[a]`` is
     the index of the conjugate label, ``handle`` the handle operator H in the
-    same sparse form; :meth:`row` gives e_0 H^g.
+    same sparse form; :meth:`row` gives e_0 H^g.  The one record whose state
+    grows after construction (the kept rows and their byte count), so a plain
+    class.
     """
 
-    labels: tuple[Weight, ...]
-    index: dict[Weight, int]
-    fusion: list[Sparse]
-    dual: list[int]
-    handle: Sparse
-    _rows: list[list[int]] = field(init=False)
-    _row_bytes: int = field(init=False, default=0)
-    _lock: threading.Lock = field(init=False, default_factory=threading.Lock)
-
-    def __post_init__(self) -> None:
-        self._rows = [[int(i == 0) for i in range(len(self.labels))]]
+    def __init__(self, labels: tuple[Weight, ...], index: dict[Weight, int],
+                 fusion: list[Sparse], dual: list[int], handle: Sparse) -> None:
+        self.labels, self.index, self.fusion, self.dual, self.handle = labels, index, fusion, dual, handle
+        self._rows = [[int(i == 0) for i in range(len(labels))]]
+        self._row_bytes = 0
+        self._lock = threading.Lock()
 
     def row(self, genus: int) -> list[int]:
         """e_0 H^genus, grown on demand and kept.

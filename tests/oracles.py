@@ -10,7 +10,8 @@ take the root data they read as an argument, pairing x with every positive
 root by a full dot product.  So do the greedy affine walk and its inverse,
 which read only the level, the comarks and the affine Cartan rows, the
 weight table of the Galois check, which reads the form through the pairing
-it is given, and the symplectic level-rank label map, which reads nothing.
+it is given, and the symplectic level-rank label map and the forward
+differences of a sequence, which read nothing.
 """
 
 from __future__ import annotations
@@ -399,3 +400,11 @@ def symplectic_transpose(labels: tuple, k: int) -> tuple:
     lam = [sum(labels[i:]) for i in range(len(labels))]
     dual = [sum(part > j for part in lam) for j in range(k)]
     return tuple(a - b for a, b in zip(dual, [*dual[1:], 0]))
+
+
+def forward_difference(values: list, order: int) -> list:
+    """The order-th forward differences of a sequence: v[i+1] - v[i] taken
+    ``order`` times, so len(values) - order entries remain."""
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values

@@ -557,15 +557,17 @@ def test_a_rational_point_reduces_as_d_times_itself_at_level_d_kappa(label, h, d
 
 
 def test_integer_points_build_no_fraction(monkeypatch):
-    # with every Fraction name of the integer core refusing to be called, a
-    # fresh root system is built and integer points are reduced and tested
-    from loopfusion import affine_weyl, rootdata
+    # with fractions.Fraction, which the library imports only where it makes
+    # or tests one, refusing to be called, a fresh root system is built and
+    # integer points are reduced and tested
+    import fractions
+
+    from loopfusion import rootdata
 
     def refuse(*args):
         raise AssertionError(f"Fraction{args} built on integer input")
 
-    monkeypatch.setattr(affine_weyl, "Fraction", refuse)
-    monkeypatch.setattr(rootdata, "Fraction", refuse)
+    monkeypatch.setattr(fractions, "Fraction", refuse)
     rng = random.Random(31)
     for label in ("A2", "B3", "G2", "F4", "E6"):
         rs = rootdata.RootSystem(rootdata.AlgebraSpec.parse(label))

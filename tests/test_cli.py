@@ -297,3 +297,35 @@ def test_weight_list_parsing_units():
         cli.parse_weight_list("1,,2")
     with pytest.raises(ValidationError):
         cli.parse_weight_list("1;;2")
+
+
+FOOTPRINT = """
+import sys
+
+def loaded(*names):
+    return [m for m in names if m in sys.modules]
+
+import loopfusion
+import loopfusion.cli
+print(loaded("dataclasses", "fractions", "decimal"))
+
+import numpy as np
+from loopfusion import AffineContext, Surface, alcove_reduce, build_root_system, induce, verlinde_dimension
+from loopfusion.affine_weyl import alcove_reduce_batch
+
+rs = build_root_system("E6")
+ctx = AffineContext(rs, 2)
+alcove_reduce(ctx, (40, -3, 7, 0, 25, -11))
+alcove_reduce_batch(ctx, np.array([(40, -3, 7, 0, 25, -11), (1, 2, 3, 4, 5, 6)], dtype=np.int64))
+induce(rs, 2, (3, 0, 1, 0, 0, 2))
+verlinde_dimension(build_root_system("A2"), 3, Surface(2, insertions=((1, 1),)))
+print(loaded("fractions"))
+"""
+
+
+def test_integer_work_loads_no_dataclasses_fractions_or_decimal():
+    # records are NamedTuples and fractions is imported only where a Fraction
+    # is made or tested, so neither the import nor integer work loads them
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -497,17 +497,15 @@ def test_fuse_s_gates_its_rounding_with_the_error_estimate(monkeypatch):
     # an S-matrix whose recorded residual is 1e-4 still rounds every A2 k=3
     # coefficient within 1e-6 of an integer, but the first-order error
     # estimate of the sum reaches the tolerance, so fuse_s refuses
-    from dataclasses import replace
-
     from loopfusion import fusion
 
     a2 = build_root_system("A2")
     sm = s_matrix(a2, 3)
     lam = mu = (1, 1)
     assert fuse_s(a2, 3, lam, mu) == fuse_kw(a2, 3, lam, mu)
-    monkeypatch.setattr(fusion, "s_matrix", lambda rs, k: replace(sm, residual=1e-12))
+    monkeypatch.setattr(fusion, "s_matrix", lambda rs, k: sm._replace(residual=1e-12))
     assert fuse_s(a2, 3, lam, mu) == fuse_kw(a2, 3, lam, mu)
-    monkeypatch.setattr(fusion, "s_matrix", lambda rs, k: replace(sm, residual=1e-4))
+    monkeypatch.setattr(fusion, "s_matrix", lambda rs, k: sm._replace(residual=1e-4))
     with pytest.raises(NumericalError, match="error estimate"):
         fuse_s(a2, 3, lam, mu)
 
@@ -523,7 +521,7 @@ def test_routes_agree_on_every_e6_level_2_pair():
 
 @pytest.mark.parametrize(
     "label,levels,rule",
-    [("A1", range(61), oracles.a1_fusion_coefficient), ("A2", range(11), oracles.a2_fusion_coefficient)],
+    [("A1", range(61), oracles.a1_fusion_coefficient), ("A2", range(13), oracles.a2_fusion_coefficient)],
     ids=["A1", "A2"],
 )
 def test_fusion_matrices_equal_the_closed_form_rule_on_every_label_triple(label, levels, rule):
@@ -565,6 +563,9 @@ def test_fuse_kw_equals_the_a2_threshold_rule_on_large_labels():
 
 
 def test_tensor_products_equal_the_a2_rule_at_infinite_level():
+    # tensor_decompose, and the Kac-Walton rows at k = level(lam) + level(mu),
+    # where no row meets an affine wall, both give the rule's terms
+    from loopfusion import fusion
     from loopfusion.finite_reps import tensor_decompose
 
     rs = build_root_system("A2")
@@ -577,3 +578,4 @@ def test_tensor_products_equal_the_a2_rule_at_infinite_level():
             if c := oracles.a2_fusion_coefficient(None, lam, mu, nu):
                 want[nu] = c
         assert tensor_decompose(rs, lam, mu).terms == want, (lam, mu)
+        assert fusion.kac_walton_rows(rs, top, lam, [mu]) == [want], (lam, mu)

@@ -774,3 +774,60 @@ def test_symplectic_level_rank_duality():
         for lam, mu in zip(labels, dual):
             lhs = verlinde_dimension(sp_n, k, Surface(genus=1, insertions=[lam]))
             assert lhs == verlinde_dimension(sp_k, n, Surface(genus=1, insertions=[mu])), (n, k, lam)
+
+
+@pytest.mark.parametrize(
+    "label,genus,constant",
+    [("A1", 2, 1), ("A1", 3, 4), ("A1", 4, 96), ("A2", 2, 2), ("B2", 2, 6)],
+    ids=["A1-g2", "A1-g3", "A1-g4", "A2-g2", "B2-g2"],
+)
+def test_verlinde_numbers_are_polynomial_in_the_level(label, genus, constant):
+    # for g >= 2, V_g(k) is a quasi-polynomial in k of degree D = (g - 1) dim G
+    # (Beauville, "Conformal blocks, fusion rules and the Verlinde formula",
+    # 1996), of period 1 on these algebras: over k = 0..D+3 its D-th forward
+    # difference is a nonzero constant and its (D+1)-th vanishes.  Genus 1
+    # counts labels, a polynomial of degree rank, and stays out.
+    rs = build_root_system(label)
+    degree = (genus - 1) * oracles.adjoint_dim(rs.spec.series, rs.rank)
+    values = [verlinde_dimension(rs, k, Surface(genus=genus)) for k in range(degree + 4)]
+    assert oracles.forward_difference(values, degree) == [constant] * 4
+    assert oracles.forward_difference(values, degree + 1) == [0] * 3
+
+
+def test_records_are_tuples_that_keep_fields_defaults_and_checks():
+    from loopfusion import (
+        AffineContext,
+        AlgebraSpec,
+        FusionElement,
+        InductionResult,
+        LevelWeight,
+        VirtualCharacter,
+    )
+
+    # mutable defaults are fresh per record
+    a, b = VirtualCharacter(), VirtualCharacter()
+    a.add((1,), 2)
+    assert b.terms == {} and a.terms == {(1,): 2}
+    assert FusionElement(k=1).terms is not FusionElement(k=1).terms
+    assert InductionResult(value=FusionElement(1)).source_degrees is not InductionResult(FusionElement(1)).source_degrees
+    # normalisation and validation hold under construction and _replace
+    e = FusionElement(2, {(1, 0): 0, (0, 1): np.int64(3)})
+    assert e == FusionElement(k=2, terms={(0, 1): 3}) and type(e.terms[(0, 1)]) is int
+    assert e._replace(terms={(1, 1): 0}) == FusionElement(2) and not FusionElement(2)
+    assert type(e._replace(k=3)) is FusionElement
+    assert AffineContext(build_root_system("A1"), np.int64(2)).h == 2
+    for bad in (lambda: AffineContext(build_root_system("A1"), -1),
+                lambda: AffineContext(build_root_system("A1"), 1)._replace(h=-1),
+                lambda: AlgebraSpec("A", 0),
+                lambda: AlgebraSpec("E", 6)._replace(rank=5)):
+        with pytest.raises(ValidationError):
+            bad()
+    # repr, field order, field-by-field equality, frozen and hashable records
+    assert repr(FusionElement(1, {(1,): 1})) == "FusionElement(k=1, terms={(1,): 1})"
+    assert repr(AlgebraSpec("B", 3)) == "AlgebraSpec(series='B', rank=3)" and str(AlgebraSpec("B", 3)) == "B3"
+    assert AlgebraSpec("B", 3) == ("B", 3) and LevelWeight((1,), 2) == LevelWeight(weight=(1,), k=2)
+    for record, name in ((AlgebraSpec("B", 3), "rank"), (LevelWeight((1,), 2), "k"),
+                         (AffineContext(build_root_system("A1"), 1), "h")):
+        hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
